@@ -22,8 +22,8 @@ from .oracles import (PlasticProfile, gamma_abs, kinematic_trajectory,
 from .potentials import (AbsoluteValue, Mollified, PiecewiseLinear, Potential,
                          Quadratic, Tether, eval_potential,
                          eval_subdifferential, mollify)
-from .solver_limit import (asymptotic_velocity, integrate_limit,
-                           limit_velocity, limit_velocity_minimize)
+from .solver_limit import (integrate_limit, limit_velocity,
+                           limit_velocity_minimize)
 from .solver_mm import StepEnergy, minimize_step, solve_mm, step_energy
 from .solver_smooth import SolverConfig, memory_force, solve_smooth
 
@@ -35,9 +35,9 @@ __all__ = [
     "Mollified", "NumericalError", "PastData", "PiecewiseLinear",
     "PlasticProfile", "Potential", "Quadratic", "SolverConfig", "StepEnergy",
     "StudyReport", "Tabulated", "TabulatedPast", "Tether",
-    "TruncatedExponential", "Trajectory", "asymptotic_velocity",
-    "convergence_study", "eval_kernel", "eval_potential",
-    "eval_subdifferential", "gamma_abs", "initial_stretch", "integrate_limit",
+    "TruncatedExponential", "Trajectory", "convergence_study",
+    "eval_kernel", "eval_potential", "eval_subdifferential", "gamma_abs",
+    "initial_stretch", "integrate_limit",
     "kinematic_trajectory", "kinematic_velocity", "limit_velocity",
     "limit_velocity_minimize", "longtime_study", "memory_force",
     "minimize_step", "mollify", "moment", "mu_of_t", "p_infinity_profile",

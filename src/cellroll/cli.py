@@ -15,7 +15,8 @@ converge / longtime
 
 Every CSV write is paired with a ``*.manifest.json`` echoing the fully
 resolved configuration; feeding a manifest back through ``--config``
-reproduces the run bit for bit. Sweeps honor ``CELLROLL_THREADS``.
+reproduces the run bit for bit. Bad input exits 2 with the dotted path of
+the offending field; a numerical failure, or an internal error, exits 1.
 """
 from __future__ import annotations
 
@@ -28,16 +29,17 @@ import numpy as np
 
 from . import config as cfgmod
 from .errors import ConfigError, NumericalError
-from .experiments import (convergence_study, longtime_study,
-                          velocity_force_sweep)
+from .experiments import (_check_eps_list, convergence_study,
+                          longtime_study, velocity_force_sweep)
 from .history import write_trajectory_csv
 from .kernels import Exponential
+from .memory import age_step, step_count
 from .oracles import (kinematic_trajectory, kinematic_velocity,
                       plastic_trajectory)
 from .potentials import AbsoluteValue, Quadratic, Tether
 from .solver_limit import integrate_limit, limit_velocity
 from .solver_mm import solve_mm
-from .solver_smooth import solve_smooth
+from .solver_smooth import _reject_nonsmooth, solve_smooth
 
 __all__ = ["main"]
 
@@ -76,10 +78,23 @@ def _study_section(cfg: dict) -> dict:
     return sec
 
 
+def _checked(path: str, check, *args):
+    """Run one of a solver's own precondition checks as a config check."""
+    try:
+        return check(*args)
+    except ValueError as exc:
+        raise ConfigError(path, str(exc)) from exc
+
+
 def _run_trajectory(cmd: str, args) -> int:
     cfg = cfgmod.load_config(args.config)
     psi, kernel, past, drive, r_model = cfgmod.resolve_model(cfg)
     solver_cfg, r_solver = cfgmod.build_solver(_solver_section(cfg))
+    _checked("solver.T", step_count, solver_cfg.T, solver_cfg.dt)
+    if cmd != "limit":
+        _checked("solver.dt", age_step, kernel, solver_cfg.eps, solver_cfg.dt)
+    if cmd == "simulate":
+        _checked("model.potential", _reject_nonsmooth, psi)
     out = _output_section(cfg, default_path=f"{cmd}.csv")
     if args.out:
         out["path"] = args.out
@@ -110,9 +125,10 @@ def _run_oracle(args) -> int:
     if args.out:
         out["path"] = args.out
     z0 = past.eval(0.0)
-    n = int(round(solver_cfg.T / solver_cfg.dt))
+    n = _checked("solver.T", step_count, solver_cfg.T, solver_cfg.dt)
     t = np.arange(n + 1) * solver_cfg.dt
-    if abs(v_inf) <= kernel.mu_total():
+    # the same bond mass the oracles test their regime against
+    if abs(v_inf) <= kernel.cummass(kernel.a_max, math.inf):
         profile = plastic_trajectory(v_inf, kernel, z0)
         z, zdot = profile.z(t), profile.zdot(t)
     else:
@@ -183,11 +199,11 @@ def _run_converge(args) -> int:
     if args.out:
         out["path"] = args.out
     eps_list = [float(e) for e in eps_arr]
-    try:
-        report = convergence_study(psi, kernel, drive, past, eps_list, T, dt,
-                                   final_bound=bound)
-    except ValueError as exc:
-        raise ConfigError("study.eps_list", str(exc)) from exc
+    _checked("study.eps_list", _check_eps_list, eps_list, dt)
+    _checked("study.T", step_count, T, dt)
+    _checked("study.dt", age_step, kernel, eps_list[-1], dt)
+    report = convergence_study(psi, kernel, drive, past, eps_list, T, dt,
+                               final_bound=bound)
     report.to_csv(out["path"], precision=out["precision"])
     r_study = {"eps_list": eps_list, "T": T, "dt": dt}
     if bound is not None:
@@ -210,10 +226,10 @@ def _run_longtime(args) -> int:
     if args.out:
         out["path"] = args.out
     T_list = [float(T) for T in T_arr]
-    try:
-        report = longtime_study(psi, kernel, drive, past, T_list, dt=dt)
-    except ValueError as exc:
-        raise ConfigError("study.T_list", str(exc)) from exc
+    for T in T_list:
+        _checked("study.T_list", step_count, T, dt)
+    _checked("study.dt", age_step, kernel, 1.0, dt)  # the study runs at eps = 1
+    report = longtime_study(psi, kernel, drive, past, T_list, dt=dt)
     report.to_csv(out["path"], precision=out["precision"])
     resolved = {"command": "longtime", "model": r_model,
                 "study": {"T_list": T_list, "dt": dt}, "output": out}
@@ -271,11 +287,12 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
+        return 1
+    except ValueError as exc:
+        # bad input is rejected as a ConfigError before any solve starts
+        print(f"internal error: {exc}", file=sys.stderr)
         return 1
 
 

@@ -225,14 +225,14 @@ def build_solver(d, path="solver"):
     T = _num(d, "T", path, default=1.0, positive=True)
     dt = _num(d, "dt", path, default=1e-2, positive=True)
     scheme = _get(d, "scheme", path, default="euler")
-    tol = _num(d, "tol_fixedpoint", path, default=1e-10, positive=True)
-    cfg = SolverConfig(eps=eps, T=T, dt=dt, scheme=scheme, tol_fixedpoint=tol)
+    # "tol_fixedpoint" is accepted and ignored: manifests written before it
+    # was dropped still carry it
+    cfg = SolverConfig(eps=eps, T=T, dt=dt, scheme=scheme)
     try:
         cfg.validated()
     except ValueError as exc:
         raise ConfigError(f"{path}.scheme", str(exc)) from exc
-    resolved = {"eps": eps, "T": T, "dt": dt, "scheme": str(scheme),
-                "tol_fixedpoint": tol}
+    resolved = {"eps": eps, "T": T, "dt": dt, "scheme": scheme}
     return cfg, resolved
 
 

@@ -3,20 +3,18 @@
 Each study returns a :class:`StudyReport` whose pass/fail rule is spelled out
 in the ``criterion`` string, so every threshold travels with the emitted
 report instead of hiding in test code. Reports are deterministic functions of
-their inputs; sweep points are independent and may run on a thread pool sized
-by the ``CELLROLL_THREADS`` environment variable.
+their inputs.
 """
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .history import PastData
 from .kernels import Kernel
+from .memory import as_drive
 from .oracles import gamma_abs
 from .potentials import AbsoluteValue, Potential
 from .solver_limit import integrate_limit, limit_velocity
@@ -25,22 +23,6 @@ from .solver_smooth import SolverConfig, solve_smooth
 
 __all__ = ["StudyReport", "convergence_study", "longtime_study",
            "velocity_force_sweep"]
-
-
-def _worker_count() -> int:
-    raw = os.environ.get("CELLROLL_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def _map_points(fn, items):
-    n = _worker_count()
-    if n == 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=n) as pool:
-        return list(pool.map(fn, items))
 
 
 @dataclass
@@ -79,6 +61,13 @@ def _dispatch_solver(psi: Potential):
     return solve_mm if len(psi.breakpoints) > 0 else solve_smooth
 
 
+def _check_eps_list(eps_list, dt):
+    if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
+        raise ValueError("eps_list must be strictly decreasing")
+    if eps_list and dt >= min(eps_list):
+        raise ValueError("dt must be well below the smallest eps")
+
+
 def convergence_study(psi: Potential, kernel: Kernel, v, past: PastData,
                       eps_list, T: float, dt: float,
                       final_bound: float | None = None) -> StudyReport:
@@ -89,10 +78,7 @@ def convergence_study(psi: Potential, kernel: Kernel, v, past: PastData,
     as "last ratio <= 1.2 * first ratio" on e(eps)/(eps|ln eps|).
     """
     eps_list = [float(e) for e in eps_list]
-    if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
-        raise ValueError("eps_list must be strictly decreasing")
-    if eps_list and dt >= min(eps_list):
-        raise ValueError("dt must be well below the smallest eps")
+    _check_eps_list(eps_list, dt)
     kinked = len(psi.breakpoints) > 0
     z0 = float(past.eval(0.0))
     reference = integrate_limit(psi, kernel, v, z0, T, dt).values
@@ -102,7 +88,7 @@ def convergence_study(psi: Potential, kernel: Kernel, v, past: PastData,
         traj = solver(psi, kernel, v, past, SolverConfig(eps=eps, T=T, dt=dt))
         return float(np.max(np.abs(traj.values - reference)))
 
-    errors = _map_points(point, eps_list)
+    errors = [point(eps) for eps in eps_list]
 
     model_name = "eps*|ln eps|" if kinked else "eps"
     model = np.array([e * abs(math.log(e)) if kinked else e for e in eps_list])
@@ -146,7 +132,7 @@ def longtime_study(psi: Potential, kernel: Kernel, v, past: PastData,
     T_list = sorted(float(T) for T in T_list)
     if not T_list:
         raise ValueError("T_list must be nonempty")
-    drive = v if callable(v) else (lambda t, _c=float(v): _c)
+    drive = as_drive(v)
     v_inf = float(drive(1e12))
     gamma = limit_velocity(psi, kernel, v_inf, math.inf)
     solver = _dispatch_solver(psi)
@@ -185,7 +171,7 @@ def velocity_force_sweep(kernel: Kernel, v_grid) -> StudyReport:
         g_ref = gamma_abs(v, mu_inf)
         return (v, g, g_ref, abs(g - g_ref))
 
-    rows = _map_points(point, v_grid)
+    rows = [point(v) for v in v_grid]
     worst = max((r[3] for r in rows), default=0.0)
     criterion = "max |gamma - gamma_abs| <= 1e-06 across the v grid"
     return StudyReport("velocity_force", ("param", "gamma", "gamma_abs", "diff"),

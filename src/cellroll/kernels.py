@@ -188,6 +188,10 @@ class Tabulated(Kernel):
         if p not in (0, 1, 2):
             raise ValueError("moment order p must be 0, 1, or 2")
         a, v = self.a_grid, self.values
+        if self.a_max < a[-1]:
+            keep = a < self.a_max
+            a = np.append(a[keep], self.a_max)
+            v = np.append(v[keep], np.interp(self.a_max, self.a_grid, self.values))
         m = np.trapezoid(a**p * v, a)
         if self.modulation is not None:
             m = m * self.modulation(t)
@@ -196,7 +200,7 @@ class Tabulated(Kernel):
     def mu(self, t):
         if self.modulation is not None:
             raise ValueError("time-modulated kernel has no static profile")
-        t = np.asarray(t, dtype=float)
+        t = np.minimum(np.asarray(t, dtype=float), self.a_max)
         return np.interp(t, self.a_grid, self._cum)
 
     def cummass(self, x, t):

@@ -8,33 +8,18 @@ of the equivalent convex objective J_t provides an independent cross-check.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NumericalError
 from .history import ConstantPast, Trajectory
 from .kernels import Kernel
+from .memory import as_drive, step_count
 from .potentials import Potential
 
-__all__ = [
-    "LimitData",
-    "limit_velocity",
-    "limit_velocity_minimize",
-    "integrate_limit",
-    "asymptotic_velocity",
-]
+__all__ = ["limit_velocity", "limit_velocity_minimize", "integrate_limit"]
 
 _SIMPSON_NODES = 2049  # age-quadrature resolution for smooth potentials
-
-
-@dataclass(frozen=True)
-class LimitData:
-    """Constant limiting data (v_inf, rho_inf) for the asymptotic equation."""
-
-    psi: Potential
-    kernel: Kernel
-    v_inf: float
 
 
 def _force_selections(psi, kernel, w, t):
@@ -149,27 +134,12 @@ def limit_velocity_minimize(psi: Potential, kernel: Kernel, v_t: float, t: float
 
 def integrate_limit(psi: Potential, kernel: Kernel, v, z0: float, T: float, dt: float) -> Trajectory:
     """z_0(t) = z0 + cumulative trapezoid of the pointwise limit velocity."""
-    n = _step_count(T, dt)
+    n = step_count(T, dt)
+    drive = as_drive(v)
     w = np.empty(n + 1)
     for i in range(n + 1):
-        w[i] = limit_velocity(psi, kernel, _drive(v, i * dt), i * dt)
+        w[i] = limit_velocity(psi, kernel, float(drive(i * dt)), i * dt)
     z = np.empty(n + 1)
     z[0] = float(z0)
     z[1:] = z0 + np.cumsum(0.5 * dt * (w[1:] + w[:-1]))
     return Trajectory(dt, z, ConstantPast(float(z0)), eps=1.0)
-
-
-def asymptotic_velocity(data: LimitData) -> float:
-    """The constant gamma solving gamma + int psi'(a gamma) rho_inf da = v_inf."""
-    return limit_velocity(data.psi, data.kernel, data.v_inf, math.inf)
-
-
-def _drive(v, t):
-    return float(v(t)) if callable(v) else float(v)
-
-
-def _step_count(T, dt):
-    n = round(T / dt)
-    if n < 1 or abs(n * dt - T) > 1e-9 * max(1.0, abs(T)):
-        raise ValueError("T must be a whole number of steps dt")
-    return n

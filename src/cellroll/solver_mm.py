@@ -14,9 +14,10 @@ import numpy as np
 
 from .errors import NumericalError
 from .history import PastData, Trajectory
-from .kernels import Kernel, TruncatedExponential
+from .kernels import Kernel
+from .memory import Memory, as_drive, step_count
 from .potentials import Potential
-from .solver_smooth import SolverConfig, _num_steps
+from .solver_smooth import SolverConfig
 
 __all__ = ["StepEnergy", "minimize_step", "solve_mm", "step_energy"]
 
@@ -94,35 +95,14 @@ def minimize_step(e: StepEnergy, tol: float = 1e-11) -> float:
     return 0.5 * (lo + hi)
 
 
-def _age_layout(kernel: Kernel, eps: float, dt: float):
-    da = dt / eps
-    if da > kernel.a_max:
-        raise ValueError(
-            "dt/eps exceeds the kernel age support; refine dt to tie the age grid"
-        )
-    j_max = int(math.floor(kernel.a_max / da + 1e-9))
-    ages = da * np.arange(j_max + 1)
-    return da, ages
-
-
-def _base_weights(kernel: Kernel, ages, da):
-    if isinstance(kernel, TruncatedExponential):
-        return da * kernel.profile(ages)
-    if not kernel.time_dependent:
-        return da * np.asarray(kernel.eval(ages, 0.0), dtype=float)
-    return None
-
-
-def _step_terms(kernel: Kernel, ages, da, base, n, t_n, values):
-    """Weights and anchors for step n; anchors[j] = Z^{n-1-j}."""
-    m = min(n, ages.size)
-    anchors = values[n - m: n][::-1]
-    if isinstance(kernel, TruncatedExponential):
-        m = min(m, int(np.searchsorted(ages, t_n, side="left")))
-        return base[:m], anchors[:m]
-    if base is not None:
-        return base[:m], anchors
-    return da * np.asarray(kernel.eval(ages[:m], t_n), dtype=float), anchors
+def _step(psi: Potential, memory: Memory, drive, values, n: int, dt: float,
+          eps: float) -> StepEnergy:
+    """E_n, whose anchors[j] = Z^{n-1-j} are the computed nodes alone."""
+    t_n = n * dt
+    weights = memory.weights(t_n, min(n, memory.ages.size))
+    anchors = values[n - weights.size: n][::-1]
+    return StepEnergy(psi, float(values[n - 1]), dt, float(drive(t_n)),
+                      weights, anchors, eps)
 
 
 def _reject_unbounded(psi: Potential):
@@ -156,20 +136,15 @@ def solve_mm(psi: Potential, kernel: Kernel, v, past: PastData,
     cfg = cfg.validated()
     _reject_unbounded(psi)
     eps, dt = float(cfg.eps), float(cfg.dt)
-    n_steps = _num_steps(cfg.T, dt)
-    da, ages = _age_layout(kernel, eps, dt)
-    base = _base_weights(kernel, ages, da)
-
-    drive = v if callable(v) else (lambda t, _c=float(v): _c)
+    n_steps = step_count(cfg.T, dt)
+    memory = Memory(kernel, eps, dt, "rectangle")
+    drive = as_drive(v)
     Z = np.empty(n_steps + 1)
     Z[0] = float(past.eval(0.0))
     for n in range(1, n_steps + 1):
-        t_n = n * dt
-        wts, anchors = _step_terms(kernel, ages, da, base, n, t_n, Z)
-        e = StepEnergy(psi, Z[n - 1], dt, float(drive(t_n)), wts, anchors, eps)
-        Z[n] = minimize_step(e)
+        Z[n] = minimize_step(_step(psi, memory, drive, Z, n, dt, eps))
         if not np.isfinite(Z[n]):
-            raise NumericalError(f"minimizing movements diverged at t = {t_n:.6g}")
+            raise NumericalError(f"minimizing movements diverged at t = {n * dt:.6g}")
     return Trajectory(dt, Z, past, eps=eps)
 
 
@@ -182,11 +157,5 @@ def step_energy(psi: Potential, kernel: Kernel, v, traj: Trajectory,
     """
     if n < 1:
         raise ValueError("steps are numbered from 1")
-    eps, dt = traj.eps, traj.dt
-    da, ages = _age_layout(kernel, eps, dt)
-    base = _base_weights(kernel, ages, da)
-    drive = v if callable(v) else (lambda t, _c=float(v): _c)
-    t_n = n * dt
-    wts, anchors = _step_terms(kernel, ages, da, base, n, t_n, traj.values)
-    return StepEnergy(psi, float(traj.values[n - 1]), dt, float(drive(t_n)),
-                      wts, anchors, eps)
+    memory = Memory(kernel, traj.eps, traj.dt, "rectangle")
+    return _step(psi, memory, as_drive(v), traj.values, n, traj.dt, traj.eps)

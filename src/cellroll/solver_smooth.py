@@ -6,20 +6,17 @@ and past-branch samples evaluate the prescribed history exactly.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NumericalError
 from .history import PastData, Trajectory
-from .kernels import Kernel, TruncatedExponential
+from .kernels import Kernel
+from .memory import Memory, as_drive, step_count
 from .potentials import Potential
 
 __all__ = ["SolverConfig", "memory_force", "solve_smooth"]
-
-_SCHEMES = {"euler": "euler", "expliciteuler": "euler", "explicit_euler": "euler",
-            "heun": "heun"}
 
 
 @dataclass
@@ -36,15 +33,12 @@ class SolverConfig:
         Time step; the age step is dt/eps.
     scheme : str
         "euler" (default) or "heun".
-    tol_fixedpoint : float
-        Reserved for implicit schemes; unused by the explicit ones.
     """
 
     eps: float = 1.0
     T: float = 1.0
     dt: float = 1e-2
     scheme: str = "euler"
-    tol_fixedpoint: float = 1e-10
 
     def validated(self) -> "SolverConfig":
         if not self.eps > 0:
@@ -53,29 +47,9 @@ class SolverConfig:
             raise ValueError("T must be positive")
         if not self.dt > 0:
             raise ValueError("dt must be positive")
-        if _SCHEMES.get(str(self.scheme).lower().replace("-", "_")) is None:
+        if self.scheme not in ("euler", "heun"):
             raise ValueError(f"unknown scheme {self.scheme!r}; use 'euler' or 'heun'")
         return self
-
-
-def _num_steps(T: float, dt: float) -> int:
-    n = round(T / dt)
-    if n < 1 or abs(n * dt - T) > 1e-9 * max(1.0, abs(T)):
-        raise ValueError("T must be a positive integer multiple of dt")
-    return n
-
-
-def _age_grid(kernel: Kernel, eps: float, dt: float):
-    da = dt / eps
-    if da > kernel.a_max:
-        raise ValueError(
-            "dt/eps exceeds the kernel age support; refine dt to tie the age grid"
-        )
-    J = int(math.ceil(kernel.a_max / da - 1e-9))
-    a = da * np.arange(J + 1)
-    trap = np.full(J + 1, da)
-    trap[0] = trap[-1] = 0.5 * da
-    return a, trap
 
 
 def _reject_nonsmooth(psi: Potential):
@@ -96,11 +70,12 @@ def memory_force(psi: Potential, kernel: Kernel, traj: Trajectory, t: float,
     BreakpointCollisionError
         If a stretch lands exactly on a subdifferential jump of ``psi``.
     """
-    a, trap = _age_grid(kernel, eps, traj.dt)
+    memory = Memory(kernel, eps, traj.dt, "trapezoid")
+    w = memory.weights(t)
     z_t = traj.sample_many(t, np.zeros(1))[0]
-    delayed = traj.sample_many(t, eps * a)
+    delayed = traj.sample_many(t, eps * memory.ages[: w.size])
     u = (z_t - delayed) / eps
-    return float(np.dot(trap * kernel.eval(a, t), psi.derivative(u)))
+    return float(np.dot(w, psi.derivative(u)))
 
 
 def solve_smooth(psi: Potential, kernel: Kernel, v, past: PastData,
@@ -127,56 +102,38 @@ def solve_smooth(psi: Potential, kernel: Kernel, v, past: PastData,
     """
     cfg = cfg.validated()
     _reject_nonsmooth(psi)
-    scheme = _SCHEMES[str(cfg.scheme).lower().replace("-", "_")]
     eps, dt = float(cfg.eps), float(cfg.dt)
-    n_steps = _num_steps(cfg.T, dt)
-    a, trap = _age_grid(kernel, eps, dt)
-    J = a.size - 1
+    n_steps = step_count(cfg.T, dt)
+    memory = Memory(kernel, eps, dt, "trapezoid")
+    J = memory.ages.size - 1
+    drive = as_drive(v)
 
-    drive = v if callable(v) else (lambda t, _c=float(v): _c)
-
-    # weight layout: w[j] multiplies psi' at age a_j; time-independent kernels
-    # and the truncated exponential (a pure age cutoff) precompute it once
-    truncated = isinstance(kernel, TruncatedExponential)
-    if truncated:
-        w_base = trap * kernel.profile(a)
-    elif not kernel.time_dependent:
-        w_base = trap * kernel.eval(a, 0.0)
-    else:
-        w_base = None
-
-    # B[k] holds z at time (k - J) dt; the slice B[n : J+n+1] reversed is
-    # z(t_n - eps a_j) for j = 0..J
+    # B[k] holds z at time (k - J) dt, so z(t_n - eps a_j) = B[n + J - j]
     B = np.empty(J + n_steps + 1)
     B[:J] = past.eval((np.arange(J) - J) * dt)
     B[J] = past.eval(0.0)
 
     def force(n, z_n, lo):
-        # ages j = lo..J at time t_n = n dt, anchored at position z_n
-        t_n = n * dt
-        u = (z_n - B[n: n + J + 1 - lo][::-1]) / eps
-        if truncated:
-            cap = int(np.searchsorted(a, t_n, side="left"))
-            if cap <= lo:
-                return 0.0
-            return float(np.dot(w_base[lo:cap], psi.derivative(u[: cap - lo])))
-        if w_base is not None:
-            w = w_base
-        else:
-            w = trap * kernel.eval(a, t_n)
-        return float(np.dot(w[lo:], psi.derivative(u)))
+        # ages j >= lo at time t_n = n dt, anchored at position z_n
+        w = memory.weights(n * dt)[lo:]
+        if w.size == 0:
+            return 0.0
+        u = (z_n - B[n + J - lo - w.size + 1: n + J - lo + 1][::-1]) / eps
+        return float(np.dot(w, psi.derivative(u)))
 
-    for n in range(n_steps):
-        z_n = B[J + n]
-        rate = drive(n * dt) - force(n, z_n, 0)
-        z_next = z_n + dt * rate
-        if scheme == "heun":
-            # the age-0 term vanishes (zero stretch), so the corrector force
-            # at t_{n+1} only needs already-stored nodes
-            rate2 = drive((n + 1) * dt) - force(n + 1, z_next, 1)
-            z_next = z_n + 0.5 * dt * (rate + rate2)
-        if not np.isfinite(z_next):
-            raise NumericalError(f"solution blew up at t = {(n + 1) * dt:.6g}")
-        B[J + n + 1] = z_next
+    # overflow shows up as a non-finite node, reported below as a blow-up
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in range(n_steps):
+            z_n = B[J + n]
+            rate = drive(n * dt) - force(n, z_n, 0)
+            z_next = z_n + dt * rate
+            if cfg.scheme == "heun":
+                # the age-0 term vanishes (zero stretch), so the corrector
+                # force at t_{n+1} only needs already-stored nodes
+                rate2 = drive((n + 1) * dt) - force(n + 1, z_next, 1)
+                z_next = z_n + 0.5 * dt * (rate + rate2)
+            if not np.isfinite(z_next):
+                raise NumericalError(f"solution blew up at t = {(n + 1) * dt:.6g}")
+            B[J + n + 1] = z_next
 
     return Trajectory(dt, B[J:].copy(), past, eps=eps)

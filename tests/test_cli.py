@@ -214,6 +214,44 @@ class TestFailureExits:
         assert err.startswith("numerical failure:")
         assert "blew up" in err
 
+    @pytest.mark.parametrize("command, solver, potential, field", [
+        ("simulate", {}, "abs", "model.potential"),
+        ("simulate", {"T": 1.001}, "quadratic", "solver.T"),
+        ("mm", {"eps": 1e-3, "dt": 0.1}, "abs", "solver.dt"),
+        ("simulate", {"scheme": "explicit_euler"}, "quadratic",
+         "solver.scheme"),
+        ("oracle", {"T": 1.001}, "abs", "solver.T"),
+    ])
+    def test_solver_precondition_reports_dotted_path(
+            self, capsys, tmp_path, command, solver, potential, field):
+        cfg_dict = quad_config(**solver)
+        cfg_dict["model"]["potential"] = {"kind": potential}
+        cfg = write_config(tmp_path / "run.json", cfg_dict)
+        code, _, err = run(capsys, command, "--config", cfg)
+        assert code == 2
+        assert err.startswith(f"config error: {field}")
+
+    def test_legacy_tol_fixedpoint_is_ignored(self, capsys, tmp_path):
+        cfg = write_config(tmp_path / "run.json",
+                           quad_config(T=0.1, tol_fixedpoint=1e-10))
+        out_csv = tmp_path / "run.csv"
+        code, _, _ = run(capsys, "simulate", "--config", cfg,
+                         "--out", str(out_csv))
+        assert code == 0
+        manifest = json.loads((tmp_path / "run.manifest.json").read_text())
+        assert "tol_fixedpoint" not in manifest["solver"]
+
+    def test_internal_value_error_exits_one(self, capsys, tmp_path,
+                                            monkeypatch):
+        def broken(*args):
+            raise ValueError("boom")
+
+        monkeypatch.setattr("cellroll.cli.solve_smooth", broken)
+        cfg = write_config(tmp_path / "run.json", quad_config())
+        code, _, err = run(capsys, "simulate", "--config", cfg)
+        assert code == 1
+        assert err == "internal error: boom\n"
+
 
 class TestStudyCommands:
     def test_converge_passes_and_echoes_study(self, capsys, tmp_path):
@@ -245,6 +283,16 @@ class TestStudyCommands:
         assert code == 2
         assert "study.eps_list" in err
 
+    def test_converge_partial_final_step_reports_study_t(self, capsys,
+                                                         tmp_path):
+        cfg_dict = quad_config()
+        del cfg_dict["solver"]
+        cfg_dict["study"] = {"eps_list": [0.4, 0.2], "T": 1.001, "dt": 2e-3}
+        cfg = write_config(tmp_path / "conv.json", cfg_dict)
+        code, _, err = run(capsys, "converge", "--config", cfg)
+        assert code == 2
+        assert err.startswith("config error: study.T:")
+
     def test_longtime_passes(self, capsys, tmp_path):
         cfg_dict = quad_config()
         del cfg_dict["solver"]
@@ -268,6 +316,15 @@ class TestStudyCommands:
         code, _, err = run(capsys, "longtime", "--config", cfg)
         assert code == 2
         assert "study.T_list" in err
+
+    def test_longtime_rejects_negative_horizon(self, capsys, tmp_path):
+        cfg_dict = quad_config()
+        del cfg_dict["solver"]
+        cfg_dict["study"] = {"T_list": [-1.0, 2.0], "dt": 1e-2}
+        cfg = write_config(tmp_path / "lt.json", cfg_dict)
+        code, _, err = run(capsys, "longtime", "--config", cfg)
+        assert code == 2
+        assert err.startswith("config error: study.T_list:")
 
     def test_unknown_study_key_rejected(self, capsys, tmp_path):
         cfg_dict = quad_config()

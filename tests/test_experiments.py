@@ -123,15 +123,6 @@ class TestVelocityForceSweep:
         report = velocity_force_sweep(kernel, [1.5, -1.5, 0.0])
         assert [row[0] for row in report.rows] == [-1.5, 0.0, 1.5]
 
-    def test_thread_pool_reproduces_serial_rows(self, monkeypatch):
-        kernel = Exponential(1.0, 1.0)
-        grid = np.linspace(-2.0, 2.0, 7)
-        serial = velocity_force_sweep(kernel, grid)
-        monkeypatch.setenv("CELLROLL_THREADS", "3")
-        threaded = velocity_force_sweep(kernel, grid)
-        assert threaded.rows == serial.rows
-        assert threaded.passed == serial.passed
-
 
 class TestStudyReport:
     def report(self):

@@ -131,6 +131,14 @@ class TestTabulated:
         assert mu_of_t(k, 3.0) == pytest.approx(2.5)
         assert k.cummass(10.0, 0.0) == pytest.approx(2.5)
 
+    def test_quantities_honor_a_max(self):
+        for a_max in (1.0, 2.5):
+            k = Tabulated([0.0, 1.0, 2.0, 4.0], [1.0, 1.0, 1.0, 1.0],
+                          a_max=a_max)
+            assert k.mu_total() == k.cummass(k.a_max, math.inf) == a_max
+            assert k.mu(3.0) == a_max
+            assert k.moment(0.0, 1) == pytest.approx(0.5 * a_max**2)
+
     def test_modulated_kernel(self):
         m = lambda t: 1.0 + 0.5 * math.sin(t)
         k = Tabulated([0.0, 1.0], [1.0, 1.0], modulation=m)

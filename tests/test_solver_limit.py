@@ -10,8 +10,7 @@ from cellroll.kernels import Exponential, Tabulated, TruncatedExponential
 from cellroll.oracles import gamma_abs
 from cellroll.potentials import (AbsoluteValue, PiecewiseLinear, Quadratic,
                                  Tether, mollify)
-from cellroll.solver_limit import (LimitData, asymptotic_velocity,
-                                   integrate_limit, limit_velocity,
+from cellroll.solver_limit import (integrate_limit, limit_velocity,
                                    limit_velocity_minimize)
 
 
@@ -123,14 +122,14 @@ class TestIntegrateLimit:
 
 
 class TestAsymptoticVelocity:
-    def test_wraps_limit_velocity_at_infinity(self):
-        data = LimitData(AbsoluteValue(), Exponential(1.0, 1.0), 1.5)
-        assert asymptotic_velocity(data) == pytest.approx(0.5, abs=1e-9)
+    def test_limit_velocity_at_infinity(self):
+        got = limit_velocity(AbsoluteValue(), Exponential(1.0, 1.0), 1.5,
+                             math.inf)
+        assert got == pytest.approx(0.5, abs=1e-9)
 
     def test_stationary_tabulated_kernel(self):
         a = np.linspace(0.0, 8.0, 2001)
         k = Tabulated(a, np.exp(-a))
-        data = LimitData(AbsoluteValue(), k, 2.0)
         mu_inf = float(k.cummass(k.a_max, math.inf))
-        assert asymptotic_velocity(data) == pytest.approx(
+        assert limit_velocity(AbsoluteValue(), k, 2.0, math.inf) == pytest.approx(
             gamma_abs(2.0, mu_inf), abs=1e-9)
