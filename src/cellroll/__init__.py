@@ -14,8 +14,7 @@ from .experiments import (StudyReport, convergence_study, longtime_study,
 from .history import (ConstantPast, LinearPast, PastData, TabulatedPast,
                       Trajectory, initial_stretch, sample_delayed,
                       write_trajectory_csv)
-from .kernels import (Exponential, Kernel, Tabulated, TruncatedExponential,
-                      eval_kernel, moment, mu_of_t)
+from .kernels import Exponential, Kernel, Tabulated, TruncatedExponential
 from .oracles import (PlasticProfile, gamma_abs, kinematic_trajectory,
                       kinematic_velocity, p_infinity_profile,
                       plastic_trajectory, quadratic_final_position)
@@ -36,11 +35,11 @@ __all__ = [
     "PlasticProfile", "Potential", "Quadratic", "SolverConfig", "StepEnergy",
     "StudyReport", "Tabulated", "TabulatedPast", "Tether",
     "TruncatedExponential", "Trajectory", "convergence_study",
-    "eval_kernel", "eval_potential", "eval_subdifferential", "gamma_abs",
+    "eval_potential", "eval_subdifferential", "gamma_abs",
     "initial_stretch", "integrate_limit",
     "kinematic_trajectory", "kinematic_velocity", "limit_velocity",
     "limit_velocity_minimize", "longtime_study", "memory_force",
-    "minimize_step", "mollify", "moment", "mu_of_t", "p_infinity_profile",
+    "minimize_step", "mollify", "p_infinity_profile",
     "plastic_trajectory", "quadratic_final_position", "sample_delayed",
     "solve_mm", "solve_smooth", "step_energy", "velocity_force_sweep",
     "write_trajectory_csv",

@@ -127,8 +127,7 @@ def _run_oracle(args) -> int:
     z0 = past.eval(0.0)
     n = _checked("solver.T", step_count, solver_cfg.T, solver_cfg.dt)
     t = np.arange(n + 1) * solver_cfg.dt
-    # the same bond mass the oracles test their regime against
-    if abs(v_inf) <= kernel.cummass(kernel.a_max, math.inf):
+    if abs(v_inf) <= kernel.mu_total():
         profile = plastic_trajectory(v_inf, kernel, z0)
         z, zdot = profile.z(t), profile.zdot(t)
     else:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .history import PastData
+from .history import PastData, _write_csv
 from .kernels import Kernel
 from .memory import as_drive
 from .oracles import gamma_abs
@@ -50,11 +50,7 @@ class StudyReport:
         return f"{verdict} {self.name}: {self.criterion}{tail}"
 
     def to_csv(self, path, precision: int = 17):
-        fmt = f"%.{int(precision)}g"
-        with open(path, "w") as fh:
-            fh.write(",".join(self.columns) + "\n")
-            for row in self.rows:
-                fh.write(",".join(fmt % x for x in row) + "\n")
+        _write_csv(path, self.columns, self.rows, precision)
 
 
 def _dispatch_solver(psi: Potential):
@@ -164,7 +160,7 @@ def velocity_force_sweep(kernel: Kernel, v_grid) -> StudyReport:
     """Asymptotic velocity for psi = |u| against the closed-form law."""
     v_grid = sorted(float(v) for v in v_grid)
     psi = AbsoluteValue()
-    mu_inf = float(kernel.cummass(kernel.a_max, math.inf))
+    mu_inf = kernel.mu_total()
 
     def point(v):
         g = limit_velocity(psi, kernel, v, math.inf)

@@ -154,8 +154,12 @@ def sample_delayed(traj: Trajectory, t: float, lag):
 
 
 def write_trajectory_csv(path, t, z, zdot, precision: int = 17):
-    fmt = f"%.{int(precision)}g"
+    _write_csv(path, ("t", "z", "zdot"), zip(t, z, zdot), precision)
+
+
+def _write_csv(path, columns, rows, precision: int):
+    """A header line, then one line per row with every value as %.{precision}g."""
+    line = ",".join([f"%.{int(precision)}g"] * len(columns)) + "\n"
     with open(path, "w") as fh:
-        fh.write("t,z,zdot\n")
-        for row in zip(t, z, zdot):
-            fh.write(",".join(fmt % x for x in row) + "\n")
+        fh.write(",".join(columns) + "\n")
+        fh.writelines(line % tuple(row) for row in rows)

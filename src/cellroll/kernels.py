@@ -1,8 +1,11 @@
 """Linkage-age densities rho(a, t), their moments, and cumulative bond mass.
 
-All built-in kinds integrate (1 + a^2) rho over ages with a finite truncation
-horizon ``a_max`` chosen so the neglected tail mass is below 1e-10; evaluation
-returns 0 beyond that horizon.
+Every kernel quantity (``eval``, ``profile``, ``cummass``, ``mu``,
+``mu_total`` and ``moment``) stops at the truncation horizon ``a_max``, so
+they all see the same bonds. The built-in exponential kinds default to an
+``a_max`` at which the neglected tail of (1 + a^2) rho is below 1e-10; a
+tabulated kernel defaults to the end of its grid. ``TruncatedExponential``
+also cuts ages older than t.
 """
 from __future__ import annotations
 
@@ -10,19 +13,16 @@ import math
 
 import numpy as np
 
-__all__ = [
-    "Kernel",
-    "Exponential",
-    "TruncatedExponential",
-    "Tabulated",
-    "eval_kernel",
-    "moment",
-    "mu_of_t",
-]
+__all__ = ["Kernel", "Exponential", "TruncatedExponential", "Tabulated"]
 
 
 class Kernel:
     """Base class for age densities.
+
+    A kind supplies its profile ``_rho``, the profile's mass ``_mass(x)`` and
+    its moments ``_moment_to(x, p)`` (p = 1, 2) on [0, x] for x <= ``a_max``.
+    This class cuts them at ``support(t)``, the oldest age carrying bonds at
+    time t, and applies the optional time ``modulation``.
 
     ``time_dependent`` is True when rho(a, t) genuinely varies with t (the
     age-truncation indicator of ``TruncatedExponential`` counts); kinds with a
@@ -31,35 +31,59 @@ class Kernel:
 
     a_max: float
     time_dependent: bool = False
-
-    def eval(self, a, t):
-        raise NotImplementedError
-
-    def profile(self, a):
-        """rho_inf(a), the time-independent profile."""
-        raise NotImplementedError
-
-    def moment(self, t, p):
-        raise NotImplementedError
-
-    def mu(self, t):
-        """Cumulative profile mass int_0^t rho_inf(a) da."""
-        raise NotImplementedError
-
-    def mu_total(self) -> float:
-        return float(self.moment(math.inf, 0))
-
-    def cummass(self, x, t):
-        """int_0^x rho(a, t) da, honoring the truncation horizon."""
-        return self.mu(np.clip(x, 0.0, self.a_max))
+    modulation = None
 
     def support(self, t) -> float:
         """Upper age limit of rho(., t); quadratures stop here."""
         return self.a_max
 
+    def eval(self, a, t):
+        """rho(a, t)."""
+        a = np.asarray(a, dtype=float)
+        return self._modulated(np.where(a <= self.support(t), self._rho(a), 0.0), t)
+
+    def profile(self, a):
+        """rho_inf(a), the time-independent profile."""
+        self._require_static()
+        a = np.asarray(a, dtype=float)
+        return np.where(a <= self.a_max, self._rho(a), 0.0)
+
+    def cummass(self, x, t):
+        """int_0^x rho(a, t) da."""
+        return self._modulated(self._mass(self._cap(x, t)), t)
+
+    def mu(self, t):
+        """Cumulative profile mass int_0^t rho_inf(a) da."""
+        self._require_static()
+        return self._mass(self._cap(t, math.inf))
+
+    def mu_total(self) -> float:
+        """Total bond mass int_0^a_max rho(a, inf) da."""
+        return float(self._modulated(self._mass(self.a_max), math.inf))
+
+    def moment(self, t, p):
+        """int_0^inf a^p rho(a, t) da for p in {0, 1, 2}."""
+        if p not in (0, 1, 2):
+            raise ValueError("moment order p must be 0, 1, or 2")
+        x = self._cap(math.inf, t)
+        return float(self._modulated(self._mass(x) if p == 0 else self._moment_to(x, p), t))
+
     def transport_dissipative(self) -> bool:
         """Whether (d_t + d_a) rho <= 0, decidable for built-in kinds only."""
-        raise NotImplementedError
+        raise NotImplementedError(
+            "transport dissipativity is not decidable for this kernel kind"
+        )
+
+    def _cap(self, x, t):
+        """x clipped to [0, support(t)]."""
+        return np.maximum(np.minimum(x, self.support(t)), 0.0)
+
+    def _modulated(self, value, t):
+        return value if self.modulation is None else value * self.modulation(t)
+
+    def _require_static(self):
+        if self.modulation is not None:
+            raise ValueError("time-modulated kernel has no static profile")
 
 
 class Exponential(Kernel):
@@ -74,27 +98,19 @@ class Exponential(Kernel):
         self.zeta = float(zeta)
         self.a_max = float(a_max) if a_max is not None else 40.0 / self.zeta
 
-    def profile(self, a):
-        a = np.asarray(a, dtype=float)
+    def _rho(self, a):
         return self.beta * np.exp(-self.zeta * a)
 
-    def eval(self, a, t):
-        a = np.asarray(a, dtype=float)
-        return np.where(a <= self.a_max, self.profile(a), 0.0)
+    def _mass(self, x):
+        return (self.beta / self.zeta) * -np.expm1(-self.zeta * x)
 
-    def moment(self, t, p):
+    def _moment_to(self, x, p):
+        # closed forms for int_0^x a^p beta e^{-zeta a} da
         b, z = self.beta, self.zeta
-        if p == 0:
-            return b / z
+        y = np.minimum(z * x, 745.0)  # exp(-745) underflows; beyond it the tail is zero
         if p == 1:
-            return b / z**2
-        if p == 2:
-            return 2.0 * b / z**3
-        raise ValueError("moment order p must be 0, 1, or 2")
-
-    def mu(self, t):
-        t = np.maximum(np.asarray(t, dtype=float), 0.0)
-        return (self.beta / self.zeta) * -np.expm1(-self.zeta * t)
+            return (b / z**2) * (1.0 - np.exp(-y) * (1.0 + y))
+        return (2.0 * b / z**3) * (1.0 - np.exp(-y) * (1.0 + y + 0.5 * y * y))
 
     def transport_dissipative(self) -> bool:
         return True
@@ -112,29 +128,8 @@ class TruncatedExponential(Exponential):
 
     time_dependent = True
 
-    def eval(self, a, t):
-        a = np.asarray(a, dtype=float)
-        alive = (a <= t) & (a <= self.a_max)
-        return np.where(alive, self.beta * np.exp(-self.zeta * a), 0.0)
-
-    def moment(self, t, p):
-        # closed forms for int_0^t a^p beta e^{-zeta a} da
-        b, z = self.beta, self.zeta
-        t = max(float(t), 0.0) if np.isscalar(t) else np.maximum(t, 0.0)
-        x = np.minimum(z * t, 745.0)  # exp(-745) underflows; beyond it the tail is zero
-        if p == 0:
-            return (b / z) * -np.expm1(-x)
-        if p == 1:
-            return (b / z**2) * (1.0 - np.exp(-x) * (1.0 + x))
-        if p == 2:
-            return (2.0 * b / z**3) * (1.0 - np.exp(-x) * (1.0 + x + 0.5 * x * x))
-        raise ValueError("moment order p must be 0, 1, or 2")
-
-    def cummass(self, x, t):
-        return self.mu(np.clip(x, 0.0, min(float(t), self.a_max) if np.isfinite(t) else self.a_max))
-
     def support(self, t) -> float:
-        return min(float(t), self.a_max) if np.isfinite(t) else self.a_max
+        return min(float(t), self.a_max)
 
     def __repr__(self):
         return f"TruncatedExponential(beta={self.beta}, zeta={self.zeta})"
@@ -151,6 +146,8 @@ class Tabulated(Kernel):
     modulation:
         Optional callable m(t) >= 0 multiplying the profile. A modulated
         kernel has no static profile, so ``profile``/``mu`` reject it.
+    a_max:
+        Truncation horizon; defaults to the last grid age.
     """
 
     def __init__(self, a_grid, values, modulation=None, a_max: float | None = None):
@@ -169,67 +166,24 @@ class Tabulated(Kernel):
         self.a_max = float(a_max) if a_max is not None else float(a[-1])
         self._cum = np.concatenate(([0.0], np.cumsum(0.5 * (v[:-1] + v[1:]) * np.diff(a))))
 
-    def profile(self, a):
-        if self.modulation is not None:
-            raise ValueError("time-modulated kernel has no static profile")
-        a = np.asarray(a, dtype=float)
-        inside = (a >= self.a_grid[0]) & (a <= min(self.a_grid[-1], self.a_max))
+    def _rho(self, a):
+        inside = (a >= self.a_grid[0]) & (a <= self.a_grid[-1])
         return np.where(inside, np.interp(a, self.a_grid, self.values), 0.0)
 
-    def eval(self, a, t):
-        a = np.asarray(a, dtype=float)
-        inside = (a >= self.a_grid[0]) & (a <= min(self.a_grid[-1], self.a_max))
-        out = np.where(inside, np.interp(a, self.a_grid, self.values), 0.0)
-        if self.modulation is not None:
-            out = out * self.modulation(t)
-        return out
-
-    def moment(self, t, p):
-        if p not in (0, 1, 2):
-            raise ValueError("moment order p must be 0, 1, or 2")
+    def _mass(self, x):
+        # the mass up to the node below x plus the exact trapezoid from it to x
         a, v = self.a_grid, self.values
-        if self.a_max < a[-1]:
-            keep = a < self.a_max
-            a = np.append(a[keep], self.a_max)
-            v = np.append(v[keep], np.interp(self.a_max, self.a_grid, self.values))
-        m = np.trapezoid(a**p * v, a)
-        if self.modulation is not None:
-            m = m * self.modulation(t)
-        return float(m)
+        x = np.clip(x, a[0], a[-1])
+        i = np.clip(np.searchsorted(a, x, side="right") - 1, 0, a.size - 2)
+        return self._cum[i] + 0.5 * (v[i] + np.interp(x, a, v)) * (x - a[i])
 
-    def mu(self, t):
-        if self.modulation is not None:
-            raise ValueError("time-modulated kernel has no static profile")
-        t = np.minimum(np.asarray(t, dtype=float), self.a_max)
-        return np.interp(t, self.a_grid, self._cum)
-
-    def cummass(self, x, t):
-        c = np.interp(np.clip(x, 0.0, self.a_max), self.a_grid, self._cum)
-        if self.modulation is not None:
-            c = c * self.modulation(t)
-        return c
-
-    def transport_dissipative(self) -> bool:
-        raise NotImplementedError(
-            "transport dissipativity is not decidable for tabulated kernels"
-        )
+    def _moment_to(self, x, p):
+        a, v = self.a_grid, self.values
+        if x < a[-1]:
+            keep = a < x
+            a = np.append(a[keep], x)
+            v = np.append(v[keep], np.interp(x, self.a_grid, self.values))
+        return np.trapezoid(a**p * v, a)
 
     def __repr__(self):
         return f"Tabulated(n={self.a_grid.size}, a_max={self.a_max})"
-
-
-def eval_kernel(k: Kernel, a: float, t: float) -> float:
-    """rho(a, t); ages are nonnegative by definition."""
-    if a < 0:
-        raise ValueError("age a must be nonnegative")
-    return float(k.eval(a, t))
-
-
-def moment(k: Kernel, t: float, p: int) -> float:
-    """int_0^inf a^p rho(a, t) da for p in {0, 1, 2}."""
-    return float(k.moment(t, p))
-
-
-def mu_of_t(k: Kernel, t: float) -> float:
-    """Cumulative bond mass mu_inf(t) = int_0^t rho_inf(a) da."""
-    return float(k.mu(t))

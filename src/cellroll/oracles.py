@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .history import ConstantPast, LinearPast, PastData, TabulatedPast, initial_stretch
-from .kernels import Exponential, Kernel, TruncatedExponential
+from .kernels import Exponential, Kernel
 
 __all__ = [
     "PlasticProfile",
@@ -89,10 +89,8 @@ class PlasticProfile:
     """Trajectory closure for the stuck regime |v_inf| <= mu_inf.
 
     The cell creeps while the accumulated bond mass is below the drive and
-    stops at t1, the first time with mu_inf(t1) = |v_inf|. At exact balance
-    the equation has no solution in exact arithmetic but floating point
-    saturates mu at its supremum, so t1 lands at the creep horizon; the
-    position is converged there and z_final is unaffected.
+    stops at t1, the first time with mu_inf(t1) = |v_inf|. The mass stops
+    growing at ``a_max``, so t1 <= a_max.
     """
 
     v_inf: float
@@ -101,20 +99,12 @@ class PlasticProfile:
     t1: float = field(init=False)
 
     def __post_init__(self):
-        v, k = abs(self.v_inf), self.kernel
-        mu_total = float(k.cummass(k.a_max, math.inf))
-        if v > mu_total:
+        v = abs(self.v_inf)
+        if v > self.kernel.mu_total():
             raise ValueError(
                 "plastic profile requires |v_inf| <= mu_inf; use kinematic_trajectory"
             )
-        if v == 0.0:
-            self.t1 = 0.0
-        else:
-            try:
-                self.t1 = _invert_mu(k, v)
-            except ValueError:
-                # mu saturates below |v_inf| at this precision: never stops
-                self.t1 = math.inf
+        self.t1 = _invert_mu(self.kernel, v) if v > 0.0 else 0.0
 
     def zdot(self, t):
         t = np.asarray(t, dtype=float)
@@ -129,9 +119,6 @@ class PlasticProfile:
 
     @property
     def z_final(self) -> float:
-        if math.isinf(self.t1):
-            # the creep integral converges; evaluate far past the horizon
-            return float(self.z(max(100.0, 100.0 * self.kernel.a_max)))
         return float(self.z(self.t1))
 
 
@@ -151,21 +138,28 @@ def _invert_mu(kernel: Kernel, target: float, tol: float = 1e-12) -> float:
     return 0.5 * (lo + hi)
 
 
-def _creep_integral(kernel: Kernel, v: float, t):
-    """int_0^t (v - mu(tau)) dtau, exact for exponential profiles."""
+def _mu_integral(kernel: Kernel, t):
+    """int_0^t mu(tau) dtau; mu stays at mu_total() past a_max."""
     t = np.asarray(t, dtype=float)
-    if isinstance(kernel, (Exponential, TruncatedExponential)):
+    if isinstance(kernel, Exponential):
         b, z = kernel.beta, kernel.zeta
-        drift = v - b / z
-        lin = np.where(np.isinf(t) & (drift == 0.0), 0.0, drift * t)
-        return lin + (b / z**2) * -np.expm1(-z * np.minimum(t, 745.0 / z))
+        s = np.minimum(t, kernel.a_max)
+        # (b/z) s - (b/z^2)(1 - e^{-z s}) + mu_total (t - s), summed in place:
+        # a long time grid then holds no more arrays than the formula needs
+        cum = (b / z**2) * np.expm1(-z * s)
+        cum += (b / z) * s
+        cum += kernel.mu_total() * (t - s)
+        return cum
     tmax = float(np.max(t)) if t.size else 0.0
     grid = np.linspace(0.0, max(tmax, 1e-12), 100001)
-    cum = np.concatenate(([0.0], np.cumsum(
-        0.5 * (grid[1] - grid[0])
-        * ((v - kernel.mu(grid[1:])) + (v - kernel.mu(grid[:-1])))
-    )))
+    mu = kernel.mu(grid)
+    cum = np.concatenate(([0.0], np.cumsum(0.5 * (grid[1] - grid[0]) * (mu[1:] + mu[:-1]))))
     return np.interp(t, grid, cum)
+
+
+def _creep_integral(kernel: Kernel, v: float, t):
+    """int_0^t (v - mu(tau)) dtau."""
+    return v * np.asarray(t, dtype=float) - _mu_integral(kernel, t)
 
 
 def plastic_trajectory(v_inf: float, kernel: Kernel, z0: float) -> PlasticProfile:
@@ -180,22 +174,11 @@ def kinematic_velocity(v_inf: float, kernel: Kernel, t):
 
 def kinematic_trajectory(v_inf: float, kernel: Kernel, z0: float, t):
     """z(t) = z0 + int_0^t (v_inf - sgn(v_inf) mu_inf(tau)) dtau for |v_inf| > mu_inf."""
-    mu_total = float(kernel.cummass(kernel.a_max, math.inf))
-    if abs(v_inf) <= mu_total:
+    if abs(v_inf) <= kernel.mu_total():
         raise ValueError(
             "kinematic trajectory requires |v_inf| > mu_inf; use plastic_trajectory"
         )
     t = np.asarray(t, dtype=float)
-    s = math.copysign(1.0, v_inf)
-    if isinstance(kernel, (Exponential, TruncatedExponential)):
-        b, z = kernel.beta, kernel.zeta
-        cum_mu = (b / z) * t - (b / z**2) * -np.expm1(-z * t)
-    else:
-        tmax = float(np.max(t)) if t.size else 0.0
-        grid = np.linspace(0.0, max(tmax, 1e-12), 100001)
-        cum = np.concatenate(([0.0], np.cumsum(
-            0.5 * (grid[1] - grid[0]) * (kernel.mu(grid[1:]) + kernel.mu(grid[:-1]))
-        )))
-        cum_mu = np.interp(t, grid, cum)
-    out = z0 + v_inf * t - s * cum_mu
+    cum_mu = _mu_integral(kernel, t)
+    out = z0 + v_inf * t - math.copysign(1.0, v_inf) * cum_mu
     return float(out) if out.ndim == 0 else out

@@ -71,6 +71,8 @@ class Potential:
     def derivative(self, u):
         """psi'(u) where single-valued; raises on exact breakpoint hits."""
         lo = self.subdiff_lo(u)
+        if not self.breakpoints:
+            return lo
         hi = self.subdiff_hi(u)
         if np.any(lo != hi):
             raise BreakpointCollisionError(

@@ -1,7 +1,9 @@
 """Command-line interface: exit codes, CSV outputs, manifest round-trips."""
 import json
+import os
 import shutil
 import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -341,5 +343,14 @@ def test_console_script_is_installed():
     assert exe is not None
     proc = subprocess.run([exe, "gamma", "--psi", "abs", "--mu", "1",
                            "--v", "1.5"], capture_output=True, text=True)
+    assert proc.returncode == 0
+    assert proc.stdout.strip() == "0.5"
+
+
+def test_module_entry_point():
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-m", "cellroll", "gamma", "--mu", "1",
+                           "--v", "1.5"], capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert proc.stdout.strip() == "0.5"

@@ -5,8 +5,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from cellroll.kernels import (Exponential, Tabulated, TruncatedExponential,
-                              eval_kernel, moment, mu_of_t)
+from cellroll.kernels import Exponential, Tabulated, TruncatedExponential
 
 
 class TestExponential:
@@ -34,7 +33,7 @@ class TestExponential:
         k = Exponential(1.3, 0.7)
         for t in (0.0, 0.4, 2.5):
             ref = quad(lambda a: 1.3 * math.exp(-0.7 * a), 0, t)[0]
-            assert mu_of_t(k, t) == pytest.approx(ref, rel=1e-12, abs=1e-15)
+            assert k.mu(t) == pytest.approx(ref, rel=1e-12, abs=1e-15)
         assert k.mu_total() == pytest.approx(1.3 / 0.7, rel=1e-12)
 
     def test_cummass_is_static(self):
@@ -127,17 +126,30 @@ class TestTabulated:
 
     def test_mu_is_exact_for_segments(self):
         k = Tabulated([0.0, 1.0, 3.0], [2.0, 1.0, 0.0])
-        assert mu_of_t(k, 1.0) == pytest.approx(1.5)
-        assert mu_of_t(k, 3.0) == pytest.approx(2.5)
+        assert k.mu(1.0) == pytest.approx(1.5)
+        assert k.mu(3.0) == pytest.approx(2.5)
         assert k.cummass(10.0, 0.0) == pytest.approx(2.5)
+        # inside a segment the density is linear, so its mass is a trapezoid
+        assert k.mu(0.5) == pytest.approx(0.875)
+        assert k.mu(2.0) == pytest.approx(2.25)
+        assert Tabulated([0.0, 1.0, 3.0], [2.0, 1.0, 0.0], a_max=2.0).mu_total() \
+            == pytest.approx(2.25)
 
-    def test_quantities_honor_a_max(self):
-        for a_max in (1.0, 2.5):
-            k = Tabulated([0.0, 1.0, 2.0, 4.0], [1.0, 1.0, 1.0, 1.0],
-                          a_max=a_max)
-            assert k.mu_total() == k.cummass(k.a_max, math.inf) == a_max
-            assert k.mu(3.0) == a_max
-            assert k.moment(0.0, 1) == pytest.approx(0.5 * a_max**2)
+    @pytest.mark.parametrize("make", [
+        lambda: Tabulated([0.0, 1.0, 2.0, 4.0], [1.0, 1.0, 1.0, 1.0], a_max=1.0),
+        lambda: Tabulated([0.0, 1.0, 2.0, 4.0], [1.0, 1.0, 1.0, 1.0], a_max=2.5),
+        lambda: Exponential(1.0, 1.0, a_max=5.0),
+        lambda: TruncatedExponential(1.0, 1.0, a_max=5.0),
+    ], ids=["tabulated-node", "tabulated-mid", "exponential",
+            "truncated_exponential"])
+    def test_quantities_honor_a_max(self, make):
+        k = make()
+        rho = lambda a: float(k.eval(a, math.inf))
+        assert k.mu_total() == k.cummass(k.a_max, math.inf) == k.moment(math.inf, 0)
+        assert k.mu_total() == pytest.approx(quad(rho, 0, k.a_max)[0], rel=1e-12)
+        assert k.mu(10.0) == k.mu(k.a_max)
+        assert k.moment(math.inf, 1) == pytest.approx(
+            quad(lambda a: a * rho(a), 0, k.a_max)[0], rel=1e-12)
 
     def test_modulated_kernel(self):
         m = lambda t: 1.0 + 0.5 * math.sin(t)
@@ -165,13 +177,8 @@ class TestTabulated:
 
 
 class TestOps:
-    def test_eval_kernel_rejects_negative_age(self):
-        with pytest.raises(ValueError):
-            eval_kernel(Exponential(1.0, 1.0), -0.1, 0.0)
-        assert eval_kernel(Exponential(1.0, 1.0), 0.0, 0.0) == 1.0
-
     def test_moment_and_mu_return_floats(self):
         k = TruncatedExponential(1.0, 1.0)
-        assert isinstance(moment(k, 2.0, 1), float)
-        assert isinstance(mu_of_t(k, 2.0), float)
-        assert moment(k, 2.0, 0) == pytest.approx(k.mu(2.0))
+        assert isinstance(k.moment(2.0, 1), float)
+        assert isinstance(k.mu(2.0), float)
+        assert k.moment(2.0, 0) == pytest.approx(k.mu(2.0))

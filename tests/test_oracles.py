@@ -166,3 +166,11 @@ class TestKinematic:
     def test_rejects_subcritical_drive(self):
         with pytest.raises(ValueError):
             kinematic_trajectory(0.5, Exponential(1.0, 1.0), 0.0, 1.0)
+
+    def test_bond_mass_stops_at_a_max(self):
+        k = Exponential(1.0, 1.0, a_max=5.0)
+        assert kinematic_velocity(1.5, k, 10.0) == 1.5 - k.mu_total()
+        t = np.linspace(1.0, 10.0, 9001)
+        slope = np.diff(kinematic_trajectory(1.5, k, 0.0, t)) / np.diff(t)
+        mid = 0.5 * (t[1:] + t[:-1])
+        np.testing.assert_allclose(slope, kinematic_velocity(1.5, k, mid), atol=1e-6)
