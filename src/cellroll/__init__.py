@@ -12,19 +12,16 @@ from .errors import (BreakpointCollisionError, CellrollError, ConfigError,
 from .experiments import (StudyReport, convergence_study, longtime_study,
                           velocity_force_sweep)
 from .history import (ConstantPast, LinearPast, PastData, TabulatedPast,
-                      Trajectory, initial_stretch, sample_delayed,
-                      write_trajectory_csv)
+                      Trajectory, initial_stretch, write_trajectory_csv)
 from .kernels import Exponential, Kernel, Tabulated, TruncatedExponential
 from .oracles import (PlasticProfile, gamma_abs, kinematic_trajectory,
                       kinematic_velocity, p_infinity_profile,
                       plastic_trajectory, quadratic_final_position)
 from .potentials import (AbsoluteValue, Mollified, PiecewiseLinear, Potential,
-                         Quadratic, Tether, eval_potential,
-                         eval_subdifferential, mollify)
-from .solver_limit import (integrate_limit, limit_velocity,
-                           limit_velocity_minimize)
+                         Quadratic, Tether, mollify)
+from .solver_limit import integrate_limit, limit_velocity
 from .solver_mm import StepEnergy, minimize_step, solve_mm, step_energy
-from .solver_smooth import SolverConfig, memory_force, solve_smooth
+from .solver_smooth import SolverConfig, solve_smooth
 
 __version__ = "0.1.0"
 
@@ -34,13 +31,10 @@ __all__ = [
     "Mollified", "NumericalError", "PastData", "PiecewiseLinear",
     "PlasticProfile", "Potential", "Quadratic", "SolverConfig", "StepEnergy",
     "StudyReport", "Tabulated", "TabulatedPast", "Tether",
-    "TruncatedExponential", "Trajectory", "convergence_study",
-    "eval_potential", "eval_subdifferential", "gamma_abs",
-    "initial_stretch", "integrate_limit",
-    "kinematic_trajectory", "kinematic_velocity", "limit_velocity",
-    "limit_velocity_minimize", "longtime_study", "memory_force",
-    "minimize_step", "mollify", "p_infinity_profile",
-    "plastic_trajectory", "quadratic_final_position", "sample_delayed",
-    "solve_mm", "solve_smooth", "step_energy", "velocity_force_sweep",
-    "write_trajectory_csv",
+    "TruncatedExponential", "Trajectory", "convergence_study", "gamma_abs",
+    "initial_stretch", "integrate_limit", "kinematic_trajectory",
+    "kinematic_velocity", "limit_velocity", "longtime_study",
+    "minimize_step", "mollify", "p_infinity_profile", "plastic_trajectory",
+    "quadratic_final_position", "solve_mm", "solve_smooth", "step_energy",
+    "velocity_force_sweep", "write_trajectory_csv",
 ]

@@ -55,27 +55,9 @@ def _write_manifest(resolved: dict, csv_path: str) -> None:
         fh.write("\n")
 
 
-def _solver_section(cfg: dict) -> dict:
-    sec = cfg.get("solver") or {}
-    if not isinstance(sec, dict):
-        raise ConfigError("solver", "must be an object")
-    return sec
-
-
 def _output_section(cfg: dict, default_path: str) -> dict:
-    sec = cfg.get("output") or {}
-    if not isinstance(sec, dict):
-        raise ConfigError("output", "must be an object")
-    return cfgmod.build_output(sec, default_path=default_path)
-
-
-def _study_section(cfg: dict) -> dict:
-    sec = cfg.get("study")
-    if sec is None:
-        raise ConfigError("study", "required section")
-    if not isinstance(sec, dict):
-        raise ConfigError("study", "must be an object")
-    return sec
+    return cfgmod.build_output(cfgmod._section(cfg, "output", required=False),
+                               default_path=default_path)
 
 
 def _checked(path: str, check, *args):
@@ -89,7 +71,8 @@ def _checked(path: str, check, *args):
 def _run_trajectory(cmd: str, args) -> int:
     cfg = cfgmod.load_config(args.config)
     psi, kernel, past, drive, r_model = cfgmod.resolve_model(cfg)
-    solver_cfg, r_solver = cfgmod.build_solver(_solver_section(cfg))
+    solver_cfg, r_solver = cfgmod.build_solver(
+        cfgmod._section(cfg, "solver", required=False))
     _checked("solver.T", step_count, solver_cfg.T, solver_cfg.dt)
     if cmd != "limit":
         _checked("solver.dt", age_step, kernel, solver_cfg.eps, solver_cfg.dt)
@@ -120,7 +103,8 @@ def _run_oracle(args) -> int:
         raise ConfigError("model.v.kind",
                           "oracle profiles need a constant drive")
     v_inf = r_model["v"]["value"]
-    solver_cfg, r_solver = cfgmod.build_solver(_solver_section(cfg))
+    solver_cfg, r_solver = cfgmod.build_solver(
+        cfgmod._section(cfg, "solver", required=False))
     out = _output_section(cfg, default_path="oracle.csv")
     if args.out:
         out["path"] = args.out
@@ -188,7 +172,7 @@ def _run_gamma(args) -> int:
 def _run_converge(args) -> int:
     cfg = cfgmod.load_config(args.config)
     psi, kernel, past, drive, r_model = cfgmod.resolve_model(cfg)
-    study = _study_section(cfg)
+    study = cfgmod._section(cfg, "study")
     cfgmod._check_keys(study, {"eps_list", "T", "dt", "final_bound"}, "study")
     eps_arr = cfgmod._array(study, "eps_list", "study")
     T = cfgmod._num(study, "T", "study", required=True, positive=True)
@@ -217,7 +201,7 @@ def _run_converge(args) -> int:
 def _run_longtime(args) -> int:
     cfg = cfgmod.load_config(args.config)
     psi, kernel, past, drive, r_model = cfgmod.resolve_model(cfg)
-    study = _study_section(cfg)
+    study = cfgmod._section(cfg, "study")
     cfgmod._check_keys(study, {"T_list", "dt"}, "study")
     T_arr = cfgmod._array(study, "T_list", "study")
     dt = cfgmod._num(study, "dt", "study", default=1e-2, positive=True)

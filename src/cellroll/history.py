@@ -1,8 +1,9 @@
-"""Prescribed past data on (-inf, 0] and the growing computed trajectory.
+"""Prescribed past data on (-inf, 0], computed trajectories, and CSV output.
 
-The model needs delayed positions z(t - eps*a) for every bond age a, so a
-trajectory carries its own past: samples with t - lag <= 0 come from the
-prescribed z_p, later ones from linear interpolation between computed nodes.
+The model needs delayed positions z(t - eps*a) for every bond age a. The
+solvers read them from their own node buffers, whose prefix before t = 0 is
+filled from the prescribed z_p; a finished ``Trajectory`` holds only the
+nodes on [0, T].
 """
 from __future__ import annotations
 
@@ -16,7 +17,6 @@ __all__ = [
     "LinearPast",
     "TabulatedPast",
     "Trajectory",
-    "sample_delayed",
     "initial_stretch",
 ]
 
@@ -106,33 +106,20 @@ class Trajectory:
     trajectories are immutable in spirit: solvers build the array once.
     """
 
-    def __init__(self, dt: float, values, past: PastData, eps: float = 1.0):
+    def __init__(self, dt: float, values, eps: float = 1.0):
         if not dt > 0:
             raise ValueError("dt must be positive")
         self.dt = float(dt)
         self.values = np.asarray(values, dtype=float)
-        self.past = past
         self.eps = float(eps)
-        self.t0 = 0.0
 
     @property
     def times(self):
-        return self.t0 + self.dt * np.arange(self.values.size)
+        return self.dt * np.arange(self.values.size)
 
     @property
     def t_end(self) -> float:
-        return self.t0 + self.dt * (self.values.size - 1)
-
-    def sample_many(self, t: float, lags):
-        """z(t - lag) for an array of nonnegative lags."""
-        if t > self.t_end + 1e-9 * self.dt:
-            raise ValueError("t is beyond the last computed node")
-        taus = t - np.asarray(lags, dtype=float)
-        out = np.interp(taus, self.times, self.values)
-        neg = taus < 0.0
-        if np.any(neg):
-            out = np.where(neg, self.past.eval(np.minimum(taus, 0.0)), out)
-        return out
+        return self.dt * (self.values.size - 1)
 
     def zdot(self):
         """Discrete velocity: centered differences, one-sided at the ends."""
@@ -142,15 +129,6 @@ class Trajectory:
 
     def to_csv(self, path, precision: int = 17):
         write_trajectory_csv(path, self.times, self.values, self.zdot(), precision)
-
-
-def sample_delayed(traj: Trajectory, t: float, lag):
-    """z(t - lag): interpolated node value for t - lag > 0, else z_p(t - lag)."""
-    lag = np.asarray(lag, dtype=float)
-    if np.any(lag < 0):
-        raise ValueError("lag must be nonnegative")
-    out = traj.sample_many(t, np.atleast_1d(lag))
-    return float(out[0]) if lag.ndim == 0 else out
 
 
 def write_trajectory_csv(path, t, z, zdot, precision: int = 17):

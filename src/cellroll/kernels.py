@@ -24,14 +24,18 @@ class Kernel:
     This class cuts them at ``support(t)``, the oldest age carrying bonds at
     time t, and applies the optional time ``modulation``.
 
-    ``time_dependent`` is True when rho(a, t) genuinely varies with t (the
-    age-truncation indicator of ``TruncatedExponential`` counts); kinds with a
+    ``time_dependent`` is True when rho(a, t) genuinely varies with t: a
+    modulated kernel, or a kind whose ``support(t)`` cuts ages (the
+    age-truncation indicator of ``TruncatedExponential``). Kinds with a
     static underlying profile rho_inf still expose ``profile`` and ``mu``.
     """
 
     a_max: float
-    time_dependent: bool = False
     modulation = None
+
+    @property
+    def time_dependent(self) -> bool:
+        return self.modulation is not None
 
     def support(self, t) -> float:
         """Upper age limit of rho(., t); quadratures stop here."""
@@ -68,18 +72,18 @@ class Kernel:
         x = self._cap(math.inf, t)
         return float(self._modulated(self._mass(x) if p == 0 else self._moment_to(x, p), t))
 
-    def transport_dissipative(self) -> bool:
-        """Whether (d_t + d_a) rho <= 0, decidable for built-in kinds only."""
-        raise NotImplementedError(
-            "transport dissipativity is not decidable for this kernel kind"
-        )
-
     def _cap(self, x, t):
         """x clipped to [0, support(t)]."""
         return np.maximum(np.minimum(x, self.support(t)), 0.0)
 
     def _modulated(self, value, t):
-        return value if self.modulation is None else value * self.modulation(t)
+        if self.modulation is None:
+            return value
+        if math.isinf(t):
+            # the modulation need not settle, so rho(., inf) and the total
+            # mass are undefined
+            raise ValueError("time-modulated kernel has no value at t = inf")
+        return value * self.modulation(t)
 
     def _require_static(self):
         if self.modulation is not None:
@@ -111,9 +115,6 @@ class Exponential(Kernel):
         if p == 1:
             return (b / z**2) * (1.0 - np.exp(-y) * (1.0 + y))
         return (2.0 * b / z**3) * (1.0 - np.exp(-y) * (1.0 + y + 0.5 * y * y))
-
-    def transport_dissipative(self) -> bool:
-        return True
 
     def __repr__(self):
         return f"Exponential(beta={self.beta}, zeta={self.zeta})"
@@ -162,7 +163,6 @@ class Tabulated(Kernel):
         self.a_grid = a
         self.values = v
         self.modulation = modulation
-        self.time_dependent = modulation is not None
         self.a_max = float(a_max) if a_max is not None else float(a[-1])
         self._cum = np.concatenate(([0.0], np.cumsum(0.5 * (v[:-1] + v[1:]) * np.diff(a))))
 
@@ -178,12 +178,20 @@ class Tabulated(Kernel):
         return self._cum[i] + 0.5 * (v[i] + np.interp(x, a, v)) * (x - a[i])
 
     def _moment_to(self, x, p):
+        # exact for the interpolated density v_i + s tau on each segment
+        # [a_i, a_i + h]: the integral of (a_i + tau)^p (v_i + s tau)
         a, v = self.a_grid, self.values
         if x < a[-1]:
             keep = a < x
             a = np.append(a[keep], x)
             v = np.append(v[keep], np.interp(x, self.a_grid, self.values))
-        return np.trapezoid(a**p * v, a)
+        h = np.diff(a)
+        s = np.diff(v) / h
+        # m[k] = int_0^h tau^k (v_i + s tau) dtau
+        m = [v[:-1] * h**(k + 1) / (k + 1) + s * h**(k + 2) / (k + 2)
+             for k in range(p + 1)]
+        return sum(math.comb(p, k) * a[:-1]**(p - k) * m[k]
+                   for k in range(p + 1)).sum()
 
     def __repr__(self):
         return f"Tabulated(n={self.a_grid.size}, a_max={self.a_max})"

@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .kernels import Kernel, TruncatedExponential
+from .kernels import Kernel
 
 __all__ = ["Memory", "age_step", "as_drive", "step_count"]
 
@@ -45,8 +45,11 @@ class Memory:
     """Tied age grid and per-step quadrature weights for one kernel.
 
     ``rule`` is "trapezoid" (end weights da/2) or "rectangle" (every weight
-    da). Static kernels, and the truncated exponential, whose time dependence
-    is a pure age cutoff, get their weights once; other kernels are
+    da). A kernel without a time ``modulation`` gets its weights q_j rho(a_j)
+    once; when ``support(t)`` is below ``a_max`` (a kernel whose time
+    dependence is a pure age cutoff), the weights at time t stop before the
+    first age a_j >= support(t). So a bond exactly t old is dropped here,
+    although ``Kernel.eval`` counts it (a <= t). A modulated kernel is
     evaluated at every call.
     """
 
@@ -58,24 +61,18 @@ class Memory:
         self._quad = np.full(J + 1, da)
         if rule == "trapezoid":
             self._quad[0] = self._quad[-1] = 0.5 * da
-        self._truncated = isinstance(kernel, TruncatedExponential)
-        if self._truncated:
-            self._static = self._quad * kernel.profile(self.ages)
-        elif not kernel.time_dependent:
-            self._static = self._quad * kernel.eval(self.ages, 0.0)
-        else:
-            self._static = None
+        self._static = None
+        if kernel.modulation is None:
+            self._static = self._quad * kernel.eval(self.ages, math.inf)
+        self._cut = kernel.time_dependent
 
     def weights(self, t: float, m: int | None = None):
-        """Weights of ages a_0 .. a_{m-1} (all ages when m is None) at time t.
-
-        For the truncated exponential the result stops before the first age
-        a_j >= t: a bond exactly t old is dropped, although
-        ``TruncatedExponential.eval`` counts it.
-        """
-        if self._truncated:
-            cap = int(np.searchsorted(self.ages, t, side="left"))
-            return self._static[: cap if m is None else min(m, cap)]
-        if self._static is not None:
-            return self._static[:m]
-        return self._quad[:m] * self.kernel.eval(self.ages[:m], t)
+        """Weights of ages a_0 .. a_{m-1} (all ages when m is None) at time t."""
+        if self._static is None:
+            return self._quad[:m] * self.kernel.eval(self.ages[:m], t)
+        if self._cut:
+            support = self.kernel.support(t)
+            if support < self.kernel.a_max:
+                cap = int(np.searchsorted(self.ages, support, side="left"))
+                m = cap if m is None else min(m, cap)
+        return self._static[:m]

@@ -10,35 +10,20 @@ surrogate with the same global Lipschitz constant.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
 
 import numpy as np
 
 from .errors import BreakpointCollisionError
 
 __all__ = [
-    "SubdiffInterval",
     "Potential",
     "Quadratic",
     "Tether",
     "AbsoluteValue",
     "PiecewiseLinear",
     "Mollified",
-    "eval_potential",
-    "eval_subdifferential",
     "mollify",
 ]
-
-
-class SubdiffInterval(NamedTuple):
-    """Closed interval [lo, hi] of supporting slopes of psi at a point."""
-
-    lo: float
-    hi: float
-
-    @property
-    def mid(self) -> float:
-        return 0.5 * (self.lo + self.hi)
 
 
 class Potential:
@@ -330,16 +315,6 @@ class Mollified(Potential):
 
     def __repr__(self):
         return f"Mollified({self.base!r}, delta={self.delta})"
-
-
-def eval_potential(psi: Potential, u: float) -> float:
-    """psi(u)."""
-    return float(psi.value(u))
-
-
-def eval_subdifferential(psi: Potential, u: float) -> SubdiffInterval:
-    """The closed interval [psi'(u-), psi'(u+)]."""
-    return SubdiffInterval(float(psi.subdiff_lo(u)), float(psi.subdiff_hi(u)))
 
 
 def mollify(psi: Potential, delta: float) -> Potential:

@@ -2,8 +2,8 @@
 
 At each t the limit velocity w solves w + int psi'(a w) rho(a, t) da = v(t).
 The left side is a strictly increasing (set-valued at kinks) map of w, so a
-subgradient bisection locates the unique root; a derivative-free minimization
-of the equivalent convex objective J_t provides an independent cross-check.
+subgradient bisection locates the unique root. The tests cross-check it
+against a derivative-free minimization of the equivalent convex objective.
 """
 from __future__ import annotations
 
@@ -12,12 +12,12 @@ import math
 import numpy as np
 
 from .errors import NumericalError
-from .history import ConstantPast, Trajectory
+from .history import Trajectory
 from .kernels import Kernel
 from .memory import as_drive, step_count
 from .potentials import Potential
 
-__all__ = ["limit_velocity", "limit_velocity_minimize", "integrate_limit"]
+__all__ = ["limit_velocity", "integrate_limit"]
 
 _SIMPSON_NODES = 2049  # age-quadrature resolution for smooth potentials
 
@@ -81,57 +81,6 @@ def limit_velocity(psi: Potential, kernel: Kernel, v_t: float, t: float = math.i
     return 0.5 * (lo + hi)
 
 
-def limit_velocity_minimize(psi: Potential, kernel: Kernel, v_t: float, t: float = math.inf,
-                            tol: float = 1e-11) -> float:
-    """Golden-section minimizer of J_t(w) = w^2/2 - v w + int psi(a w)/a rho da.
-
-    Derivative-free companion to ``limit_velocity``; the integrand at a = 0 is
-    taken by its limit |w| * psi'(0+), which vanishes for smooth potentials.
-    """
-    v_t = float(v_t)
-    a = np.linspace(0.0, kernel.a_max, _SIMPSON_NODES)
-    wts = _simpson_weights(a) * kernel.eval(a, t)
-    slope0 = float(psi.subdiff_hi(0.0))
-    inv_a = np.concatenate(([0.0], 1.0 / a[1:]))
-
-    def objective(w):
-        vals = psi.value(a * w) * inv_a
-        vals[0] = abs(w) * slope0
-        return 0.5 * w * w - v_t * w + float(np.dot(wts, vals))
-
-    lo, hi = -abs(v_t) - 1.0, abs(v_t) + 1.0
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    x1 = hi - invphi * (hi - lo)
-    x2 = lo + invphi * (hi - lo)
-    f1, f2 = objective(x1), objective(x2)
-    while hi - lo > tol:
-        if f1 <= f2:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - invphi * (hi - lo)
-            f1 = objective(x1)
-        else:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + invphi * (hi - lo)
-            f2 = objective(x2)
-    w0 = 0.5 * (lo + hi)
-    # golden section stalls near sqrt(machine eps); a quadratic-fit polish
-    # recovers the vertex to ~1e-10 when J is smooth at the minimizer
-    w = w0
-    h = 1e-5 * max(1.0, abs(w))
-    for _ in range(2):
-        fm, f0, fp = objective(w - h), objective(w), objective(w + h)
-        curv = fp - 2.0 * f0 + fm
-        if curv <= 0.0:
-            break
-        step = -0.5 * h * (fp - fm) / curv
-        w += min(max(step, -h), h)
-    # a kink minimizer (nonsmooth psi) rejects the polish: J rises there
-    f_old, f_new = objective(w0), objective(w)
-    if f_new > f_old + 1e-13 * (1.0 + abs(f_old)):
-        return w0
-    return w
-
-
 def integrate_limit(psi: Potential, kernel: Kernel, v, z0: float, T: float, dt: float) -> Trajectory:
     """z_0(t) = z0 + cumulative trapezoid of the pointwise limit velocity."""
     n = step_count(T, dt)
@@ -142,4 +91,4 @@ def integrate_limit(psi: Potential, kernel: Kernel, v, z0: float, T: float, dt: 
     z = np.empty(n + 1)
     z[0] = float(z0)
     z[1:] = z0 + np.cumsum(0.5 * dt * (w[1:] + w[:-1]))
-    return Trajectory(dt, z, ConstantPast(float(z0)), eps=1.0)
+    return Trajectory(dt, z, eps=1.0)

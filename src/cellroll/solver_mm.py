@@ -145,7 +145,7 @@ def solve_mm(psi: Potential, kernel: Kernel, v, past: PastData,
         Z[n] = minimize_step(_step(psi, memory, drive, Z, n, dt, eps))
         if not np.isfinite(Z[n]):
             raise NumericalError(f"minimizing movements diverged at t = {n * dt:.6g}")
-    return Trajectory(dt, Z, past, eps=eps)
+    return Trajectory(dt, Z, eps=eps)
 
 
 def step_energy(psi: Potential, kernel: Kernel, v, traj: Trajectory,

@@ -16,7 +16,7 @@ from .kernels import Kernel
 from .memory import Memory, as_drive, step_count
 from .potentials import Potential
 
-__all__ = ["SolverConfig", "memory_force", "solve_smooth"]
+__all__ = ["SolverConfig", "solve_smooth"]
 
 
 @dataclass
@@ -61,23 +61,6 @@ def _reject_nonsmooth(psi: Potential):
         raise ValueError("psi' is not Lipschitz; use solve_mm")
 
 
-def memory_force(psi: Potential, kernel: Kernel, traj: Trajectory, t: float,
-                 eps: float) -> float:
-    """Trapezoid sum of psi'((z(t) - z(t - eps a))/eps) rho(a, t) over ages.
-
-    Raises
-    ------
-    BreakpointCollisionError
-        If a stretch lands exactly on a subdifferential jump of ``psi``.
-    """
-    memory = Memory(kernel, eps, traj.dt, "trapezoid")
-    w = memory.weights(t)
-    z_t = traj.sample_many(t, np.zeros(1))[0]
-    delayed = traj.sample_many(t, eps * memory.ages[: w.size])
-    u = (z_t - delayed) / eps
-    return float(np.dot(w, psi.derivative(u)))
-
-
 def solve_smooth(psi: Potential, kernel: Kernel, v, past: PastData,
                  cfg: SolverConfig) -> Trajectory:
     """March Z^{n+1} = Z^n + dt (v - memory force) from the prescribed past.
@@ -98,7 +81,7 @@ def solve_smooth(psi: Potential, kernel: Kernel, v, past: PastData,
     Returns
     -------
     Trajectory
-        Node values on [0, T] carrying ``past`` for later delayed sampling.
+        Node values on [0, T].
     """
     cfg = cfg.validated()
     _reject_nonsmooth(psi)
@@ -136,4 +119,4 @@ def solve_smooth(psi: Potential, kernel: Kernel, v, past: PastData,
                 raise NumericalError(f"solution blew up at t = {(n + 1) * dt:.6g}")
             B[J + n + 1] = z_next
 
-    return Trajectory(dt, B[J:].copy(), past, eps=eps)
+    return Trajectory(dt, B[J:].copy(), eps=eps)

@@ -233,6 +233,23 @@ class TestFailureExits:
         assert code == 2
         assert err.startswith(f"config error: {field}")
 
+    @pytest.mark.parametrize("command, section, value", [
+        ("limit", "solver", []),
+        ("limit", "output", 0),
+        ("oracle", "solver", "fast"),
+        ("converge", "study", []),
+        ("longtime", "study", 1),
+    ])
+    def test_malformed_section_reports_its_name(self, capsys, tmp_path,
+                                                command, section, value):
+        cfg_dict = quad_config()
+        cfg_dict[section] = value
+        cfg = write_config(tmp_path / "run.json", cfg_dict)
+        code, _, err = run(capsys, command, "--config", cfg,
+                           "--out", str(tmp_path / "run.csv"))
+        assert code == 2
+        assert err.startswith(f"config error: {section}: must be an object")
+
     def test_legacy_tol_fixedpoint_is_ignored(self, capsys, tmp_path):
         cfg = write_config(tmp_path / "run.json",
                            quad_config(T=0.1, tol_fixedpoint=1e-10))

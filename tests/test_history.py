@@ -1,11 +1,11 @@
-"""Past data, trajectory sampling across the t = 0 seam, and CSV output."""
+"""Past data, the trajectory grid, and CSV output."""
 import math
 
 import numpy as np
 import pytest
 
 from cellroll.history import (ConstantPast, LinearPast, TabulatedPast,
-                              Trajectory, initial_stretch, sample_delayed,
+                              Trajectory, initial_stretch,
                               write_trajectory_csv)
 
 
@@ -48,43 +48,22 @@ class TestPastData:
 
 class TestTrajectory:
     def make(self):
-        past = LinearPast(1.0, 0.0)
         values = np.array([0.0, 0.2, 0.3, 0.35])
-        return Trajectory(0.1, values, past)
+        return Trajectory(0.1, values)
 
     def test_grid(self):
         traj = self.make()
         np.testing.assert_allclose(traj.times, [0.0, 0.1, 0.2, 0.3])
         assert traj.t_end == pytest.approx(0.3)
 
-    def test_sampling_interpolates_computed_nodes(self):
-        traj = self.make()
-        assert sample_delayed(traj, 0.3, 0.1) == pytest.approx(0.3)
-        assert sample_delayed(traj, 0.3, 0.15) == pytest.approx(0.25)
-
-    def test_sampling_falls_back_to_past(self):
-        traj = self.make()
-        assert sample_delayed(traj, 0.3, 0.5) == pytest.approx(-0.2)
-        assert sample_delayed(traj, 0.2, 0.2) == pytest.approx(0.0)
-        lags = np.array([0.0, 0.2, 0.8])
-        got = sample_delayed(traj, 0.2, lags)
-        np.testing.assert_allclose(got, [0.3, 0.0, -0.6])
-
-    def test_sampling_guards(self):
-        traj = self.make()
-        with pytest.raises(ValueError):
-            sample_delayed(traj, 0.3, -0.1)
-        with pytest.raises(ValueError):
-            sample_delayed(traj, 0.5, 0.0)
-
     def test_zdot_recovers_linear_motion(self):
         t = np.arange(21) * 0.05
-        traj = Trajectory(0.05, 3.0 * t + 1.0, ConstantPast(1.0))
+        traj = Trajectory(0.05, 3.0 * t + 1.0)
         np.testing.assert_allclose(traj.zdot(), 3.0, rtol=1e-12)
 
     def test_dt_validation(self):
         with pytest.raises(ValueError):
-            Trajectory(0.0, [0.0], ConstantPast(0.0))
+            Trajectory(0.0, [0.0])
 
 
 class TestCsv:
@@ -105,7 +84,7 @@ class TestCsv:
         assert path.read_text().splitlines()[1].split(",")[0] == "0.333"
 
     def test_trajectory_to_csv(self, tmp_path):
-        traj = Trajectory(0.5, [0.0, 1.0, 1.5], ConstantPast(0.0))
+        traj = Trajectory(0.5, [0.0, 1.0, 1.5])
         path = tmp_path / "out.csv"
         traj.to_csv(path)
         rows = np.genfromtxt(path, delimiter=",", names=True)

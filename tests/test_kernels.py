@@ -52,7 +52,6 @@ class TestExponential:
     def test_flags(self):
         k = Exponential(1.0, 1.0)
         assert k.time_dependent is False
-        assert k.transport_dissipative() is True
 
 
 class TestTruncatedExponential:
@@ -115,12 +114,17 @@ class TestTabulated:
                                    rtol=5e-4)
         assert k.eval(5.0, 0.0) == 0.0
 
-    def test_moments_match_trapezoid_of_profile(self):
+    def test_moments_match_quadrature_of_profile(self):
+        # the moments of the piecewise-linear density that eval returns
+        cut = Tabulated([0.0, 1.0, 3.0], [2.0, 1.0, 0.0], a_max=2.0)
+        assert cut.moment(0.0, 1) == pytest.approx(1.75, rel=1e-14)
         k = self.grid_kernel()
-        a = np.linspace(0.0, 4.0, 81)
-        for p in (0, 1, 2):
-            ref = np.trapezoid(a**p * np.exp(-a), a)
-            assert k.moment(0.0, p) == pytest.approx(ref, rel=1e-13)
+        for kernel, nodes in ((k, k.a_grid[1:-1]), (cut, [1.0])):
+            rho = lambda a: float(kernel.eval(a, 0.0))
+            for p in (0, 1, 2):
+                ref = quad(lambda a: a**p * rho(a), 0.0, kernel.a_max,
+                           points=nodes, limit=200)[0]
+                assert kernel.moment(0.0, p) == pytest.approx(ref, rel=1e-12)
         with pytest.raises(ValueError):
             k.moment(0.0, 3)
 
@@ -162,10 +166,10 @@ class TestTabulated:
             k.profile(0.5)
         with pytest.raises(ValueError):
             k.mu(1.0)
-
-    def test_transport_flag_not_decidable(self):
-        with pytest.raises(NotImplementedError):
-            self.grid_kernel().transport_dissipative()
+        # m(t) has no limit as t -> inf, so neither has the bond mass
+        for at_inf in (k.mu_total, lambda: k.moment(math.inf, 1)):
+            with pytest.raises(ValueError, match="no value at t = inf"):
+                at_inf()
 
     def test_validation(self):
         with pytest.raises(ValueError):

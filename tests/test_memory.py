@@ -1,6 +1,17 @@
 """The tied age grid and the per-step memory weights shared by the solvers."""
-from cellroll.kernels import Exponential, TruncatedExponential
+import numpy as np
+
+from cellroll.kernels import Exponential, Tabulated, TruncatedExponential
 from cellroll.memory import Memory
+
+
+class AgeCutTabulated(Tabulated):
+    """A tabulated kernel whose only time dependence is the cutoff a <= t."""
+
+    time_dependent = True
+
+    def support(self, t):
+        return min(float(t), self.a_max)
 
 
 def test_no_age_beyond_the_horizon():
@@ -27,3 +38,14 @@ def test_truncated_weights_drop_the_bond_as_old_as_t():
     assert memory.weights(0.5, 1).size == 1
     assert memory.weights(0.0).size == 0
 
+
+def test_age_cutoff_kernel_gets_the_cut_static_weights():
+    a, v = [0.0, 0.5, 1.0, 2.0], [1.0, 0.8, 0.5, 0.1]
+    k = AgeCutTabulated(a, v)
+    memory = Memory(k, 1.0, 0.25, "trapezoid")
+    static = Memory(Tabulated(a, v), 1.0, 0.25, "trapezoid").weights(0.0)
+    t = memory.ages[3]
+    assert k.eval(t, t) > 0.0
+    np.testing.assert_array_equal(memory.weights(t), static[:3])
+    np.testing.assert_array_equal(memory.weights(t, 2), static[:2])
+    np.testing.assert_array_equal(memory.weights(k.a_max), static)

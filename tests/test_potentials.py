@@ -12,8 +12,7 @@ from scipy.integrate import quad
 
 from cellroll.errors import BreakpointCollisionError
 from cellroll.potentials import (AbsoluteValue, Mollified, PiecewiseLinear,
-                                 Potential, Quadratic, Tether, eval_potential,
-                                 eval_subdifferential, mollify)
+                                 Potential, Quadratic, Tether, mollify)
 
 BUMP_NORM = quad(lambda y: math.exp(-1.0 / (1.0 - y * y)), -1, 1,
                  points=[0.0], limit=200)[0]
@@ -32,7 +31,8 @@ def convolved_value(psi, u, delta):
 
 
 def convolved_slope(psi, u, delta):
-    f = lambda y: eval_subdifferential(psi, u - delta * y).mid * omega1(y)
+    f = lambda y: 0.5 * (psi.subdiff_lo(u - delta * y)
+                         + psi.subdiff_hi(u - delta * y)) * omega1(y)
     return quad(f, -1, 1, limit=200)[0]
 
 
@@ -80,15 +80,15 @@ class TestCatalogValues:
         assert psi.value(-3.0) == 4.5
         assert psi.breakpoints == (-2.0, -1.0, 0.0, 1.0, 2.0)
         assert psi.lipschitz_L == 3.0
-        assert eval_subdifferential(psi, 1.0) == (0.5, 1.0)
-        assert eval_subdifferential(psi, -1.0) == (-1.0, -0.5)
-        assert eval_subdifferential(psi, 0.0) == (-0.5, 0.5)
+        assert (psi.subdiff_lo(1.0), psi.subdiff_hi(1.0)) == (0.5, 1.0)
+        assert (psi.subdiff_lo(-1.0), psi.subdiff_hi(-1.0)) == (-1.0, -0.5)
+        assert (psi.subdiff_lo(0.0), psi.subdiff_hi(0.0)) == (-0.5, 0.5)
 
     def test_piecewise_linear_flat_core_has_no_kink_at_zero(self):
         psi = PiecewiseLinear([0.5], [0.0, 2.0])
         assert psi.breakpoints == (-0.5, 0.5)
         assert psi.value(0.25) == 0.0
-        assert eval_subdifferential(psi, 0.0) == (0.0, 0.0)
+        assert (psi.subdiff_lo(0.0), psi.subdiff_hi(0.0)) == (0.0, 0.0)
 
     def test_piecewise_linear_validation(self):
         with pytest.raises(ValueError):
@@ -99,10 +99,12 @@ class TestCatalogValues:
             PiecewiseLinear([1.0], [2.0, 1.0])
 
     def test_eval_helpers(self):
-        val = eval_potential(AbsoluteValue(), -2.5)
-        assert isinstance(val, float) and val == 2.5
-        sd = eval_subdifferential(AbsoluteValue(), 0.0)
-        assert sd.lo == -1.0 and sd.hi == 1.0 and sd.mid == 0.0
+        # a scalar evaluation agrees with the vectorized one, kinks included
+        u = np.array([-2.5, -1.0, 0.0, 0.3, 1.5])
+        for psi in catalog():
+            for f in (psi.value, psi.subdiff_lo, psi.subdiff_hi):
+                got = [float(f(x)) for x in u]
+                assert got == list(f(u))
 
 
 class TestConvexityContract:

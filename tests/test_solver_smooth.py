@@ -7,13 +7,12 @@ import pytest
 from scipy.integrate import quad
 
 from cellroll.errors import NumericalError
-from cellroll.history import (ConstantPast, LinearPast, TabulatedPast,
-                              Trajectory)
+from cellroll.history import ConstantPast, LinearPast, TabulatedPast
 from cellroll.kernels import Exponential, Tabulated, TruncatedExponential
 from cellroll.oracles import quadratic_final_position
 from cellroll.potentials import (AbsoluteValue, PiecewiseLinear, Quadratic,
                                  Tether, mollify)
-from cellroll.solver_smooth import SolverConfig, memory_force, solve_smooth
+from cellroll.solver_smooth import SolverConfig, solve_smooth
 
 
 def random_bounded_instance(rng):
@@ -35,34 +34,36 @@ def random_bounded_instance(rng):
     return psi, kernel, past, v_val, eps
 
 
+def one_step_force(psi, kernel, eps):
+    """The solver's memory force at t = 0 on the past z_p(tau) = tau.
+
+    One Euler step from Z^0 = 0 under zero drive gives Z^1 = -dt F. On this
+    past the stretch of an age-a bond is (0 - (-eps a)) / eps = a.
+    """
+    dt = 1e-3
+    cfg = SolverConfig(eps=eps, T=dt, dt=dt)
+    z = solve_smooth(psi, kernel, 0.0, LinearPast(1.0, 0.0), cfg).values
+    return -(z[1] - z[0]) / dt
+
+
 class TestMemoryForce:
     def test_linear_history_quadratic_psi_gives_first_moment(self):
-        # z(t) = t: stretch of an age-a bond is a, so the force is m_1
-        dt = 1e-3
-        t_nodes = np.arange(int(30.0 / dt) + 1) * dt
-        traj = Trajectory(dt, t_nodes.copy(), LinearPast(1.0, 0.0))
+        # stretch a at every age, so the force is m_1
         k = Exponential(1.0, 1.0)
-        got = memory_force(Quadratic(), k, traj, 25.0, 1.0)
+        got = one_step_force(Quadratic(), k, 1.0)
         assert got == pytest.approx(k.moment(math.inf, 1), abs=1e-6)
 
     def test_matches_quadrature_for_mollified_potential(self):
-        dt = 1e-3
-        t_nodes = np.arange(int(30.0 / dt) + 1) * dt
-        traj = Trajectory(dt, t_nodes.copy(), LinearPast(1.0, 0.0))
         psi = mollify(AbsoluteValue(), 0.3)
         k = Exponential(1.0, 1.0)
         ref = quad(lambda a: float(psi.subdiff_lo(a)) * math.exp(-a),
                    0.0, k.a_max, limit=400)[0]
-        got = memory_force(psi, k, traj, 25.0, 1.0)
+        got = one_step_force(psi, k, 1.0)
         assert got == pytest.approx(ref, abs=1e-4)
 
     def test_scaling_in_eps(self):
-        # z(t) = t again: u = (eps a) / eps = a for every eps
-        dt = 1e-3
-        t_nodes = np.arange(int(30.0 / dt) + 1) * dt
-        traj = Trajectory(dt, t_nodes.copy(), LinearPast(1.0, 0.0), eps=0.5)
-        k = Exponential(1.0, 1.0)
-        got = memory_force(Quadratic(), k, traj, 25.0, 0.5)
+        # the stretch is a for every eps, so eps = 0.5 gives m_1 = 1 again
+        got = one_step_force(Quadratic(), Exponential(1.0, 1.0), 0.5)
         assert got == pytest.approx(1.0, abs=1e-5)
 
 
