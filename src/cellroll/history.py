@@ -117,10 +117,6 @@ class Trajectory:
     def times(self):
         return self.dt * np.arange(self.values.size)
 
-    @property
-    def t_end(self) -> float:
-        return self.dt * (self.values.size - 1)
-
     def zdot(self):
         """Discrete velocity: centered differences, one-sided at the ends."""
         if self.values.size < 2:

@@ -206,6 +206,21 @@ class PiecewiseLinear(Potential):
         return f"PiecewiseLinear(breaks={tuple(self._knots[1:])}, slopes={tuple(self._slopes)})"
 
 
+def _full_line_kinks(psi: Potential):
+    """Kinks k, slope jumps ds > 0 and L of a piecewise-linear psi.
+
+    psi'(u) = -L + sum_k ds_k H(u - k) on the full line, built from the
+    right-half profile that ``_half_line_form`` returns.
+    """
+    hk, hs = psi._half_line_form()
+    pos = hk[1:]
+    jumps_pos = np.diff(hs)
+    kinks = np.concatenate((-pos[::-1], [0.0], pos))
+    jumps = np.concatenate((jumps_pos[::-1], [2.0 * hs[0]], jumps_pos))
+    keep = jumps > 0
+    return kinks[keep], jumps[keep], float(hs[-1])
+
+
 def _bump_raw(y):
     """Unnormalized bump exp(-1/(1-y^2)) on (-1, 1), zero outside."""
     y = np.asarray(y, dtype=float)
@@ -279,17 +294,9 @@ class Mollified(Potential):
     """
 
     def __init__(self, base: Potential, delta: float):
-        hk, hs = base._half_line_form()
         self.base = base
         self.delta = float(delta)
-        pos = hk[1:]
-        jumps_pos = np.diff(hs)
-        kinks = np.concatenate((-pos[::-1], [0.0], pos))
-        jumps = np.concatenate((jumps_pos[::-1], [2.0 * hs[0]], jumps_pos))
-        keep = jumps > 0
-        self._kinks = kinks[keep]
-        self._jumps = jumps[keep]
-        self._L = float(hs[-1])
+        self._kinks, self._jumps, self._L = _full_line_kinks(base)
         tb = _tables()
         self._tb = tb
         self._iconsts = tb.icdf_eval(-self._kinks / self.delta)

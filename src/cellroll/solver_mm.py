@@ -2,8 +2,10 @@
 
 Each step minimizes a strongly convex incremental energy whose memory part
 anchors at the already-computed nodes, one step behind the unknown. No
-smoothness of psi is required: the minimizer is located by bisection on the
-subgradient, which is strictly increasing in the step variable.
+smoothness of psi is required: the subgradient is strictly increasing in the
+step variable, and its root is found in closed form for quadratic psi, by one
+sorted sweep over the kinks for piecewise-linear psi, and by bisection for
+any other psi.
 """
 from __future__ import annotations
 
@@ -16,7 +18,7 @@ from .errors import NumericalError
 from .history import PastData, Trajectory
 from .kernels import Kernel
 from .memory import Memory, as_drive, step_count
-from .potentials import Potential
+from .potentials import Potential, Quadratic, _full_line_kinks
 from .solver_smooth import SolverConfig
 
 __all__ = ["StepEnergy", "minimize_step", "solve_mm", "step_energy"]
@@ -59,11 +61,64 @@ class StepEnergy:
 
 
 def minimize_step(e: StepEnergy, tol: float = 1e-11) -> float:
-    """Unique minimizer of ``e``, to |w - w*| <= tol.
+    """Unique minimizer of ``e``; the type of psi chooses the method.
 
-    The first probe is the unconstrained quadratic center (the previous node),
-    so sticking steps return after a single subgradient evaluation.
+    * ``Quadratic``: the optimality condition is linear in w; closed form.
+    * ``AbsoluteValue``, ``PiecewiseLinear``: the subgradient is piecewise
+      linear in w with kinks at anchors + eps * k, so one sorted sweep over
+      the kinks finds the root exactly.
+    * any other psi: bisection on the subgradient to |w - w*| <= tol, or to
+      adjacent floats where tol is below their spacing.
+
+    For kinked psi the first probe is the unconstrained quadratic center (the
+    previous node), so sticking steps return that node exactly.
     """
+    if isinstance(e.psi, Quadratic):
+        return _quadratic_step(e)
+    z = float(e.previous)
+    kinked = len(e.psi.breakpoints) > 0
+    if kinked and e.subgrad_lo(z) <= 0.0 <= e.subgrad_hi(z):
+        return z
+    if hasattr(e.psi, "_half_line_form"):
+        return _kink_sweep(e)
+    return _bisect(e, kinked, tol)
+
+
+def _quadratic_step(e: StepEnergy) -> float:
+    """(w - prev)/dt - drive + sum_j q_j (w - a_j)/eps = 0, solved for w."""
+    dt, eps = float(e.dt), float(e.eps)
+    mass = float(e.weights.sum())
+    pull = float(np.dot(e.weights, e.anchors))
+    return float((e.previous / dt + e.drive + pull / eps) / (1.0 / dt + mass / eps))
+
+
+def _kink_sweep(e: StepEnergy) -> float:
+    """Root of the piecewise-linear subgradient by one sorted sweep.
+
+    g(w) = (w - prev)/dt - drive - L*Q + sum_{j,k} q_j ds_k H(w - a_j - eps k)
+    is strictly increasing. At a kink point p, g_lo(p) counts the weight of
+    the points strictly below p and g_hi(p) all weight up to p, ties included.
+    """
+    kinks, jumps, L = _full_line_kinks(e.psi)
+    dt = float(e.dt)
+    points = (e.anchors[:, None] + e.eps * kinks).ravel()
+    order = np.argsort(points)
+    p = points[order]
+    weights = (e.weights[:, None] * jumps).ravel()[order]
+    cum = np.concatenate(([0.0], np.cumsum(weights)))
+    base = -float(e.drive) - L * float(e.weights.sum())
+    # i: the first point at which the running upper subgradient reaches 0.
+    # If p[i] ties with p[i-1], g_lo(p[i]) is at most the running value at
+    # i - 1, which is < 0, so p[i] is the root; otherwise cum[i] is exactly
+    # the weight strictly below p[i]. Either way ties need no grouping.
+    i = int(np.searchsorted((p - e.previous) / dt + base + cum[1:], 0.0))
+    if i < p.size and (p[i] - e.previous) / dt + base + cum[i] <= 0.0:
+        return float(p[i])
+    # the root lies in the open interval just below p[i], where g is linear
+    return float(e.previous - dt * (base + cum[i]))
+
+
+def _bisect(e: StepEnergy, kinked: bool, tol: float) -> float:
     z, dt = float(e.previous), float(e.dt)
     mass = float(e.weights.sum()) if e.weights.size else 0.0
     L = e.psi.lipschitz_L
@@ -77,14 +132,12 @@ def minimize_step(e: StepEnergy, tol: float = 1e-11) -> float:
             r *= 2.0
             if r > 1e18:
                 raise NumericalError("minimizer bracket expansion failed")
-    kinked = len(e.psi.breakpoints) > 0
-    # probe the quadratic center first: sticking steps return immediately
-    # and exactly, without accumulating bisection round-off
-    if kinked and e.subgrad_lo(z) <= 0.0 <= e.subgrad_hi(z):
-        return z
     lo, hi = z - r, z + r
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            # lo and hi are adjacent floats: tol is below the spacing at z
+            break
         g = e.subgrad_lo(mid)
         if kinked and g <= 0.0 <= e.subgrad_hi(mid):
             return mid

@@ -54,7 +54,7 @@ class TestTrajectory:
     def test_grid(self):
         traj = self.make()
         np.testing.assert_allclose(traj.times, [0.0, 0.1, 0.2, 0.3])
-        assert traj.t_end == pytest.approx(0.3)
+        assert traj.times[-1] == pytest.approx(0.3)
 
     def test_zdot_recovers_linear_motion(self):
         t = np.arange(21) * 0.05

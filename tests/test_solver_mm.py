@@ -1,15 +1,18 @@
 """Minimizing movements: per-step minimizer, plastic stopping, certificates."""
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
 from cellroll.errors import NumericalError
 from cellroll.history import ConstantPast, Trajectory
 from cellroll.kernels import Exponential, TruncatedExponential
 from cellroll.potentials import (AbsoluteValue, PiecewiseLinear, Potential,
-                                 Quadratic, mollify)
+                                 Quadratic, Tether, mollify)
 from cellroll.solver_mm import (StepEnergy, minimize_step, solve_mm,
                                 step_energy)
 from cellroll.solver_smooth import SolverConfig, solve_smooth
@@ -20,6 +23,34 @@ LN_10_9 = math.log(10.0 / 9.0)
 def energy(psi, previous, dt, drive, weights, anchors, eps=1.0):
     return StepEnergy(psi, previous, dt, drive, np.asarray(weights, float),
                       np.asarray(anchors, float), eps)
+
+
+class Bisected(Potential):
+    """psi with its structure hidden, so that minimize_step bisects."""
+
+    def __init__(self, psi):
+        self.psi = psi
+        self.breakpoints = psi.breakpoints
+        self.lipschitz_L = psi.lipschitz_L
+        self.lipschitz_Lprime = psi.lipschitz_Lprime
+
+    def value(self, u):
+        return self.psi.value(u)
+
+    def subdiff_lo(self, u):
+        return self.psi.subdiff_lo(u)
+
+    def subdiff_hi(self, u):
+        return self.psi.subdiff_hi(u)
+
+
+def bisected(e):
+    return minimize_step(dataclasses.replace(e, psi=Bisected(e.psi)))
+
+
+def assert_certified(e, w, h):
+    """0 lies in the subdifferential of e within h of w."""
+    assert e.subgrad_lo(w - h) <= 0.0 <= e.subgrad_hi(w + h)
 
 
 class TestMinimizeStep:
@@ -61,11 +92,107 @@ class TestMinimizeStep:
             assert got == pytest.approx(ref, abs=1e-6)
 
     def test_quadratic_growth_without_global_lipschitz(self):
-        # bracket expansion path: psi' unbounded but finite at the center
         e = energy(Quadratic(), 1.0, 0.5, 0.0, [1.0], [3.0])
         got = minimize_step(e)
         # (w - 1)/0.5 + (w - 3) = 0 -> w = 5/3
         assert got == pytest.approx(5.0 / 3.0, abs=1e-10)
+
+    @pytest.mark.parametrize("psi", [Tether(0.5), AbsoluteValue(),
+                                     mollify(AbsoluteValue(), 0.2)])
+    def test_terminates_where_tol_is_below_float_spacing(self, psi):
+        # spacing(1e6) = 1.2e-10 > tol: bisection stops at adjacent floats
+        e = energy(psi, 1e6, 1e-3, 1.5, [0.5], [1e6 - 0.3])
+        w = minimize_step(e)
+        assert w > 1e6
+        assert_certified(e, w, 4.0 * np.spacing(w))
+
+
+# anchors from a small pool repeat, as they do whenever the cell sticks
+POOL = [-0.5, -0.2, 0.0, 0.2, 0.5, 0.7]
+coords = st.one_of(st.sampled_from(POOL), st.floats(-1.0, 1.0))
+
+
+@st.composite
+def piecewise_linear(draw):
+    if draw(st.booleans()):
+        return AbsoluteValue()
+    breaks = sorted(draw(st.sets(st.floats(0.05, 2.0), max_size=3)))
+    steps = draw(st.lists(st.one_of(st.just(0.0), st.floats(0.0, 1.5)),
+                          min_size=len(breaks) + 1, max_size=len(breaks) + 1))
+    slopes = np.cumsum(steps)
+    if slopes[-1] == 0.0:
+        slopes[-1] = 1.0
+    return PiecewiseLinear(breaks, slopes)
+
+
+@st.composite
+def step_energies(draw, psi):
+    m = draw(st.integers(0, 6))
+    weights = draw(st.lists(st.one_of(st.just(0.0), st.floats(0.0, 2.0)),
+                            min_size=m, max_size=m))
+    anchors = draw(st.lists(coords, min_size=m, max_size=m))
+    return energy(psi, draw(coords), draw(st.floats(0.01, 0.3)),
+                  draw(st.floats(-3.0, 3.0)), weights, anchors,
+                  eps=draw(st.sampled_from([0.5, 1.0])))
+
+
+class Counting:
+    """Mixin: counts the subdiff_lo calls, one per subgradient evaluation."""
+
+    calls = 0
+
+    def subdiff_lo(self, u):
+        self.calls += 1
+        return super().subdiff_lo(u)
+
+
+class TestStructuredStep:
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(st.data())
+    def test_sweep_matches_bisection(self, data):
+        e = data.draw(step_energies(data.draw(piecewise_linear())))
+        w = minimize_step(e)
+        assert w == pytest.approx(bisected(e), abs=1e-10)
+        assert_certified(e, w, 1e-12)
+
+    @pytest.mark.parametrize("drive, root", [
+        (0.5, 0.2), (2.0, 0.2), (2.5, 0.2), (4.5, 0.35)])
+    def test_tied_anchors_away_from_center(self, drive, root):
+        # g(w) = 10 w - drive - 3 + 2 #(anchors <= w): g_lo(0.2) = -1 - drive
+        # and g_hi(0.2) = 3 - drive, so the root is the tied kink 0.2 for
+        # drive <= 3; the running sum over the two tied points crosses 0 at
+        # the first for drive <= 1, else at the second. For drive = 4.5 the
+        # root 0.35 lies in (0.2, 0.5), above the tie.
+        for anchors in ([0.2, 0.2, 0.5], [0.5, 0.2, 0.2], [0.2, 0.5, 0.2]):
+            e = energy(AbsoluteValue(), 0.0, 0.1, drive, [1.0, 1.0, 1.0],
+                       anchors)
+            assert minimize_step(e) == pytest.approx(root, abs=1e-14)
+            assert bisected(e) == pytest.approx(root, abs=1e-11)
+
+    @pytest.mark.parametrize("args", [
+        # psi' unbounded: bisection sizes its bracket from the force at z
+        (1.0, 0.5, 0.0, [1.0], [3.0]),
+        (0.0, 0.1, 2.0, [], []),
+        (-0.3, 0.05, 1.0, [0.2, 0.0, 0.7], [0.1, -0.4, 0.9]),
+    ])
+    @pytest.mark.parametrize("eps", [0.5, 1.0])
+    def test_quadratic_closed_form_matches_bisection(self, args, eps):
+        e = energy(Quadratic(), *args, eps=eps)
+        assert minimize_step(e) == pytest.approx(bisected(e), abs=1e-10)
+
+    @pytest.mark.parametrize("cls, args, evals_per_step", [
+        (AbsoluteValue, (), 1),
+        (PiecewiseLinear, ([0.5, 1.5], [0.3, 1.0, 2.0]), 1),
+        (Quadratic, (), 0),
+    ])
+    def test_never_bisects(self, cls, args, evals_per_step):
+        psi = type("Counted", (Counting, cls), {})(*args)
+        v = lambda t: 1.0 + 1.5 * math.sin(20.0 * t)
+        cfg = SolverConfig(eps=0.5, T=0.4, dt=2e-3)
+        traj = solve_mm(psi, TruncatedExponential(1.0, 1.0), v,
+                        ConstantPast(0.0), cfg)
+        assert np.any(np.diff(traj.values) != 0.0)
+        assert psi.calls <= evals_per_step * (traj.values.size - 1)
 
 
 class TestSolveMM:
