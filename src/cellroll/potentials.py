@@ -9,6 +9,7 @@ surrogate with the same global Lipschitz constant.
 """
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -65,6 +66,23 @@ class Potential:
                 "mollify the potential or use the minimizing-movements solver"
             )
         return lo
+
+    @functools.cached_property
+    def _full_line_kinks(self):
+        """Kinks k, slope jumps ds > 0 and L of a piecewise-linear psi.
+
+        psi'(u) = -L + sum_k ds_k H(u - k) on the full line, built once from
+        the right-half profile that ``_half_line_form`` returns.
+        """
+        hk, hs = self._half_line_form()
+        pos = hk[1:]
+        jumps_pos = np.diff(hs)
+        kinks = np.concatenate((-pos[::-1], [0.0], pos))
+        jumps = np.concatenate((jumps_pos[::-1], [2.0 * hs[0]], jumps_pos))
+        keep = jumps > 0
+        kinks, jumps = kinks[keep], jumps[keep]
+        kinks.flags.writeable = jumps.flags.writeable = False
+        return kinks, jumps, float(hs[-1])
 
 
 class Quadratic(Potential):
@@ -206,21 +224,6 @@ class PiecewiseLinear(Potential):
         return f"PiecewiseLinear(breaks={tuple(self._knots[1:])}, slopes={tuple(self._slopes)})"
 
 
-def _full_line_kinks(psi: Potential):
-    """Kinks k, slope jumps ds > 0 and L of a piecewise-linear psi.
-
-    psi'(u) = -L + sum_k ds_k H(u - k) on the full line, built from the
-    right-half profile that ``_half_line_form`` returns.
-    """
-    hk, hs = psi._half_line_form()
-    pos = hk[1:]
-    jumps_pos = np.diff(hs)
-    kinks = np.concatenate((-pos[::-1], [0.0], pos))
-    jumps = np.concatenate((jumps_pos[::-1], [2.0 * hs[0]], jumps_pos))
-    keep = jumps > 0
-    return kinks[keep], jumps[keep], float(hs[-1])
-
-
 def _bump_raw(y):
     """Unnormalized bump exp(-1/(1-y^2)) on (-1, 1), zero outside."""
     y = np.asarray(y, dtype=float)
@@ -296,7 +299,7 @@ class Mollified(Potential):
     def __init__(self, base: Potential, delta: float):
         self.base = base
         self.delta = float(delta)
-        self._kinks, self._jumps, self._L = _full_line_kinks(base)
+        self._kinks, self._jumps, self._L = base._full_line_kinks
         tb = _tables()
         self._tb = tb
         self._iconsts = tb.icdf_eval(-self._kinks / self.delta)

@@ -3,9 +3,8 @@
 Each step minimizes a strongly convex incremental energy whose memory part
 anchors at the already-computed nodes, one step behind the unknown. No
 smoothness of psi is required: the subgradient is strictly increasing in the
-step variable, and its root is found in closed form for quadratic psi, by one
-sorted sweep over the kinks for piecewise-linear psi, and by bisection for
-any other psi.
+step variable, and its root is found by one sorted sweep over the kinks for
+piecewise-linear psi and by bisection for any other psi.
 """
 from __future__ import annotations
 
@@ -18,7 +17,7 @@ from .errors import NumericalError
 from .history import PastData, Trajectory
 from .kernels import Kernel
 from .memory import Memory, as_drive, step_count
-from .potentials import Potential, Quadratic, _full_line_kinks
+from .potentials import Potential
 from .solver_smooth import SolverConfig
 
 __all__ = ["StepEnergy", "minimize_step", "solve_mm", "step_energy"]
@@ -61,20 +60,17 @@ class StepEnergy:
 
 
 def minimize_step(e: StepEnergy, tol: float = 1e-11) -> float:
-    """Unique minimizer of ``e``; the type of psi chooses the method.
+    """Unique minimizer of ``e``; the form of psi chooses the method.
 
-    * ``Quadratic``: the optimality condition is linear in w; closed form.
-    * ``AbsoluteValue``, ``PiecewiseLinear``: the subgradient is piecewise
-      linear in w with kinks at anchors + eps * k, so one sorted sweep over
-      the kinks finds the root exactly.
+    * piecewise-linear psi (``AbsoluteValue``, ``PiecewiseLinear``): the
+      subgradient is piecewise linear in w with kinks at anchors + eps * k,
+      so one sorted sweep over the kinks finds the root exactly.
     * any other psi: bisection on the subgradient to |w - w*| <= tol, or to
       adjacent floats where tol is below their spacing.
 
     For kinked psi the first probe is the unconstrained quadratic center (the
     previous node), so sticking steps return that node exactly.
     """
-    if isinstance(e.psi, Quadratic):
-        return _quadratic_step(e)
     z = float(e.previous)
     kinked = len(e.psi.breakpoints) > 0
     if kinked and e.subgrad_lo(z) <= 0.0 <= e.subgrad_hi(z):
@@ -84,14 +80,6 @@ def minimize_step(e: StepEnergy, tol: float = 1e-11) -> float:
     return _bisect(e, kinked, tol)
 
 
-def _quadratic_step(e: StepEnergy) -> float:
-    """(w - prev)/dt - drive + sum_j q_j (w - a_j)/eps = 0, solved for w."""
-    dt, eps = float(e.dt), float(e.eps)
-    mass = float(e.weights.sum())
-    pull = float(np.dot(e.weights, e.anchors))
-    return float((e.previous / dt + e.drive + pull / eps) / (1.0 / dt + mass / eps))
-
-
 def _kink_sweep(e: StepEnergy) -> float:
     """Root of the piecewise-linear subgradient by one sorted sweep.
 
@@ -99,7 +87,7 @@ def _kink_sweep(e: StepEnergy) -> float:
     is strictly increasing. At a kink point p, g_lo(p) counts the weight of
     the points strictly below p and g_hi(p) all weight up to p, ties included.
     """
-    kinks, jumps, L = _full_line_kinks(e.psi)
+    kinks, jumps, L = e.psi._full_line_kinks
     dt = float(e.dt)
     points = (e.anchors[:, None] + e.eps * kinks).ravel()
     order = np.argsort(points)

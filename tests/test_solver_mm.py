@@ -92,6 +92,7 @@ class TestMinimizeStep:
             assert got == pytest.approx(ref, abs=1e-6)
 
     def test_quadratic_growth_without_global_lipschitz(self):
+        # bracket expansion path: psi' unbounded but finite at the center
         e = energy(Quadratic(), 1.0, 0.5, 0.0, [1.0], [3.0])
         got = minimize_step(e)
         # (w - 1)/0.5 + (w - 3) = 0 -> w = 5/3
@@ -169,30 +170,19 @@ class TestStructuredStep:
             assert minimize_step(e) == pytest.approx(root, abs=1e-14)
             assert bisected(e) == pytest.approx(root, abs=1e-11)
 
-    @pytest.mark.parametrize("args", [
-        # psi' unbounded: bisection sizes its bracket from the force at z
-        (1.0, 0.5, 0.0, [1.0], [3.0]),
-        (0.0, 0.1, 2.0, [], []),
-        (-0.3, 0.05, 1.0, [0.2, 0.0, 0.7], [0.1, -0.4, 0.9]),
+    @pytest.mark.parametrize("cls, args", [
+        (AbsoluteValue, ()),
+        (PiecewiseLinear, ([0.5, 1.5], [0.3, 1.0, 2.0])),
     ])
-    @pytest.mark.parametrize("eps", [0.5, 1.0])
-    def test_quadratic_closed_form_matches_bisection(self, args, eps):
-        e = energy(Quadratic(), *args, eps=eps)
-        assert minimize_step(e) == pytest.approx(bisected(e), abs=1e-10)
-
-    @pytest.mark.parametrize("cls, args, evals_per_step", [
-        (AbsoluteValue, (), 1),
-        (PiecewiseLinear, ([0.5, 1.5], [0.3, 1.0, 2.0]), 1),
-        (Quadratic, (), 0),
-    ])
-    def test_never_bisects(self, cls, args, evals_per_step):
+    def test_never_bisects(self, cls, args):
         psi = type("Counted", (Counting, cls), {})(*args)
         v = lambda t: 1.0 + 1.5 * math.sin(20.0 * t)
         cfg = SolverConfig(eps=0.5, T=0.4, dt=2e-3)
         traj = solve_mm(psi, TruncatedExponential(1.0, 1.0), v,
                         ConstantPast(0.0), cfg)
         assert np.any(np.diff(traj.values) != 0.0)
-        assert psi.calls <= evals_per_step * (traj.values.size - 1)
+        # the centre probe is the one subgradient evaluation per step
+        assert psi.calls <= traj.values.size - 1
 
 
 class TestSolveMM:
