@@ -212,7 +212,10 @@ def _run_longtime(args) -> int:
     for T in T_list:
         _checked("study.T_list", step_count, T, dt)
     _checked("study.dt", age_step, kernel, 1.0, dt)  # the study runs at eps = 1
-    report = longtime_study(psi, kernel, drive, past, T_list, dt=dt)
+    r_v = r_model["v"]
+    # a table drive holds its last value beyond its last time
+    v_inf = r_v["value"] if r_v["kind"] == "constant" else r_v["values"][-1]
+    report = longtime_study(psi, kernel, drive, past, T_list, dt=dt, v_inf=v_inf)
     report.to_csv(out["path"], precision=out["precision"])
     resolved = {"command": "longtime", "model": r_model,
                 "study": {"T_list": T_list, "dt": dt}, "output": out}

@@ -118,19 +118,26 @@ def convergence_study(psi: Potential, kernel: Kernel, v, past: PastData,
 
 
 def longtime_study(psi: Potential, kernel: Kernel, v, past: PastData,
-                   T_list, dt: float = 1e-2) -> StudyReport:
+                   T_list, dt: float = 1e-2,
+                   v_inf: float | None = None) -> StudyReport:
     """Long-time drift metrics |z(T)/T - gamma| and windowed offset sups.
 
-    One solve runs to max(T_list); the offset column is
+    gamma is the stationary limit velocity at the asymptotic drive ``v_inf``,
+    which defaults to ``v`` when the drive is a number; a callable drive needs
+    it given explicitly. One solve runs to max(T_list); the offset column is
     sup_{[T/2, T]} |z(t) - gamma t - c| with c anchored at the final node,
     checked for monotone non-increase up to 10% slack as T doubles.
     """
     T_list = sorted(float(T) for T in T_list)
     if not T_list:
         raise ValueError("T_list must be nonempty")
+    if v_inf is None:
+        if callable(v):
+            raise ValueError("longtime_study needs v_inf, the asymptotic "
+                             "drive, when v is a callable")
+        v_inf = v
     drive = as_drive(v)
-    v_inf = float(drive(1e12))
-    gamma = limit_velocity(psi, kernel, v_inf, math.inf)
+    gamma = limit_velocity(psi, kernel, float(v_inf), math.inf)
     solver = _dispatch_solver(psi)
     T_max = T_list[-1]
     traj = solver(psi, kernel, drive, past, SolverConfig(eps=1.0, T=T_max, dt=dt))

@@ -1,9 +1,13 @@
 """The macroscopic limit equation, solved pointwise in time.
 
 At each t the limit velocity w solves w + int psi'(a w) rho(a, t) da = v(t).
-The left side is a strictly increasing (set-valued at kinks) map of w, so a
-subgradient bisection locates the unique root. The tests cross-check it
-against a derivative-free minimization of the equivalent convex objective.
+The left side is a strictly increasing map of w, set-valued only at w = 0
+for kinked psi. Each equation builds its age quadrature once (the kernel's
+bond masses between psi's kinks, or a Simpson grid weighted by rho), so a
+probe costs one dot product. A probe at w = 0 resolves the flat branch of
+kinked potentials exactly; an ITP root find then closes the half-bracket
+that remains. The tests cross-check it against bisection and against a
+derivative-free minimization of the equivalent convex objective.
 """
 from __future__ import annotations
 
@@ -22,25 +26,34 @@ __all__ = ["limit_velocity", "integrate_limit"]
 _SIMPSON_NODES = 2049  # age-quadrature resolution for smooth potentials
 
 
-def _force_selections(psi, kernel, w, t):
-    """(min, max) of the set {int z(a) rho(a,t) da : z(a) in d psi(a w)}."""
+def _force_selections(psi, kernel, t):
+    """The map w -> (min, max) of {int z(a) rho(a,t) da : z(a) in d psi(a w)}.
+
+    Everything that does not depend on w is computed here, once per equation.
+    """
     if hasattr(psi, "_half_line_form"):
         hk, hs = psi._half_line_form()
         total = float(kernel.cummass(kernel.a_max, t))
-        if w == 0.0:
-            return -hs[0] * total, hs[0] * total
-        edges = hk / abs(w)
-        masses = np.diff(np.concatenate((kernel.cummass(edges, t), [total])))
-        f = float(np.dot(hs, np.maximum(masses, 0.0)))
-        f = math.copysign(f, w)
-        return f, f
+        band = float(hs[0]) * total
+
+        def kinked(w):
+            if w == 0.0:
+                return -band, band
+            edges = hk / abs(w)
+            masses = np.diff(np.concatenate((kernel.cummass(edges, t), [total])))
+            f = math.copysign(float(np.dot(hs, np.maximum(masses, 0.0))), w)
+            return f, f
+        return kinked
     upper = kernel.support(t)
     if upper <= 0.0:
-        return 0.0, 0.0
+        return lambda w: (0.0, 0.0)
     a = np.linspace(0.0, upper, _SIMPSON_NODES)
     wts = _simpson_weights(a) * kernel.eval(a, t)
-    f = float(np.dot(wts, psi.derivative(a * w)))
-    return f, f
+
+    def smooth(w):
+        f = float(np.dot(wts, psi.derivative(a * w)))
+        return f, f
+    return smooth
 
 
 def _simpson_weights(a):
@@ -56,28 +69,78 @@ def limit_velocity(psi: Potential, kernel: Kernel, v_t: float, t: float = math.i
                    tol: float = 1e-12) -> float:
     """The unique w with v(t) - w in int d psi(a w) rho(a, t) da.
 
-    Bisection on [-|v|-1, |v|+1] with the minimal/maximal subgradient
-    selections; returns early when 0 lies in the subdifferential at the
-    midpoint, which resolves the flat branch of nonsmooth potentials exactly.
+    The root lies in [-|v|-1, |v|+1]. The first probe is the centre w = 0,
+    which returns exactly 0.0 when 0 lies in the subdifferential there (the
+    flat branch of kinked potentials). An ITP search (interpolate, truncate,
+    project; Oliveira & Takahashi, ACM TOMS 47(1), 2020) then closes the
+    half-bracket that holds the root, using the minimal/maximal subgradient
+    selections as the signed end values. It converges superlinearly on a
+    smooth map and, where the float spacing at the root is small against
+    ``tol``, never takes more than one probe beyond bisection. It stops when
+    the bracket is at most ``tol`` wide, or when no float lies strictly
+    inside it, and returns its midpoint.
     """
     v_t = float(v_t)
-    lo, hi = -abs(v_t) - 1.0, abs(v_t) + 1.0
+    force = _force_selections(psi, kernel, t)
 
     def g(w):
-        flo, fhi = _force_selections(psi, kernel, w, t)
+        flo, fhi = force(w)
         return w + flo - v_t, w + fhi - v_t
 
-    if g(lo)[1] > 0.0 or g(hi)[0] < 0.0:
+    lo, hi = -abs(v_t) - 1.0, abs(v_t) + 1.0
+    y_lo, y_hi = g(lo)[1], g(hi)[0]
+    if y_lo > 0.0 or y_hi < 0.0:
         raise NumericalError("limit velocity bracket lost; kernel moments may be non-finite")
+    glo, ghi = g(0.0)
+    if glo > 0.0:
+        hi, y_hi = 0.0, glo
+    elif ghi < 0.0:
+        lo, y_lo = 0.0, ghi
+    else:
+        return 0.0
+    return _itp(g, lo, hi, y_lo, y_hi, tol)
+
+
+def _itp(g, lo, hi, y_lo, y_hi, tol):
+    """Root of the increasing set-valued g in [lo, hi], with y_lo < 0 < y_hi
+    the upper selection of g at lo and the lower one at hi.
+
+    ITP with k1 = 0.2/(hi - lo), k2 = 2, n0 = 1 and epsilon = tol/2: each
+    probe is the regula-falsi point, nudged toward the midpoint by
+    k1*width^2 and projected to within r of it, where r shrinks so that the
+    bracket is at most tol wide after n0 probes more than bisection needs.
+    """
+    k1 = 0.2 / (hi - lo)
+    n_max = math.ceil(math.log2((hi - lo) / tol)) + 1
+    # r aims a few ulps inside tol/2, so that rounding the probes cannot leave
+    # the bracket just wider than tol after n_max of them. Where an ulp is
+    # near tol itself no margin can promise that; the cap keeps the budget
+    # for interpolation steps there.
+    half = 0.5 * tol - min(2.0 * math.ulp(max(abs(lo), abs(hi))), 0.125 * tol)
+    j = 0
     while hi - lo > tol:
+        width = hi - lo
         mid = 0.5 * (lo + hi)
-        glo, ghi = g(mid)
+        if not lo < mid < hi:
+            # lo and hi are adjacent floats: tol is below their spacing
+            break
+        x_f = (lo * y_hi - hi * y_lo) / (y_hi - y_lo)
+        sigma = math.copysign(1.0, mid - x_f)
+        delta = k1 * width * width
+        x = x_f + sigma * delta if delta <= abs(mid - x_f) else mid
+        r = half * 2.0 ** (n_max - j) - 0.5 * width
+        if not abs(x - mid) <= r:
+            x = mid - sigma * max(r, 0.0)
+        if not lo < x < hi:
+            x = mid
+        glo, ghi = g(x)
         if glo > 0.0:
-            hi = mid
+            hi, y_hi = x, glo
         elif ghi < 0.0:
-            lo = mid
+            lo, y_lo = x, ghi
         else:
-            return mid
+            return x
+        j += 1
     return 0.5 * (lo + hi)
 
 

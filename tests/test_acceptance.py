@@ -229,7 +229,7 @@ def test_property_suites(capsys):
 def test_longtime_offset_bounded(capsys):
     rep = longtime_study(Quadratic(), Exponential(1.0, 1.0),
                          lambda t: 1.0 + np.exp(-t), ConstantPast(0.0),
-                         [20.0, 40.0, 80.0], dt=2e-3)
+                         [20.0, 40.0, 80.0], dt=2e-3, v_inf=1.0)
     offsets = [row[2] for row in rep.rows]
     ok = rep.passed and all(b <= 1.1 * a for a, b in zip(offsets, offsets[1:]))
     report(capsys, "long-time boundedness",

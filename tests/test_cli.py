@@ -327,6 +327,23 @@ class TestStudyCommands:
         table = np.genfromtxt(out_csv, delimiter=",", skip_header=1)
         assert table[1, 1] < table[0, 1]
 
+    def test_longtime_table_drive_settles_at_last_value(self, capsys,
+                                                        tmp_path):
+        cfg_dict = quad_config()
+        del cfg_dict["solver"]
+        cfg_dict["model"]["past"] = {"kind": "constant", "value": 0.0}
+        cfg_dict["model"]["v"] = {"kind": "table", "t": [0.0, 1.0],
+                                  "values": [2.0, 1.0]}
+        cfg_dict["study"] = {"T_list": [10.0, 20.0], "dt": 5e-3}
+        cfg = write_config(tmp_path / "lt.json", cfg_dict)
+        out_csv = tmp_path / "lt.csv"
+        code, out, _ = run(capsys, "longtime", "--config", cfg,
+                           "--out", str(out_csv))
+        assert code == 0, out
+        # gamma at the first value 2.0 would leave a drift near 0.5
+        table = np.genfromtxt(out_csv, delimiter=",", skip_header=1)
+        assert table[1, 1] < 0.05
+
     def test_longtime_rejects_empty_horizons(self, capsys, tmp_path):
         cfg_dict = quad_config()
         del cfg_dict["solver"]

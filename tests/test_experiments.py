@@ -1,4 +1,6 @@
 """Study reports: convergence rates, long-time drift, velocity-force sweep."""
+import math
+
 import numpy as np
 import pytest
 
@@ -83,7 +85,8 @@ class TestLongtimeStudy:
     def test_drift_and_offset_shrink_as_horizon_doubles(self):
         psi, kernel, _, past = smooth_instance()
         v = lambda t: 1.0 + np.exp(-t)
-        report = longtime_study(psi, kernel, v, past, [10.0, 20.0], dt=2e-3)
+        report = longtime_study(psi, kernel, v, past, [10.0, 20.0], dt=2e-3,
+                                v_inf=1.0)
         assert report.passed
         assert report.columns == ("param", "metric", "offset")
         assert [row[0] for row in report.rows] == [10.0, 20.0]
@@ -103,6 +106,12 @@ class TestLongtimeStudy:
         psi, kernel, v, past = smooth_instance()
         with pytest.raises(ValueError, match="nonempty"):
             longtime_study(psi, kernel, v, past, [])
+
+    def test_callable_drive_needs_asymptotic_value(self):
+        # sin never settles, so no time can stand in for t = inf
+        psi, kernel, _, past = smooth_instance()
+        with pytest.raises(ValueError, match="v_inf"):
+            longtime_study(psi, kernel, math.sin, past, [4.0], dt=5e-3)
 
 
 class TestVelocityForceSweep:

@@ -3,14 +3,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from cellroll.history import ConstantPast
 from cellroll.kernels import Exponential, Tabulated, TruncatedExponential
 from cellroll.oracles import gamma_abs
-from cellroll.potentials import (AbsoluteValue, PiecewiseLinear, Quadratic,
-                                 Tether, mollify)
-from cellroll.solver_limit import integrate_limit, limit_velocity
+from cellroll.potentials import (AbsoluteValue, Mollified, PiecewiseLinear,
+                                 Quadratic, Tether, mollify)
+from cellroll.solver_limit import (_force_selections, integrate_limit,
+                                   limit_velocity)
+
+TOL = 1e-12  # limit_velocity's default tolerance
 
 
 def residual(psi, kernel, w, v, t=math.inf):
@@ -19,6 +24,34 @@ def residual(psi, kernel, w, v, t=math.inf):
     force = quad(lambda a: float(psi.subdiff_lo(a * w)) * float(
         kernel.eval(a, t)), 0.0, upper, limit=400)[0]
     return w + force - v
+
+
+def limit_velocity_bisect(psi, kernel, v_t, t=math.inf, tol=TOL):
+    """Bisection reference for ``limit_velocity`` on the same force map.
+
+    Halves [-|v|-1, |v|+1] on the minimal/maximal subgradient selections
+    until it is at most tol wide, returning early when 0 lies in the
+    subdifferential at the midpoint.
+    """
+    v_t = float(v_t)
+    force = _force_selections(psi, kernel, t)
+    lo, hi = -abs(v_t) - 1.0, abs(v_t) + 1.0
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        flo, fhi = force(mid)
+        if mid + flo - v_t > 0.0:
+            hi = mid
+        elif mid + fhi - v_t < 0.0:
+            lo = mid
+        else:
+            return mid
+    return 0.5 * (lo + hi)
+
+
+def assert_certified(psi, kernel, v, t, w, h):
+    """0 lies in w + F(w) - v within h of w, on limit_velocity's force map."""
+    force = _force_selections(psi, kernel, t)
+    assert (w - h) + force(w - h)[0] - v <= 0.0 <= (w + h) + force(w + h)[1] - v
 
 
 def limit_velocity_minimize(psi, kernel, v_t, t=math.inf, tol=1e-11):
@@ -120,6 +153,161 @@ class TestLimitVelocity:
         w = limit_velocity(psi, k, 1.5)
         assert abs(residual(psi, k, w, 1.5)) < 1e-7
         assert 0.0 < w < 1.5
+
+
+@st.composite
+def potentials(draw):
+    kind = draw(st.sampled_from(["quadratic", "tether", "mollified", "abs",
+                                 "piecewise"]))
+    if kind == "quadratic":
+        return Quadratic()
+    if kind == "tether":
+        return Tether(draw(st.floats(0.1, 2.0)))
+    if kind == "mollified":
+        return mollify(AbsoluteValue(), draw(st.floats(0.05, 0.5)))
+    if kind == "abs":
+        return AbsoluteValue()
+    breaks = sorted(draw(st.sets(st.floats(0.05, 2.0), max_size=3)))
+    # slopes[0] = 0 drops the kink at the origin, and with it the flat branch
+    steps = draw(st.lists(st.one_of(st.just(0.0), st.floats(0.0, 1.5)),
+                          min_size=len(breaks) + 1, max_size=len(breaks) + 1))
+    slopes = np.cumsum(steps)
+    if slopes[-1] == 0.0:
+        slopes[-1] = 1.0
+    return PiecewiseLinear(breaks, slopes)
+
+
+@st.composite
+def kernels_at_t(draw):
+    """(kernel, t): a static kernel at t = inf or a truncated one at finite t."""
+    kind = draw(st.sampled_from(["exponential", "truncated", "tabulated"]))
+    if kind == "tabulated":
+        n = draw(st.integers(2, 6))
+        ages = np.cumsum(draw(st.lists(st.floats(0.2, 2.0), min_size=n,
+                                       max_size=n)))
+        values = draw(st.lists(st.floats(0.0, 2.0), min_size=n, max_size=n))
+        return Tabulated(np.concatenate(([0.0], ages)), [1.0] + values), math.inf
+    beta, zeta = draw(st.floats(0.2, 2.0)), draw(st.floats(0.3, 2.0))
+    if kind == "exponential":
+        return Exponential(beta, zeta), math.inf
+    return TruncatedExponential(beta, zeta), draw(st.floats(0.0, 5.0))
+
+
+class TestAgainstBisection:
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(potentials(), kernels_at_t(), st.floats(-4.0, 4.0))
+    def test_matches_bisection_with_certificate(self, psi, kt, v):
+        kernel, t = kt
+        w = limit_velocity(psi, kernel, v, t)
+        assert abs(w - limit_velocity_bisect(psi, kernel, v, t)) <= 1e-11
+        assert_certified(psi, kernel, v, t, w, TOL)
+        if hasattr(psi, "_half_line_form"):
+            band = psi._half_line_form()[1][0] * float(
+                kernel.cummass(kernel.a_max, t))
+            if abs(v) <= band:
+                assert w == 0.0
+
+
+class CountingExponential(Exponential):
+    """Exponential kernel counting its eval and cummass calls."""
+
+    evals = cummasses = 0
+
+    def eval(self, a, t):
+        self.evals += 1
+        return super().eval(a, t)
+
+    def cummass(self, x, t):
+        self.cummasses += 1
+        return super().cummass(x, t)
+
+
+class CountingDerivative:
+    """Mixin counting psi.derivative calls: one per force evaluation on the
+    Simpson path."""
+
+    calls = 0
+
+    def derivative(self, u):
+        self.calls += 1
+        return super().derivative(u)
+
+
+class CountingQuadratic(CountingDerivative, Quadratic):
+    pass
+
+
+class CountingTether(CountingDerivative, Tether):
+    pass
+
+
+class CountingMollified(CountingDerivative, Mollified):
+    pass
+
+
+def force_evaluations(psi, kernel):
+    """Force evaluations so far: psi.derivative calls on the Simpson path; on
+    the kinked path every probe off w = 0 takes one cummass call, the probe
+    at w = 0 none, and one more call gives the total mass."""
+    if hasattr(psi, "_half_line_form"):
+        return kernel.cummasses
+    return psi.calls
+
+
+class TestWork:
+    def test_simpson_grid_built_once_per_equation(self):
+        k = CountingExponential(1.0, 1.0)
+        limit_velocity(Quadratic(), k, 1.3)
+        assert k.evals == 1
+        integrate_limit(Tether(0.8), k, lambda t: 1.0 + t, 0.0, 0.1, 0.01)
+        assert k.evals == 1 + 11
+
+    @pytest.mark.parametrize("make_psi", [
+        CountingQuadratic, lambda: CountingTether(0.8),
+        lambda: CountingMollified(AbsoluteValue(), 0.2), AbsoluteValue,
+        lambda: PiecewiseLinear([1.0], [0.3, 2.0]),
+        lambda: PiecewiseLinear([0.5, 1.2], [0.0, 1.0, 2.5])])
+    def test_evaluations_within_one_of_bisection(self, make_psi):
+        # at 0.6696... and -1.0161... the mollified root needs the full ITP
+        # budget, which rounding overruns by one probe unless the ITP radius
+        # keeps a margin of a few ulps
+        drives = list(np.linspace(-4.0, 4.0, 33)) + [0.6696156487442364,
+                                                     -1.0161777886233097]
+        for v in drives:
+            psi, k = make_psi(), CountingExponential(1.0, 1.0)
+            limit_velocity(psi, k, v)
+            bound = math.ceil(math.log2((2.0 * abs(v) + 2.0) / TOL)) + 3
+            assert force_evaluations(psi, k) <= bound, v
+
+    @pytest.mark.parametrize("make_psi", [CountingQuadratic,
+                                          lambda: CountingTether(0.8)])
+    def test_smooth_maps_converge_superlinearly(self, make_psi):
+        # bisection takes 45 to 55 evaluations on these equations; at
+        # |v| >= 1e4 an ulp of the root is no longer small against tol
+        for v in list(np.linspace(-4.0, 4.0, 33)) + [1e4, -1e5]:
+            psi, k = make_psi(), CountingExponential(1.0, 1.0)
+            limit_velocity(psi, k, v)
+            assert force_evaluations(psi, k) <= 20, v
+
+    def test_flat_branch_costs_the_bracket_and_one_probe(self):
+        # stall band |v| <= beta/zeta; near its edge at beta = 3 the
+        # regula-falsi point lies far from w = 0
+        for beta, v in ((1.0, -0.9), (1.0, 0.0), (1.0, 0.99), (3.0, 2.9),
+                        (3.0, -2.99)):
+            k = CountingExponential(beta, 1.0)
+            assert limit_velocity(AbsoluteValue(), k, v) == 0.0
+            assert force_evaluations(AbsoluteValue(), k) == 3
+
+    @pytest.mark.parametrize("psi", [Quadratic(), Tether(0.8), AbsoluteValue()])
+    @pytest.mark.parametrize("v", [1e7, -1e7 - 0.1, 1e7 + 0.4])
+    def test_terminates_where_tol_is_below_float_spacing(self, psi, v):
+        # spacing(5e6) = 9.3e-10 > tol. The quadratic at -1e7 - 0.1 and the
+        # tether at 1e7 + 0.4 stop at adjacent floats; the other runs end on
+        # a probe where g rounds to exactly 0.
+        k = Exponential(1.0, 1.0)
+        w = limit_velocity(psi, k, v)
+        assert 0.0 < w / v < 1.0
+        assert_certified(psi, k, v, math.inf, w, 4.0 * np.spacing(abs(w)))
 
 
 class TestMinimizer:
