@@ -9,6 +9,7 @@ of one quadrature rule; each solver pairs them with its own anchors.
 """
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -62,6 +63,7 @@ class Memory:
         if rule == "trapezoid":
             self._quad[0] = self._quad[-1] = 0.5 * da
         self._static = None
+        self._totals = {}  # lo -> (age count, sum of the static weights)
         if kernel.modulation is None:
             self._static = self._quad * kernel.eval(self.ages, math.inf)
         self._cut = kernel.time_dependent
@@ -76,3 +78,26 @@ class Memory:
                 cap = int(np.searchsorted(self.ages, support, side="left"))
                 m = cap if m is None else min(m, cap)
         return self._static[:m]
+
+    @functools.cached_property
+    def _static_oldest(self):
+        return self._static[::-1].copy()
+
+    def _oldest_first(self, t: float, lo: int):
+        """Weights of ages a_lo.. at time t, oldest first, and their sum.
+
+        The weights come as one contiguous array, so paired with a forward
+        slice of node values a memory sum is one BLAS dot. Static weights
+        are reversed once, and a sum is kept per ``lo`` until the age count
+        changes; a modulated kernel's weights are new at every call.
+        """
+        w = self.weights(t)
+        m = w.size
+        if self._static is None:
+            w = w[lo:][::-1].copy()
+            return w, float(w.sum())
+        w = self._static_oldest[self.ages.size - m: self.ages.size - lo]
+        total = self._totals.get(lo)
+        if total is None or total[0] != m:
+            total = self._totals[lo] = (m, float(w.sum()))
+        return w, total[1]

@@ -44,6 +44,8 @@ class Potential:
     breakpoints: tuple = ()
     lipschitz_L: float = math.inf
     lipschitz_Lprime: float = math.inf
+    # psi'(u) = u, so a memory force is linear in the anchors
+    _slope_is_identity: bool = False
 
     def value(self, u):
         raise NotImplementedError
@@ -99,6 +101,13 @@ class Quadratic(Potential):
         return np.asarray(u, dtype=float)
 
     subdiff_hi = subdiff_lo
+
+    @property
+    def _slope_is_identity(self):
+        # a subclass that redefines the slope does not inherit the claim
+        cls = type(self)
+        return (cls.subdiff_lo is Quadratic.subdiff_lo
+                and cls.derivative is Potential.derivative)
 
     def __repr__(self):
         return "Quadratic()"

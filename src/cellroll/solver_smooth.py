@@ -3,6 +3,12 @@
 The age grid is tied to the time grid (da = dt/eps) so every delayed sample
 z(t - eps*a_j) is a stored node value: the memory term needs no interpolation
 and past-branch samples evaluate the prescribed history exactly.
+
+Per step the memory force costs one dot over the J + 1 ages when psi' is the
+identity (quadratic psi): the force is linear in the node values, so it is
+z_n W - w.Z with W the total weight. Any other psi costs J + 1 evaluations
+of psi' per step. The weights are stored oldest age first, so both operands
+of the dot are forward slices.
 """
 from __future__ import annotations
 
@@ -96,13 +102,21 @@ def solve_smooth(psi: Potential, kernel: Kernel, v, past: PastData,
     B[:J] = past.eval((np.arange(J) - J) * dt)
     B[J] = past.eval(0.0)
 
+    linear = psi._slope_is_identity
+
     def force(n, z_n, lo):
-        # ages j >= lo at time t_n = n dt, anchored at position z_n
-        w = memory.weights(n * dt)[lo:]
+        # ages j >= lo at time t_n = n dt, anchored at position z_n. Oldest
+        # first, they pair with the forward node slice that ends at Z^{n-lo}.
+        w, total = memory._oldest_first(n * dt, lo)
         if w.size == 0:
             return 0.0
-        u = (z_n - B[n + J - lo - w.size + 1: n + J - lo + 1][::-1]) / eps
-        return float(np.dot(w, psi.derivative(u)))
+        end = n + J + 1 - lo
+        anchors = B[end - w.size: end]
+        if linear:
+            # psi'(u) = u: sum_j w_j (z_n - anchor_j) / eps
+            #           = (z_n W - w.anchors) / eps
+            return (z_n * total - float(np.dot(w, anchors))) / eps
+        return float(np.dot(w, psi.derivative((z_n - anchors) / eps)))
 
     # overflow shows up as a non-finite node, reported below as a blow-up
     with np.errstate(over="ignore", invalid="ignore"):

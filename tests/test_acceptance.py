@@ -14,6 +14,7 @@ from cellroll.experiments import convergence_study, longtime_study
 from cellroll.history import (ConstantPast, LinearPast, TabulatedPast,
                               initial_stretch)
 from cellroll.kernels import Exponential, TruncatedExponential
+from cellroll.memory import Memory
 from cellroll.oracles import quadratic_final_position
 from cellroll.potentials import (AbsoluteValue, PiecewiseLinear, Quadratic,
                                  Tether, mollify)
@@ -75,12 +76,18 @@ def test_velocity_force_diagram_matches_law(capsys, tmp_path):
 def test_zero_drive_final_position(capsys):
     past = LinearPast(1.0, 1.0)
     cfg = SolverConfig(eps=1.0, T=40.0, dt=1e-3)
-    traj = solve_smooth(Quadratic(), Exponential(1.0, 1.0), 0.0, past, cfg)
+    kernel = Exponential(1.0, 1.0)
+    start = time.perf_counter()
+    traj = solve_smooth(Quadratic(), kernel, 0.0, past, cfg)
+    elapsed = time.perf_counter() - start
+    steps = traj.values.size - 1
+    ages = Memory(kernel, cfg.eps, cfg.dt, "trapezoid").ages.size
     target = quadratic_final_position(1.0, 1.0, past)
     err = abs(float(traj.values[-1]) - target)
     ok = err < 1e-2
     report(capsys, "quadratic final position",
-           ok, f"|z(40) - {target:g}| = {err:.3e} (tol 1e-2)")
+           ok, f"|z(40) - {target:g}| = {err:.3e} (tol 1e-2), "
+               f"{steps} steps x {ages} ages, {elapsed:.1f}s")
 
 
 def test_smooth_convergence_rate(capsys):

@@ -10,9 +10,42 @@ from cellroll.errors import NumericalError
 from cellroll.history import ConstantPast, LinearPast, TabulatedPast
 from cellroll.kernels import Exponential, Tabulated, TruncatedExponential
 from cellroll.oracles import quadratic_final_position
-from cellroll.potentials import (AbsoluteValue, PiecewiseLinear, Quadratic,
-                                 Tether, mollify)
+from cellroll.potentials import (AbsoluteValue, PiecewiseLinear, Potential,
+                                 Quadratic, Tether, mollify)
 from cellroll.solver_smooth import SolverConfig, solve_smooth
+
+
+class LinearSlope(Potential):
+    """psi(u) = c u^2 / 2 without the identity-slope claim: the per-age path."""
+
+    def __init__(self, c=1.0):
+        self.c = float(c)
+        self.lipschitz_Lprime = self.c
+
+    def value(self, u):
+        u = np.asarray(u, dtype=float)
+        return 0.5 * self.c * u * u
+
+    def subdiff_lo(self, u):
+        return self.c * np.asarray(u, dtype=float)
+
+    subdiff_hi = subdiff_lo
+
+
+class DoubledQuadratic(Quadratic):
+    """A Quadratic subclass that redefines the slope as 2u."""
+
+    lipschitz_Lprime = 2.0
+
+    def subdiff_lo(self, u):
+        return 2.0 * np.asarray(u, dtype=float)
+
+    subdiff_hi = subdiff_lo
+
+
+def modulated_kernel():
+    a = np.linspace(0.0, 6.0, 301)
+    return Tabulated(a, np.exp(-a), modulation=lambda t: 1.0 + 0.2 * t)
 
 
 def random_bounded_instance(rng):
@@ -102,6 +135,39 @@ class TestSchemes:
         assert e_heun < e_euler / 3.0
 
 
+KERNELS = {"exponential": lambda: Exponential(1.0, 1.0),
+           "truncated": lambda: TruncatedExponential(1.0, 1.0),
+           "modulated": modulated_kernel}
+
+
+class TestLinearForce:
+    """Quadratic psi sums its memory force as z_n W - w.z, one dot per step."""
+
+    def solve(self, psi, kernel, eps, scheme):
+        cfg = SolverConfig(eps=eps, T=2.0, dt=1e-2, scheme=scheme)
+        return solve_smooth(psi, KERNELS[kernel](), 0.5, LinearPast(1.0, 0.5),
+                            cfg).values
+
+    @pytest.mark.parametrize("kernel", sorted(KERNELS))
+    @pytest.mark.parametrize("eps", [1.0, 0.3])
+    @pytest.mark.parametrize("scheme", ["euler", "heun"])
+    def test_matches_the_per_age_sum(self, kernel, eps, scheme):
+        assert Quadratic()._slope_is_identity
+        assert not LinearSlope()._slope_is_identity
+        fast = self.solve(Quadratic(), kernel, eps, scheme)
+        ref = self.solve(LinearSlope(), kernel, eps, scheme)
+        np.testing.assert_allclose(fast, ref, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("scheme", ["euler", "heun"])
+    def test_subclass_that_redefines_the_slope_sums_per_age(self, scheme):
+        assert not DoubledQuadratic()._slope_is_identity
+        got = self.solve(DoubledQuadratic(), "exponential", 0.3, scheme)
+        ref = self.solve(LinearSlope(2.0), "exponential", 0.3, scheme)
+        np.testing.assert_allclose(got, ref, rtol=0.0, atol=1e-12)
+        plain = self.solve(Quadratic(), "exponential", 0.3, scheme)
+        assert np.max(np.abs(got - plain)) > 1e-3
+
+
 class TestTruncatedMemory:
     def test_no_force_before_first_bond(self):
         # truncated kernel has no bonds at t = 0: the first step is pure drive
@@ -179,17 +245,18 @@ class TestValidation:
         with pytest.raises(ValueError, match="scheme"):
             SolverConfig(scheme="rk4").validated()
 
-    def test_blowup_raises_numerical_error(self):
+    @pytest.mark.parametrize("psi", [Quadratic(), LinearSlope()],
+                             ids=["quadratic", "per-age"])
+    def test_blowup_raises_numerical_error(self, psi):
         cfg = SolverConfig(eps=1.0, T=200.0, dt=0.5)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             with pytest.raises(NumericalError, match="blew up"):
-                solve_smooth(Quadratic(), Exponential(200.0, 1.0), 1.0,
+                solve_smooth(psi, Exponential(200.0, 1.0), 1.0,
                              ConstantPast(0.0), cfg)
 
     def test_modulated_tabulated_kernel_runs(self):
-        a = np.linspace(0.0, 6.0, 301)
-        k = Tabulated(a, np.exp(-a), modulation=lambda t: 1.0 + 0.2 * t)
+        k = modulated_kernel()
         cfg = SolverConfig(T=1.0, dt=2e-2)
         traj = solve_smooth(Quadratic(), k, 1.0, ConstantPast(0.0), cfg)
         assert np.all(np.isfinite(traj.values))
