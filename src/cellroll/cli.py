@@ -224,6 +224,17 @@ def _run_longtime(args) -> int:
     return 0 if report.passed else 1
 
 
+def _finite(text: str) -> float:
+    """argparse type: a finite float; NaN and infinities exit 2."""
+    try:
+        val = float(text)
+    except ValueError:
+        val = math.nan
+    if not math.isfinite(val):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return val
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cellroll",
@@ -244,13 +255,13 @@ def _build_parser() -> argparse.ArgumentParser:
     g = sub.add_parser("gamma", help="asymptotic velocity from the stationary law")
     g.add_argument("--psi", default="abs", choices=("abs", "quadratic", "tether"),
                    help="potential shape (default abs)")
-    g.add_argument("--r", type=float, help="tether radius when --psi tether")
-    g.add_argument("--mu", type=float, default=1.0,
+    g.add_argument("--r", type=_finite, help="tether radius when --psi tether")
+    g.add_argument("--mu", type=_finite, default=1.0,
                    help="total bond mass for the default exponential kernel")
-    g.add_argument("--beta", type=float, help="kernel amplitude (with --zeta)")
-    g.add_argument("--zeta", type=float, help="kernel decay rate (with --beta)")
-    g.add_argument("--v", type=float, help="single drive value to solve at")
-    g.add_argument("--sweep", type=float, nargs=3, metavar=("LO", "HI", "N"),
+    g.add_argument("--beta", type=_finite, help="kernel amplitude (with --zeta)")
+    g.add_argument("--zeta", type=_finite, help="kernel decay rate (with --beta)")
+    g.add_argument("--v", type=_finite, help="single drive value to solve at")
+    g.add_argument("--sweep", type=_finite, nargs=3, metavar=("LO", "HI", "N"),
                    help="sweep N drive values in [LO, HI] against the law")
     g.add_argument("--out", default="gamma_sweep.csv",
                    help="CSV path for --sweep results")

@@ -8,6 +8,7 @@ computation starts. Builders return both the object and the fully resolved
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 
@@ -71,7 +72,10 @@ def _num(d, key, path, default=None, required=False, positive=False,
     try:
         val = float(raw)
     except (TypeError, ValueError):
-        raise ConfigError(f"{path}.{key}", f"expected a number, got {raw!r}")
+        val = math.nan
+    # JSON true/false would pass as 1.0/0.0, and NaN/Infinity as floats
+    if isinstance(raw, bool) or not math.isfinite(val):
+        raise ConfigError(f"{path}.{key}", f"expected a finite number, got {raw!r}")
     if positive and not val > 0:
         raise ConfigError(f"{path}.{key}", "must be positive")
     if nonnegative and val < 0:
@@ -89,6 +93,8 @@ def _array(d, key, path, required=True):
         raise ConfigError(f"{path}.{key}", "expected a list of numbers")
     if arr.ndim != 1 or arr.size == 0:
         raise ConfigError(f"{path}.{key}", "expected a nonempty flat list")
+    if any(isinstance(x, bool) for x in raw) or not np.all(np.isfinite(arr)):
+        raise ConfigError(f"{path}.{key}", "expected a list of finite numbers")
     return arr
 
 
@@ -242,7 +248,7 @@ def build_output(d, path="output", default_path="out.csv"):
     if not isinstance(out_path, str) or not out_path:
         raise ConfigError(f"{path}.path", "must be a nonempty string")
     precision = _get(d, "precision", path, default=17)
-    if not isinstance(precision, int) or not 1 <= precision <= 17:
+    if type(precision) is not int or not 1 <= precision <= 17:  # not bool
         raise ConfigError(f"{path}.precision", "must be an integer in [1, 17]")
     return {"path": out_path, "precision": precision}
 

@@ -51,7 +51,9 @@ class Memory:
     dependence is a pure age cutoff), the weights at time t stop before the
     first age a_j >= support(t). So a bond exactly t old is dropped here,
     although ``Kernel.eval`` counts it (a <= t). A modulated kernel is
-    evaluated at every call.
+    evaluated at every call of ``weights``; ``_oldest_first`` keeps the
+    last time's weights, so a Heun corrector and the next predictor share
+    one evaluation.
     """
 
     def __init__(self, kernel: Kernel, eps: float, dt: float, rule: str):
@@ -64,6 +66,7 @@ class Memory:
             self._quad[0] = self._quad[-1] = 0.5 * da
         self._static = None
         self._totals = {}  # lo -> (age count, sum of the static weights)
+        self._last = (None, None)  # (t, all weights at t) of a modulated kernel
         if kernel.modulation is None:
             self._static = self._quad * kernel.eval(self.ages, math.inf)
         self._cut = kernel.time_dependent
@@ -89,13 +92,14 @@ class Memory:
         The weights come as one contiguous array, so paired with a forward
         slice of node values a memory sum is one BLAS dot. Static weights
         are reversed once, and a sum is kept per ``lo`` until the age count
-        changes; a modulated kernel's weights are new at every call.
+        changes; a modulated kernel's weights are evaluated once per t.
         """
-        w = self.weights(t)
-        m = w.size
         if self._static is None:
-            w = w[lo:][::-1].copy()
+            if self._last[0] != t:
+                self._last = (t, self.weights(t))
+            w = self._last[1][lo:][::-1].copy()
             return w, float(w.sum())
+        m = self.weights(t).size
         w = self._static_oldest[self.ages.size - m: self.ages.size - lo]
         total = self._totals.get(lo)
         if total is None or total[0] != m:

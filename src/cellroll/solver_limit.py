@@ -5,8 +5,9 @@ The left side is a strictly increasing map of w, set-valued only at w = 0
 for kinked psi. Each equation builds its age quadrature once (the kernel's
 bond masses between psi's kinks, or a Simpson grid weighted by rho), so a
 probe costs one dot product. A probe at w = 0 resolves the flat branch of
-kinked potentials exactly; an ITP root find then closes the half-bracket
-that remains. The tests cross-check it against bisection and against a
+kinked potentials exactly; as the map's slope is at least 1, its value also
+brackets the root, and an ITP root find (shared with ``solver_mm``) closes
+that bracket. The tests cross-check it against bisection and against a
 derivative-free minimization of the equivalent convex objective.
 """
 from __future__ import annotations
@@ -39,7 +40,9 @@ def _force_selections(psi, kernel, t):
         def kinked(w):
             if w == 0.0:
                 return -band, band
-            edges = hk / abs(w)
+            # for denormal |w| the edges overflow to inf; cummass clips them
+            with np.errstate(over="ignore"):
+                edges = hk / abs(w)
             masses = np.diff(np.concatenate((kernel.cummass(edges, t), [total])))
             f = math.copysign(float(np.dot(hs, np.maximum(masses, 0.0))), w)
             return f, f
@@ -65,20 +68,14 @@ def _simpson_weights(a):
     return w * (h / 3.0)
 
 
-def limit_velocity(psi: Potential, kernel: Kernel, v_t: float, t: float = math.inf,
-                   tol: float = 1e-12) -> float:
+def limit_velocity(psi: Potential, kernel: Kernel, v_t: float, t: float = math.inf) -> float:
     """The unique w with v(t) - w in int d psi(a w) rho(a, t) da.
 
-    The root lies in [-|v|-1, |v|+1]. The first probe is the centre w = 0,
-    which returns exactly 0.0 when 0 lies in the subdifferential there (the
-    flat branch of kinked potentials). An ITP search (interpolate, truncate,
-    project; Oliveira & Takahashi, ACM TOMS 47(1), 2020) then closes the
-    half-bracket that holds the root, using the minimal/maximal subgradient
-    selections as the signed end values. It converges superlinearly on a
-    smooth map and, where the float spacing at the root is small against
-    ``tol``, never takes more than one probe beyond bisection. It stops when
-    the bracket is at most ``tol`` wide, or when no float lies strictly
-    inside it, and returns its midpoint.
+    The map w + F(w) - v has slope at least 1, so ``_increasing_root``
+    brackets the root from its value at the centre w = 0, which it returns
+    exactly when 0 lies in the subdifferential there (the flat branch of
+    kinked potentials), and closes the bracket to 1e-12 or to adjacent
+    floats.
     """
     v_t = float(v_t)
     force = _force_selections(psi, kernel, t)
@@ -87,25 +84,46 @@ def limit_velocity(psi: Potential, kernel: Kernel, v_t: float, t: float = math.i
         flo, fhi = force(w)
         return w + flo - v_t, w + fhi - v_t
 
-    lo, hi = -abs(v_t) - 1.0, abs(v_t) + 1.0
-    y_lo, y_hi = g(lo)[1], g(hi)[0]
-    if y_lo > 0.0 or y_hi < 0.0:
-        raise NumericalError("limit velocity bracket lost; kernel moments may be non-finite")
-    glo, ghi = g(0.0)
-    if glo > 0.0:
-        hi, y_hi = 0.0, glo
-    elif ghi < 0.0:
-        lo, y_lo = 0.0, ghi
+    return _increasing_root(g, 0.0, 1.0, 1e-12)
+
+
+def _increasing_root(g, centre, scale, tol):
+    """Root of an increasing set-valued map g whose slope is at least 1/scale.
+
+    ``g(w)`` returns the minimal and maximal selections. The first probe is
+    ``centre``, returned exactly when 0 lies in g(centre). Otherwise the slope
+    bound puts the root within scale*|g(centre)| of the centre, on the side
+    where g changes sign. The far end is probed at twice that distance, so
+    that rounding cannot lose the sign there, and ``_itp`` closes the
+    bracket to ``tol`` or to adjacent floats.
+    """
+    glo, ghi = g(centre)
+    if glo <= 0.0 <= ghi:
+        return centre
+    y = glo if glo > 0.0 else ghi
+    far = centre - 2.0 * scale * y
+    if not math.isfinite(far):
+        raise NumericalError(f"root map is not finite at {centre:.6g}")
+    flo, fhi = g(far)
+    if y > 0.0:
+        lo, hi, y_lo, y_hi = far, centre, fhi, glo
     else:
-        return 0.0
-    return _itp(g, lo, hi, y_lo, y_hi, tol)
+        lo, hi, y_lo, y_hi = centre, far, ghi, flo
+    if y_lo < 0.0 < y_hi:
+        return _itp(g, lo, hi, y_lo, y_hi, tol)
+    if not (math.isfinite(flo) and math.isfinite(fhi)):
+        raise NumericalError(f"root map is not finite at {far:.6g}")
+    # exactly, g(far) has the sign opposite to g(centre); here rounding hid
+    # it, so g(centre) is rounding noise (far may even round to centre)
+    return centre
 
 
 def _itp(g, lo, hi, y_lo, y_hi, tol):
     """Root of the increasing set-valued g in [lo, hi], with y_lo < 0 < y_hi
     the upper selection of g at lo and the lower one at hi.
 
-    ITP with k1 = 0.2/(hi - lo), k2 = 2, n0 = 1 and epsilon = tol/2: each
+    ITP (interpolate, truncate, project; Oliveira & Takahashi, ACM TOMS
+    47(1), 2020) with k1 = 0.2/(hi - lo), k2 = 2, n0 = 1, epsilon = tol/2: each
     probe is the regula-falsi point, nudged toward the midpoint by
     k1*width^2 and projected to within r of it, where r shrinks so that the
     bracket is at most tol wide after n0 probes more than bisection needs.

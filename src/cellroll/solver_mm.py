@@ -4,7 +4,9 @@ Each step minimizes a strongly convex incremental energy whose memory part
 anchors at the already-computed nodes, one step behind the unknown. No
 smoothness of psi is required: the subgradient is strictly increasing in the
 step variable, and its root is found by one sorted sweep over the kinks for
-piecewise-linear psi and by bisection for any other psi.
+piecewise-linear psi. For any other psi, the strong convexity of the step
+(modulus 1/dt) brackets the root from the subgradient at the previous node,
+and the ITP search that also solves the limit law closes that bracket.
 """
 from __future__ import annotations
 
@@ -18,6 +20,7 @@ from .history import PastData, Trajectory
 from .kernels import Kernel
 from .memory import Memory, as_drive, step_count
 from .potentials import Potential
+from .solver_limit import _increasing_root
 from .solver_smooth import SolverConfig
 
 __all__ = ["StepEnergy", "minimize_step", "solve_mm", "step_energy"]
@@ -59,25 +62,26 @@ class StepEnergy:
         return (w - self.previous) / self.dt + mem - self.drive
 
 
-def minimize_step(e: StepEnergy, tol: float = 1e-11) -> float:
+def minimize_step(e: StepEnergy) -> float:
     """Unique minimizer of ``e``; the form of psi chooses the method.
 
     * piecewise-linear psi (``AbsoluteValue``, ``PiecewiseLinear``): the
       subgradient is piecewise linear in w with kinks at anchors + eps * k,
       so one sorted sweep over the kinks finds the root exactly.
-    * any other psi: bisection on the subgradient to |w - w*| <= tol, or to
-      adjacent floats where tol is below their spacing.
+    * any other psi: the subgradient has slope at least 1/dt, which brackets
+      its root from its value at the previous node; ITP closes the bracket
+      to 1e-11, or to adjacent floats where their spacing is wider.
 
-    For kinked psi the first probe is the unconstrained quadratic center (the
+    Either way the first probe is the unconstrained quadratic center (the
     previous node), so sticking steps return that node exactly.
     """
     z = float(e.previous)
-    kinked = len(e.psi.breakpoints) > 0
-    if kinked and e.subgrad_lo(z) <= 0.0 <= e.subgrad_hi(z):
+    if not hasattr(e.psi, "_half_line_form"):
+        return _increasing_root(lambda w: (e.subgrad_lo(w), e.subgrad_hi(w)),
+                                z, float(e.dt), 1e-11)
+    if e.subgrad_lo(z) <= 0.0 <= e.subgrad_hi(z):
         return z
-    if hasattr(e.psi, "_half_line_form"):
-        return _kink_sweep(e)
-    return _bisect(e, kinked, tol)
+    return _kink_sweep(e)
 
 
 def _kink_sweep(e: StepEnergy) -> float:
@@ -104,36 +108,6 @@ def _kink_sweep(e: StepEnergy) -> float:
         return float(p[i])
     # the root lies in the open interval just below p[i], where g is linear
     return float(e.previous - dt * (base + cum[i]))
-
-
-def _bisect(e: StepEnergy, kinked: bool, tol: float) -> float:
-    z, dt = float(e.previous), float(e.dt)
-    mass = float(e.weights.sum()) if e.weights.size else 0.0
-    L = e.psi.lipschitz_L
-    if math.isfinite(L):
-        r = dt * (abs(e.drive) + L * mass) + 1.0
-    else:
-        # force at the previous node is finite; widen until the bracket holds
-        here = abs(float(np.dot(e.weights, e.psi.derivative((z - e.anchors) / e.eps))) if e.weights.size else 0.0)
-        r = dt * (abs(e.drive) + here) + 1.0
-        while e.subgrad_lo(z - r) > 0.0 or e.subgrad_hi(z + r) < 0.0:
-            r *= 2.0
-            if r > 1e18:
-                raise NumericalError("minimizer bracket expansion failed")
-    lo, hi = z - r, z + r
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
-            # lo and hi are adjacent floats: tol is below the spacing at z
-            break
-        g = e.subgrad_lo(mid)
-        if kinked and g <= 0.0 <= e.subgrad_hi(mid):
-            return mid
-        if g > 0.0:
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
 
 
 def _step(psi: Potential, memory: Memory, drive, values, n: int, dt: float,

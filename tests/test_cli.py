@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, CSV outputs, manifest round-trips."""
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -103,6 +104,20 @@ class TestGamma:
         code, _, err = run(capsys, "gamma", "--beta", "2", "--v", "1")
         assert code == 2
         assert "--beta" in err
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["--v", "nan"], "--v"),
+        (["--mu", "nan", "--v", "1"], "--mu"),
+        (["--beta", "inf", "--zeta", "1", "--v", "1"], "--beta"),
+        (["--beta", "1", "--zeta=-inf", "--v", "1"], "--zeta"),
+        (["--psi", "tether", "--r", "inf", "--v", "1"], "--r"),
+        (["--sweep", "0", "nan", "5"], "--sweep"),
+    ])
+    def test_non_finite_flag_exits_two(self, capsys, argv, flag):
+        with pytest.raises(SystemExit) as exc:
+            main(["gamma", *argv])
+        assert exc.value.code == 2
+        assert f"argument {flag}: expected a finite number" in capsys.readouterr().err
 
 
 class TestTrajectoryCommands:
@@ -249,6 +264,36 @@ class TestFailureExits:
                            "--out", str(tmp_path / "run.csv"))
         assert code == 2
         assert err.startswith(f"config error: {section}: must be an object")
+
+    @pytest.mark.parametrize("command, keys, value, field", [
+        ("limit", ("model", "v", "value"), math.nan, "model.v.value"),
+        ("oracle", ("model", "v", "value"), math.nan, "model.v.value"),
+        ("simulate", ("model", "kernel", "a_max"), math.inf,
+         "model.kernel.a_max"),
+        ("mm", ("model", "kernel", "a_max"), math.inf, "model.kernel.a_max"),
+        ("simulate", ("solver", "T"), math.inf, "solver.T"),
+        ("mm", ("solver", "eps"), math.inf, "solver.eps"),
+        ("simulate", ("model", "kernel", "beta"), True, "model.kernel.beta"),
+        ("simulate", ("output", "precision"), True, "output.precision"),
+        ("limit", ("model", "v"),
+         {"kind": "table", "t": [0.0, 1.0], "values": [0.0, -math.inf]},
+         "model.v.values"),
+        ("mm", ("model", "past"),
+         {"kind": "tabulated", "tau": [-1.0, 0.0], "values": [0.0, False]},
+         "model.past.values"),
+    ])
+    def test_non_finite_or_boolean_number_reports_its_field(
+            self, capsys, tmp_path, command, keys, value, field):
+        cfg_dict = quad_config()
+        node = cfg_dict
+        for key in keys[:-1]:
+            node = node.setdefault(key, {})
+        node[keys[-1]] = value
+        cfg = write_config(tmp_path / "run.json", cfg_dict)
+        code, _, err = run(capsys, command, "--config", cfg,
+                           "--out", str(tmp_path / "run.csv"))
+        assert code == 2
+        assert err.startswith(f"config error: {field}")
 
     def test_legacy_tol_fixedpoint_is_ignored(self, capsys, tmp_path):
         cfg = write_config(tmp_path / "run.json",

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from cellroll.errors import NumericalError
 from cellroll.history import ConstantPast
 from cellroll.kernels import Exponential, Tabulated, TruncatedExponential
 from cellroll.oracles import gamma_abs
@@ -15,7 +16,7 @@ from cellroll.potentials import (AbsoluteValue, Mollified, PiecewiseLinear,
 from cellroll.solver_limit import (_force_selections, integrate_limit,
                                    limit_velocity)
 
-TOL = 1e-12  # limit_velocity's default tolerance
+TOL = 1e-12  # limit_velocity's tolerance
 
 
 def residual(psi, kernel, w, v, t=math.inf):
@@ -145,6 +146,11 @@ class TestLimitVelocity:
                         abs(a * w - b) < 1e-8 for b in psi.breakpoints
                         for a in np.linspace(0, k.a_max, 5)):
                     assert abs(residual(psi, k, w, v)) < 1e-7
+
+    @pytest.mark.parametrize("psi", [AbsoluteValue(), Quadratic()])
+    def test_nan_drive_raises(self, psi):
+        with pytest.raises(NumericalError):
+            limit_velocity(psi, Exponential(1.0, 1.0), math.nan)
 
     def test_piecewise_linear_flat_band(self):
         # slopes start at 0: no stall band, w + F(w) strictly increasing
@@ -289,14 +295,14 @@ class TestWork:
             limit_velocity(psi, k, v)
             assert force_evaluations(psi, k) <= 20, v
 
-    def test_flat_branch_costs_the_bracket_and_one_probe(self):
-        # stall band |v| <= beta/zeta; near its edge at beta = 3 the
-        # regula-falsi point lies far from w = 0
+    def test_flat_branch_costs_only_the_centre_probe(self):
+        # stall band |v| <= beta/zeta, up to its edge at beta = 3: the probe
+        # at w = 0 settles it, and the one cummass call is the total mass
         for beta, v in ((1.0, -0.9), (1.0, 0.0), (1.0, 0.99), (3.0, 2.9),
                         (3.0, -2.99)):
             k = CountingExponential(beta, 1.0)
             assert limit_velocity(AbsoluteValue(), k, v) == 0.0
-            assert force_evaluations(AbsoluteValue(), k) == 3
+            assert force_evaluations(AbsoluteValue(), k) == 1
 
     @pytest.mark.parametrize("psi", [Quadratic(), Tether(0.8), AbsoluteValue()])
     @pytest.mark.parametrize("v", [1e7, -1e7 - 0.1, 1e7 + 0.4])

@@ -1,5 +1,4 @@
 """Minimizing movements: per-step minimizer, plastic stopping, certificates."""
-import dataclasses
 import math
 
 import numpy as np
@@ -11,8 +10,8 @@ from scipy.optimize import minimize_scalar
 from cellroll.errors import NumericalError
 from cellroll.history import ConstantPast, Trajectory
 from cellroll.kernels import Exponential, TruncatedExponential
-from cellroll.potentials import (AbsoluteValue, PiecewiseLinear, Potential,
-                                 Quadratic, Tether, mollify)
+from cellroll.potentials import (AbsoluteValue, Mollified, PiecewiseLinear,
+                                 Potential, Quadratic, Tether, mollify)
 from cellroll.solver_mm import (StepEnergy, minimize_step, solve_mm,
                                 step_energy)
 from cellroll.solver_smooth import SolverConfig, solve_smooth
@@ -25,27 +24,29 @@ def energy(psi, previous, dt, drive, weights, anchors, eps=1.0):
                       np.asarray(anchors, float), eps)
 
 
-class Bisected(Potential):
-    """psi with its structure hidden, so that minimize_step bisects."""
+def minimize_step_bisect(e, tol=1e-11):
+    """Bisection reference for ``minimize_step`` on the subgradient of ``e``.
 
-    def __init__(self, psi):
-        self.psi = psi
-        self.breakpoints = psi.breakpoints
-        self.lipschitz_L = psi.lipschitz_L
-        self.lipschitz_Lprime = psi.lipschitz_Lprime
-
-    def value(self, u):
-        return self.psi.value(u)
-
-    def subdiff_lo(self, u):
-        return self.psi.subdiff_lo(u)
-
-    def subdiff_hi(self, u):
-        return self.psi.subdiff_hi(u)
-
-
-def bisected(e):
-    return minimize_step(dataclasses.replace(e, psi=Bisected(e.psi)))
+    Doubles a radius around the previous node until the subgradient changes
+    sign across it, then halves the bracket to tol, or to adjacent floats,
+    returning early when 0 lies in the subdifferential at the midpoint.
+    """
+    z = float(e.previous)
+    r = 1.0
+    while e.subgrad_lo(z - r) > 0.0 or e.subgrad_hi(z + r) < 0.0:
+        r *= 2.0
+    lo, hi = z - r, z + r
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
+        if e.subgrad_lo(mid) > 0.0:
+            hi = mid
+        elif e.subgrad_hi(mid) < 0.0:
+            lo = mid
+        else:
+            return mid
+    return 0.5 * (lo + hi)
 
 
 def assert_certified(e, w, h):
@@ -92,7 +93,8 @@ class TestMinimizeStep:
             assert got == pytest.approx(ref, abs=1e-6)
 
     def test_quadratic_growth_without_global_lipschitz(self):
-        # bracket expansion path: psi' unbounded but finite at the center
+        # psi' is unbounded, but the slope bound 1/dt brackets the root from
+        # the finite subgradient at the center
         e = energy(Quadratic(), 1.0, 0.5, 0.0, [1.0], [3.0])
         got = minimize_step(e)
         # (w - 1)/0.5 + (w - 3) = 0 -> w = 5/3
@@ -106,6 +108,17 @@ class TestMinimizeStep:
         w = minimize_step(e)
         assert w > 1e6
         assert_certified(e, w, 4.0 * np.spacing(w))
+
+    def test_root_within_rounding_of_the_center_returns_it(self):
+        # w* - 1e6 = 1e-9 / 1001 is far below spacing(1e6) = 1.2e-10, so the
+        # far end 1e6 + 2e-12 rounds back to the center
+        e = energy(Quadratic(), 1e6, 1e-3, 1e-9, [1.0], [1e6])
+        assert minimize_step(e) == 1e6
+
+    def test_nan_drive_raises(self):
+        e = energy(Quadratic(), 0.0, 0.1, math.nan, [1.0], [0.0])
+        with pytest.raises(NumericalError):
+            minimize_step(e)
 
 
 # anchors from a small pool repeat, as they do whenever the cell sticks
@@ -153,7 +166,7 @@ class TestStructuredStep:
     def test_sweep_matches_bisection(self, data):
         e = data.draw(step_energies(data.draw(piecewise_linear())))
         w = minimize_step(e)
-        assert w == pytest.approx(bisected(e), abs=1e-10)
+        assert w == pytest.approx(minimize_step_bisect(e), abs=1e-10)
         assert_certified(e, w, 1e-12)
 
     @pytest.mark.parametrize("drive, root", [
@@ -168,7 +181,7 @@ class TestStructuredStep:
             e = energy(AbsoluteValue(), 0.0, 0.1, drive, [1.0, 1.0, 1.0],
                        anchors)
             assert minimize_step(e) == pytest.approx(root, abs=1e-14)
-            assert bisected(e) == pytest.approx(root, abs=1e-11)
+            assert minimize_step_bisect(e) == pytest.approx(root, abs=1e-11)
 
     @pytest.mark.parametrize("cls, args", [
         (AbsoluteValue, ()),
@@ -183,6 +196,21 @@ class TestStructuredStep:
         assert np.any(np.diff(traj.values) != 0.0)
         # the centre probe is the one subgradient evaluation per step
         assert psi.calls <= traj.values.size - 1
+
+
+class TestSmoothStep:
+    @pytest.mark.parametrize("cls, args", [
+        (Quadratic, ()), (Tether, (0.5,)), (Mollified, (AbsoluteValue(), 0.2))])
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(data=st.data())
+    def test_matches_bisection_in_fewer_evaluations(self, cls, args, data):
+        psi = type("Counted", (Counting, cls), {})(*args)
+        e = data.draw(step_energies(psi))
+        w = minimize_step(e)
+        used, psi.calls = psi.calls, 0
+        assert w == pytest.approx(minimize_step_bisect(e), abs=1e-10)
+        assert used <= psi.calls + 3
+        assert_certified(e, w, 1e-11)
 
 
 class TestSolveMM:

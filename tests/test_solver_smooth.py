@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from cellroll import solver_smooth
 from cellroll.errors import NumericalError
 from cellroll.history import ConstantPast, LinearPast, TabulatedPast
 from cellroll.kernels import Exponential, Tabulated, TruncatedExponential
+from cellroll.memory import Memory
 from cellroll.oracles import quadratic_final_position
 from cellroll.potentials import (AbsoluteValue, PiecewiseLinear, Potential,
                                  Quadratic, Tether, mollify)
@@ -43,9 +45,9 @@ class DoubledQuadratic(Quadratic):
     subdiff_hi = subdiff_lo
 
 
-def modulated_kernel():
+def modulated_kernel(cls=Tabulated):
     a = np.linspace(0.0, 6.0, 301)
-    return Tabulated(a, np.exp(-a), modulation=lambda t: 1.0 + 0.2 * t)
+    return cls(a, np.exp(-a), modulation=lambda t: 1.0 + 0.2 * t)
 
 
 def random_bounded_instance(rng):
@@ -211,6 +213,35 @@ class TestEnergyDissipation:
         assert kinetic <= budget * 1.05
         speeds = np.abs(zdot[[500, 2500, 5000]])
         assert speeds[0] > speeds[1] > speeds[2]
+
+
+class CountingTabulated(Tabulated):
+    evals = 0
+
+    def eval(self, a, t):
+        self.evals += 1
+        return super().eval(a, t)
+
+
+class TestModulatedWeights:
+    def solve(self, scheme, kernel):
+        cfg = SolverConfig(T=1.0, dt=1e-3, scheme=scheme)
+        return solve_smooth(Quadratic(), kernel, 1.0, LinearPast(1.0, 0.0),
+                            cfg).values
+
+    @pytest.mark.parametrize("scheme, evals", [("euler", 1000), ("heun", 1001)])
+    def test_one_evaluation_per_time(self, scheme, evals, monkeypatch):
+        k = modulated_kernel(CountingTabulated)
+        got = self.solve(scheme, k)
+        assert k.evals == evals
+
+        class Uncached(Memory):
+            def _oldest_first(self, t, lo):
+                self._last = (None, None)
+                return super()._oldest_first(t, lo)
+
+        monkeypatch.setattr(solver_smooth, "Memory", Uncached)
+        np.testing.assert_array_equal(got, self.solve(scheme, modulated_kernel()))
 
 
 class TestValidation:
