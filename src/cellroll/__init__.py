@@ -15,8 +15,8 @@ from .history import (ConstantPast, LinearPast, PastData, TabulatedPast,
                       Trajectory, initial_stretch, write_trajectory_csv)
 from .kernels import Exponential, Kernel, Tabulated, TruncatedExponential
 from .oracles import (PlasticProfile, gamma_abs, kinematic_trajectory,
-                      kinematic_velocity, p_infinity_profile,
-                      plastic_trajectory, quadratic_final_position)
+                      kinematic_velocity, plastic_trajectory,
+                      quadratic_final_position)
 from .potentials import (AbsoluteValue, Mollified, PiecewiseLinear, Potential,
                          Quadratic, Tether, mollify)
 from .solver_limit import integrate_limit, limit_velocity
@@ -34,7 +34,7 @@ __all__ = [
     "TruncatedExponential", "Trajectory", "convergence_study", "gamma_abs",
     "initial_stretch", "integrate_limit", "kinematic_trajectory",
     "kinematic_velocity", "limit_velocity", "longtime_study",
-    "minimize_step", "mollify", "p_infinity_profile", "plastic_trajectory",
+    "minimize_step", "mollify", "plastic_trajectory",
     "quadratic_final_position", "solve_mm", "solve_smooth", "step_energy",
     "velocity_force_sweep", "write_trajectory_csv",
 ]

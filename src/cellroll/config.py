@@ -73,8 +73,8 @@ def _num(d, key, path, default=None, required=False, positive=False,
         val = float(raw)
     except (TypeError, ValueError):
         val = math.nan
-    # JSON true/false would pass as 1.0/0.0, and NaN/Infinity as floats
-    if isinstance(raw, bool) or not math.isfinite(val):
+    # JSON true/false would pass as 1.0/0.0, "1.5" as 1.5, NaN/Infinity as floats
+    if isinstance(raw, (bool, str)) or not math.isfinite(val):
         raise ConfigError(f"{path}.{key}", f"expected a finite number, got {raw!r}")
     if positive and not val > 0:
         raise ConfigError(f"{path}.{key}", "must be positive")
@@ -93,7 +93,7 @@ def _array(d, key, path, required=True):
         raise ConfigError(f"{path}.{key}", "expected a list of numbers")
     if arr.ndim != 1 or arr.size == 0:
         raise ConfigError(f"{path}.{key}", "expected a nonempty flat list")
-    if any(isinstance(x, bool) for x in raw) or not np.all(np.isfinite(arr)):
+    if any(isinstance(x, (bool, str)) for x in raw) or not np.all(np.isfinite(arr)):
         raise ConfigError(f"{path}.{key}", "expected a list of finite numbers")
     return arr
 

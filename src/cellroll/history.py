@@ -1,9 +1,9 @@
 """Prescribed past data on (-inf, 0], computed trajectories, and CSV output.
 
 The model needs delayed positions z(t - eps*a) for every bond age a. The
-solvers read them from their own node buffers, whose prefix before t = 0 is
-filled from the prescribed z_p; a finished ``Trajectory`` holds only the
-nodes on [0, T].
+delayed solvers read them from one node buffer (``Memory.buffer``), whose
+prefix before t = 0 is filled from the prescribed z_p; a finished
+``Trajectory`` holds only the nodes on [0, T].
 """
 from __future__ import annotations
 
@@ -28,7 +28,6 @@ class PastData:
     the stability checks that use it simply require bounded instances.
     """
 
-    lipschitz_Lp: float
     bound: float
 
     def eval(self, tau):
@@ -38,7 +37,6 @@ class PastData:
 class ConstantPast(PastData):
     def __init__(self, c: float):
         self.c = float(c)
-        self.lipschitz_Lp = 0.0
         self.bound = abs(self.c)
 
     def eval(self, tau):
@@ -54,7 +52,6 @@ class LinearPast(PastData):
     def __init__(self, slope: float, intercept: float):
         self.slope = float(slope)
         self.intercept = float(intercept)
-        self.lipschitz_Lp = abs(self.slope)
         self.bound = abs(self.intercept) if self.slope == 0 else math.inf
 
     def eval(self, tau):
@@ -82,7 +79,6 @@ class TabulatedPast(PastData):
             raise ValueError("tau_grid must cover negative times and end at 0")
         self.tau_grid = tau
         self.values = v
-        self.lipschitz_Lp = float(np.max(np.abs(np.diff(v) / np.diff(tau))))
         self.bound = float(np.max(np.abs(v)))
 
     def eval(self, tau):

@@ -1,15 +1,17 @@
-"""The time grid, the age grid tied to it, and the memory weights on it.
+"""The time grid, the age grid tied to it, and the memory window on it.
 
 A solve on [0, T] takes T/dt steps of size dt. Bond ages sit on the grid
 a_j = j * da, j = 0..J, with da = dt/eps, so the delayed position
 z(t_n - eps*a_j) is the node value Z^{n-j} and needs no interpolation.
 J = floor(a_max / da): no age lies beyond the kernel's truncation horizon.
-``Memory`` holds that grid and hands each step the weights q_j rho(a_j, t)
-of one quadrature rule; each solver pairs them with its own anchors.
+
+Both delayed solvers keep their nodes in one buffer, B[J + n] = Z^n, with
+the prescribed past z_p on B[:J + 1]. ``Memory`` stores the weights
+q_j rho(a_j, t) of one quadrature rule oldest age first, so a window of ages
+gives weights and anchors as two forward slices: a memory sum is one dot.
 """
 from __future__ import annotations
 
-import functools
 import math
 
 import numpy as np
@@ -43,65 +45,63 @@ def as_drive(v):
 
 
 class Memory:
-    """Tied age grid and per-step quadrature weights for one kernel.
+    """Tied age grid, node buffer and per-step memory window for one kernel.
 
     ``rule`` is "trapezoid" (end weights da/2) or "rectangle" (every weight
     da). A kernel without a time ``modulation`` gets its weights q_j rho(a_j)
-    once; when ``support(t)`` is below ``a_max`` (a kernel whose time
-    dependence is a pure age cutoff), the weights at time t stop before the
-    first age a_j >= support(t). So a bond exactly t old is dropped here,
-    although ``Kernel.eval`` counts it (a <= t). A modulated kernel is
-    evaluated at every call of ``weights``; ``_oldest_first`` keeps the
-    last time's weights, so a Heun corrector and the next predictor share
-    one evaluation.
+    once; a modulated kernel is evaluated once per time t, so a Heun
+    corrector and the next predictor share one evaluation. When
+    ``support(t)`` is below ``a_max`` (a kernel whose time dependence is an
+    age cutoff), the window at time t stops before the first age
+    a_j >= support(t). So a bond exactly t old is dropped here, although
+    ``Kernel.eval`` counts it (a <= t).
     """
 
     def __init__(self, kernel: Kernel, eps: float, dt: float, rule: str):
         da = age_step(kernel, eps, dt)
         J = int(math.floor(kernel.a_max / da + 1e-9))
         self.kernel = kernel
+        self.dt = dt
         self.ages = da * np.arange(J + 1)
+        # the rule is symmetric in j, so it reads the same oldest first
         self._quad = np.full(J + 1, da)
         if rule == "trapezoid":
             self._quad[0] = self._quad[-1] = 0.5 * da
         self._static = None
-        self._totals = {}  # lo -> (age count, sum of the static weights)
-        self._last = (None, None)  # (t, all weights at t) of a modulated kernel
         if kernel.modulation is None:
-            self._static = self._quad * kernel.eval(self.ages, math.inf)
-        self._cut = kernel.time_dependent
+            self._static = self._quad * kernel.eval(self.ages[::-1], math.inf)
+        self._last = (None, None)  # (t, all weights at t) of a modulated kernel
+        self._totals = {}  # lo -> ((age count, t or None), sum of the weights)
 
-    def weights(self, t: float, m: int | None = None):
-        """Weights of ages a_0 .. a_{m-1} (all ages when m is None) at time t."""
-        if self._static is None:
-            return self._quad[:m] * self.kernel.eval(self.ages[:m], t)
-        if self._cut:
+    def buffer(self, past, n_steps: int) -> np.ndarray:
+        """Node buffer B with B[J + n] = Z^n and z_p(n dt) on B[:J + 1]."""
+        J = self.ages.size - 1
+        B = np.empty(J + n_steps + 1)
+        B[:J + 1] = past.eval((np.arange(J + 1) - J) * self.dt)
+        return B
+
+    def window(self, t: float, nodes, end: int, lo: int = 0,
+               hi: int | None = None):
+        """Ages a_lo .. a_{m-1} at time t: weights, their sum, and anchors.
+
+        Both arrays run oldest age first: the weights are one contiguous
+        slice and the anchors the forward slice of ``nodes`` ending just
+        before index ``end``, so age a_lo pairs with ``nodes[end - 1]``. The
+        age count m is capped by ``support(t)``, by J + 1 and by ``hi``.
+        """
+        size = self.ages.size
+        m = size if hi is None else min(hi, size)
+        if self.kernel.time_dependent:
             support = self.kernel.support(t)
             if support < self.kernel.a_max:
-                cap = int(np.searchsorted(self.ages, support, side="left"))
-                m = cap if m is None else min(m, cap)
-        return self._static[:m]
-
-    @functools.cached_property
-    def _static_oldest(self):
-        return self._static[::-1].copy()
-
-    def _oldest_first(self, t: float, lo: int):
-        """Weights of ages a_lo.. at time t, oldest first, and their sum.
-
-        The weights come as one contiguous array, so paired with a forward
-        slice of node values a memory sum is one BLAS dot. Static weights
-        are reversed once, and a sum is kept per ``lo`` until the age count
-        changes; a modulated kernel's weights are evaluated once per t.
-        """
-        if self._static is None:
+                m = min(m, int(np.searchsorted(self.ages, support, side="left")))
+        weights, key = self._static, (m, None)
+        if weights is None:
             if self._last[0] != t:
-                self._last = (t, self.weights(t))
-            w = self._last[1][lo:][::-1].copy()
-            return w, float(w.sum())
-        m = self.weights(t).size
-        w = self._static_oldest[self.ages.size - m: self.ages.size - lo]
+                self._last = (t, self._quad * self.kernel.eval(self.ages[::-1], t))
+            weights, key = self._last[1], (m, t)
+        w = weights[size - m: size - lo]
         total = self._totals.get(lo)
-        if total is None or total[0] != m:
-            total = self._totals[lo] = (m, float(w.sum()))
-        return w, total[1]
+        if total is None or total[0] != key:
+            total = self._totals[lo] = (key, float(w.sum()))
+        return w, total[1], nodes[end - w.size: end]

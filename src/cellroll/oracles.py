@@ -11,13 +11,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .history import ConstantPast, LinearPast, PastData, TabulatedPast, initial_stretch
+from .history import ConstantPast, LinearPast, PastData, TabulatedPast
 from .kernels import Exponential, Kernel
 
 __all__ = [
     "PlasticProfile",
     "quadratic_final_position",
-    "p_infinity_profile",
     "plastic_trajectory",
     "kinematic_trajectory",
     "kinematic_velocity",
@@ -67,21 +66,6 @@ def quadratic_final_position(beta: float, zeta: float, past: PastData) -> float:
     zp0 = float(past.eval(0.0))
     integral = _weighted_past_integral(zeta, past)
     return (zeta**2 * zp0 + beta * zeta * integral) / (zeta**2 + beta)
-
-
-def p_infinity_profile(kernel: Kernel, past: PastData, a: float) -> float:
-    """Stationary stretch profile p_inf(a) of the quadratic regime.
-
-    p_inf(a) = int_0^a u_I - a * (int rho(x) int_0^x u_I dx) / (1 + m_1).
-    """
-    grid = np.linspace(0.0, kernel.a_max, 200001)
-    u_i = initial_stretch(past, grid)
-    h = grid[1] - grid[0]
-    cum_u = np.concatenate(([0.0], np.cumsum(0.5 * h * (u_i[1:] + u_i[:-1]))))
-    d = float(np.trapezoid(kernel.profile(grid) * cum_u, grid))
-    m1 = float(kernel.moment(math.inf, 1))
-    u_a = float(np.interp(a, grid, cum_u))
-    return u_a - a * d / (1.0 + m1)
 
 
 @dataclass

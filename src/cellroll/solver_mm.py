@@ -1,7 +1,8 @@
 """Minimizing-movements time stepping for kinked (merely Lipschitz) potentials.
 
 Each step minimizes a strongly convex incremental energy whose memory part
-anchors at the already-computed nodes, one step behind the unknown. No
+anchors at the already-computed nodes, one step behind the unknown; it reads
+them from the node buffer through one ``Memory`` window, oldest age first. No
 smoothness of psi is required: the subgradient is strictly increasing in the
 step variable, and its root is found by one sorted sweep over the kinks for
 piecewise-linear psi. For any other psi, the strong convexity of the step
@@ -34,8 +35,9 @@ class StepEnergy:
          + eps * sum_j weights[j] * psi((w - anchors[j]) / eps)
          - drive * w
 
-    with weights[j] = rho(a_j, t_n) * da >= 0 and anchors[j] the node value
-    one-plus-j steps back. Strongly convex with modulus 1/dt.
+    with weights[j] = rho(a, t_n) * da >= 0 for one age a and anchors[j] its
+    node one step behind z(t_n - eps*a): oldest age first, paired index by
+    index. Strongly convex with modulus 1/dt.
     """
 
     psi: Potential
@@ -77,8 +79,9 @@ def minimize_step(e: StepEnergy) -> float:
     """
     z = float(e.previous)
     if not hasattr(e.psi, "_half_line_form"):
-        return _increasing_root(lambda w: (e.subgrad_lo(w), e.subgrad_hi(w)),
-                                z, float(e.dt), 1e-11)
+        one = len(e.psi.breakpoints) == 0  # then subdiff_hi = subdiff_lo
+        g = lambda w: (s := e.subgrad_lo(w), s if one else e.subgrad_hi(w))
+        return _increasing_root(g, z, float(e.dt), 1e-11)
     if e.subgrad_lo(z) <= 0.0 <= e.subgrad_hi(z):
         return z
     return _kink_sweep(e)
@@ -110,13 +113,14 @@ def _kink_sweep(e: StepEnergy) -> float:
     return float(e.previous - dt * (base + cum[i]))
 
 
-def _step(psi: Potential, memory: Memory, drive, values, n: int, dt: float,
-          eps: float) -> StepEnergy:
-    """E_n, whose anchors[j] = Z^{n-1-j} are the computed nodes alone."""
+def _step(psi: Potential, memory: Memory, drive, nodes, origin: int, n: int,
+          dt: float, eps: float) -> StepEnergy:
+    """E_n from nodes[origin + k] = Z^k; anchors Z^{n-m} .. Z^{n-1}."""
     t_n = n * dt
-    weights = memory.weights(t_n, min(n, memory.ages.size))
-    anchors = values[n - weights.size: n][::-1]
-    return StepEnergy(psi, float(values[n - 1]), dt, float(drive(t_n)),
+    # hi = n keeps the anchors at computed nodes, so bonds older than t_n
+    # carry no force: the known gap to the prescribed past z_p
+    weights, _, anchors = memory.window(t_n, nodes, origin + n, hi=n)
+    return StepEnergy(psi, float(nodes[origin + n - 1]), dt, float(drive(t_n)),
                       weights, anchors, eps)
 
 
@@ -153,14 +157,14 @@ def solve_mm(psi: Potential, kernel: Kernel, v, past: PastData,
     eps, dt = float(cfg.eps), float(cfg.dt)
     n_steps = step_count(cfg.T, dt)
     memory = Memory(kernel, eps, dt, "rectangle")
+    J = memory.ages.size - 1
     drive = as_drive(v)
-    Z = np.empty(n_steps + 1)
-    Z[0] = float(past.eval(0.0))
+    B = memory.buffer(past, n_steps)  # B[J + n] = Z^n
     for n in range(1, n_steps + 1):
-        Z[n] = minimize_step(_step(psi, memory, drive, Z, n, dt, eps))
-        if not np.isfinite(Z[n]):
+        B[J + n] = minimize_step(_step(psi, memory, drive, B, J, n, dt, eps))
+        if not np.isfinite(B[J + n]):
             raise NumericalError(f"minimizing movements diverged at t = {n * dt:.6g}")
-    return Trajectory(dt, Z, eps=eps)
+    return Trajectory(dt, B[J:].copy(), eps=eps)
 
 
 def step_energy(psi: Potential, kernel: Kernel, v, traj: Trajectory,
@@ -173,4 +177,4 @@ def step_energy(psi: Potential, kernel: Kernel, v, traj: Trajectory,
     if n < 1:
         raise ValueError("steps are numbered from 1")
     memory = Memory(kernel, traj.eps, traj.dt, "rectangle")
-    return _step(psi, memory, as_drive(v), traj.values, n, traj.dt, traj.eps)
+    return _step(psi, memory, as_drive(v), traj.values, 0, n, traj.dt, traj.eps)

@@ -4,11 +4,10 @@ The age grid is tied to the time grid (da = dt/eps) so every delayed sample
 z(t - eps*a_j) is a stored node value: the memory term needs no interpolation
 and past-branch samples evaluate the prescribed history exactly.
 
-Per step the memory force costs one dot over the J + 1 ages when psi' is the
-identity (quadratic psi): the force is linear in the node values, so it is
-z_n W - w.Z with W the total weight. Any other psi costs J + 1 evaluations
-of psi' per step. The weights are stored oldest age first, so both operands
-of the dot are forward slices.
+Each force reads one ``Memory`` window of the node buffer, oldest age first.
+It costs one dot over the J + 1 ages when psi' is the identity (quadratic
+psi): the force is linear in the node values, so it is z_n W - w.Z with W
+the total weight. Any other psi costs J + 1 evaluations of psi' per step.
 """
 from __future__ import annotations
 
@@ -96,22 +95,16 @@ def solve_smooth(psi: Potential, kernel: Kernel, v, past: PastData,
     memory = Memory(kernel, eps, dt, "trapezoid")
     J = memory.ages.size - 1
     drive = as_drive(v)
-
-    # B[k] holds z at time (k - J) dt, so z(t_n - eps a_j) = B[n + J - j]
-    B = np.empty(J + n_steps + 1)
-    B[:J] = past.eval((np.arange(J) - J) * dt)
-    B[J] = past.eval(0.0)
-
+    # B[J + n] = Z^n, so z(t_n - eps a_j) = B[J + n - j]
+    B = memory.buffer(past, n_steps)
     linear = psi._slope_is_identity
 
     def force(n, z_n, lo):
-        # ages j >= lo at time t_n = n dt, anchored at position z_n. Oldest
-        # first, they pair with the forward node slice that ends at Z^{n-lo}.
-        w, total = memory._oldest_first(n * dt, lo)
+        # ages j >= lo at time t_n = n dt, anchored at position z_n; the
+        # youngest of them, a_lo, pairs with Z^{n-lo}
+        w, total, anchors = memory.window(n * dt, B, J + n + 1 - lo, lo)
         if w.size == 0:
             return 0.0
-        end = n + J + 1 - lo
-        anchors = B[end - w.size: end]
         if linear:
             # psi'(u) = u: sum_j w_j (z_n - anchor_j) / eps
             #           = (z_n W - w.anchors) / eps

@@ -281,6 +281,12 @@ class TestFailureExits:
         ("mm", ("model", "past"),
          {"kind": "tabulated", "tau": [-1.0, 0.0], "values": [0.0, False]},
          "model.past.values"),
+        # a quoted number is a string, not a number
+        ("simulate", ("model", "kernel", "beta"), "1.5", "model.kernel.beta"),
+        ("limit", ("model", "v", "value"), "1", "model.v.value"),
+        ("mm", ("model", "past"),
+         {"kind": "tabulated", "tau": ["-1", 0.0], "values": [0.0, 0.0]},
+         "model.past.tau"),
     ])
     def test_non_finite_or_boolean_number_reports_its_field(
             self, capsys, tmp_path, command, keys, value, field):

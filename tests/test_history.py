@@ -13,13 +13,11 @@ class TestPastData:
     def test_constant(self):
         p = ConstantPast(2.5)
         assert p.eval(-3.0) == 2.5
-        assert p.lipschitz_Lp == 0.0
         assert p.bound == 2.5
 
     def test_linear(self):
         p = LinearPast(2.0, 1.0)
         assert p.eval(-0.5) == 0.0
-        assert p.lipschitz_Lp == 2.0
         assert math.isinf(p.bound)
         assert LinearPast(0.0, -4.0).bound == 4.0
 
@@ -28,7 +26,6 @@ class TestPastData:
         assert p.eval(-1.5) == pytest.approx(0.5)
         assert p.eval(0.0) == 3.0
         assert p.eval(-10.0) == 0.0
-        assert p.lipschitz_Lp == 2.0
         assert p.bound == 3.0
 
     def test_tabulated_validation(self):

@@ -12,8 +12,8 @@ from scipy.integrate import quad
 from cellroll.history import ConstantPast, LinearPast, TabulatedPast
 from cellroll.kernels import Exponential, Tabulated, TruncatedExponential
 from cellroll.oracles import (PlasticProfile, gamma_abs, kinematic_trajectory,
-                              kinematic_velocity, p_infinity_profile,
-                              plastic_trajectory, quadratic_final_position)
+                              kinematic_velocity, plastic_trajectory,
+                              quadratic_final_position)
 
 LN_10_9 = math.log(10.0 / 9.0)
 
@@ -57,24 +57,6 @@ class TestQuadraticFinalPosition:
             quadratic_final_position(-1.0, 1.0, ConstantPast(0.0))
         with pytest.raises(ValueError):
             quadratic_final_position(1.0, 0.0, ConstantPast(0.0))
-
-
-class TestPInfinityProfile:
-    def test_matches_quadrature(self):
-        kernel = Exponential(1.0, 1.0)
-        past = LinearPast(0.7, 0.0)
-        # u_I(a) = 0.7 a: d = 0.7 m_2 / 2, p_inf(a) = 0.35 a^2 - a d / (1 + m_1)
-        m1 = quad(lambda a: a * math.exp(-a), 0, np.inf)[0]
-        d = quad(lambda a: math.exp(-a) * 0.35 * a * a, 0, np.inf)[0]
-        for a in (0.0, 0.5, 2.0):
-            ref = 0.35 * a * a - a * d / (1.0 + m1)
-            got = p_infinity_profile(kernel, past, a)
-            assert got == pytest.approx(ref, rel=1e-7, abs=1e-9)
-
-    def test_constant_past_gives_zero_profile(self):
-        kernel = Exponential(1.0, 1.0)
-        assert p_infinity_profile(kernel, ConstantPast(4.0), 1.3) \
-            == pytest.approx(0.0, abs=1e-12)
 
 
 class TestPlasticProfile:

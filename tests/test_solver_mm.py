@@ -1,5 +1,6 @@
 """Minimizing movements: per-step minimizer, plastic stopping, certificates."""
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,11 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
+from cellroll import solver_mm
 from cellroll.errors import NumericalError
 from cellroll.history import ConstantPast, Trajectory
 from cellroll.kernels import Exponential, TruncatedExponential
 from cellroll.potentials import (AbsoluteValue, Mollified, PiecewiseLinear,
                                  Potential, Quadratic, Tether, mollify)
+from cellroll.solver_limit import _increasing_root
 from cellroll.solver_mm import (StepEnergy, minimize_step, solve_mm,
                                 step_energy)
 from cellroll.solver_smooth import SolverConfig, solve_smooth
@@ -151,13 +154,19 @@ def step_energies(draw, psi):
 
 
 class Counting:
-    """Mixin: counts the subdiff_lo calls, one per subgradient evaluation."""
+    """Mixin: counts the subdiff_lo calls, one per subgradient evaluation,
+    and apart from them the subdiff_hi calls."""
 
     calls = 0
+    hi_calls = 0
 
     def subdiff_lo(self, u):
         self.calls += 1
         return super().subdiff_lo(u)
+
+    def subdiff_hi(self, u):
+        self.hi_calls += 1
+        return super().subdiff_hi(u)
 
 
 class TestStructuredStep:
@@ -206,7 +215,15 @@ class TestSmoothStep:
     def test_matches_bisection_in_fewer_evaluations(self, cls, args, data):
         psi = type("Counted", (Counting, cls), {})(*args)
         e = data.draw(step_energies(psi))
-        w = minimize_step(e)
+        probes = []
+
+        def counted(g, *rest):
+            return _increasing_root(lambda w: probes.append(w) or g(w), *rest)
+
+        with mock.patch.object(solver_mm, "_increasing_root", counted):
+            w = minimize_step(e)
+        # subdiff_hi = subdiff_lo here: one subgradient pass per probe
+        assert (psi.calls, psi.hi_calls) == (len(probes), 0)
         used, psi.calls = psi.calls, 0
         assert w == pytest.approx(minimize_step_bisect(e), abs=1e-10)
         assert used <= psi.calls + 3
@@ -326,5 +343,4 @@ class TestCertificates:
         traj, k, v = self.run()
         for n in (1, 50, 200):
             e = step_energy(AbsoluteValue(), k, v, traj, n)
-            assert minimize_step(e) == pytest.approx(traj.values[n],
-                                                     abs=1e-10)
+            assert minimize_step(e) == traj.values[n]

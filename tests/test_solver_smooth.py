@@ -236,9 +236,9 @@ class TestModulatedWeights:
         assert k.evals == evals
 
         class Uncached(Memory):
-            def _oldest_first(self, t, lo):
+            def window(self, t, nodes, end, lo=0, hi=None):
                 self._last = (None, None)
-                return super()._oldest_first(t, lo)
+                return super().window(t, nodes, end, lo, hi)
 
         monkeypatch.setattr(solver_smooth, "Memory", Uncached)
         np.testing.assert_array_equal(got, self.solve(scheme, modulated_kernel()))
