@@ -5,12 +5,17 @@ z(t - eps*a_j) is a stored node value: the memory term needs no interpolation
 and past-branch samples evaluate the prescribed history exactly.
 
 Each force reads one ``Memory`` window of the node buffer, oldest age first.
-It costs one dot over the J + 1 ages when psi' is the identity (quadratic
-psi): the force is linear in the node values, so it is z_n W - w.Z with W
-the total weight. Any other psi costs J + 1 evaluations of psi' per step.
+When psi' is the identity (quadratic psi) the force is linear in the node
+values, z_n W - w.Z with W the total weight. On a static exponential kernel
+it then costs O(1) per step: a running sum of the stretches, seeded by one
+dot and advanced by the step ratio r = e^{-zeta da}, which agrees with the
+per-age sum to 1e-12 (4e-14 at most in the tests, over up to 50 memory
+lengths). On any other kernel it costs one dot over the J + 1 ages. Any
+other psi costs J + 1 evaluations of psi' per step.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,6 +71,42 @@ def _reject_nonsmooth(psi: Potential):
         raise ValueError("psi' is not Lipschitz; use solve_mm")
 
 
+def _running_force(memory: Memory, B, eps: float):
+    """``force`` for psi' = id on a static exponential kernel, O(1) per step.
+
+    It carries the stretch sum D_n = sum_j w_j (Z^n - Z^{n-j}) over ages
+    0..J, seeded by one dot at n = 0. Ages 1..J at t_n are ages 0..J-1 at
+    t_{n-1} one step older, so their weights are r times as large, except
+    that the trapezoid halves the oldest; age 0 carries no stretch. Less
+    age J of t_{n-1} and half of age J at t_n, the sum over ages 1..J at
+    t_n measured from z is
+        W' (z - Z^{n-1}) + r D_{n-1}
+            - w_J ((Z^{n-1} - Z^{n-J}) + r (Z^{n-1} - Z^{n-1-J})),
+    with W' the weight of ages 1..J. It is eps times the corrector's force
+    at z, and D_n at z = Z^n. Only node differences enter, so a constant
+    history stays put. Steps must be asked for in order.
+    """
+    J = memory.ages.size - 1
+    r = memory._ratio
+    w, total, anchors = memory.window(0.0, B, J + 1)
+    total_older = memory.window(0.0, B, J, 1)[1]
+    w_old = float(w[0])
+    D, at = B[J] * total - float(np.dot(w, anchors)), 0
+
+    def force(n, z_n, lo):
+        nonlocal D, at
+        if at == n:
+            return D / eps
+        z_prev = B[J + n - 1]
+        d = (total_older * (z_n - z_prev) + r * D
+             - w_old * ((z_prev - B[n]) + r * (z_prev - B[n - 1])))
+        if not lo:
+            D, at = d, n
+        return d / eps
+
+    return force
+
+
 def solve_smooth(psi: Potential, kernel: Kernel, v, past: PastData,
                  cfg: SolverConfig) -> Trajectory:
     """March Z^{n+1} = Z^n + dt (v - memory force) from the prescribed past.
@@ -111,6 +152,9 @@ def solve_smooth(psi: Potential, kernel: Kernel, v, past: PastData,
             return (z_n * total - float(np.dot(w, anchors))) / eps
         return float(np.dot(w, psi.derivative((z_n - anchors) / eps)))
 
+    if linear and memory._ratio is not None:
+        force = _running_force(memory, B, eps)
+
     # overflow shows up as a non-finite node, reported below as a blow-up
     with np.errstate(over="ignore", invalid="ignore"):
         for n in range(n_steps):
@@ -122,7 +166,7 @@ def solve_smooth(psi: Potential, kernel: Kernel, v, past: PastData,
                 # force at t_{n+1} only needs already-stored nodes
                 rate2 = drive((n + 1) * dt) - force(n + 1, z_next, 1)
                 z_next = z_n + 0.5 * dt * (rate + rate2)
-            if not np.isfinite(z_next):
+            if not math.isfinite(z_next):
                 raise NumericalError(f"solution blew up at t = {(n + 1) * dt:.6g}")
             B[J + n + 1] = z_next
 
