@@ -50,7 +50,9 @@ class StudyReport:
         return f"{verdict} {self.name}: {self.criterion}{tail}"
 
     def to_csv(self, path, precision: int = 17):
-        _write_csv(path, self.columns, self.rows, precision)
+        # one row per entry of ``rows``, each as wide as ``columns``
+        table = np.asarray(self.rows).reshape(len(self.rows), len(self.columns))
+        _write_csv(path, self.columns, table.T, precision)
 
 
 def _dispatch_solver(psi: Potential):

@@ -124,12 +124,35 @@ class Trajectory:
 
 
 def write_trajectory_csv(path, t, z, zdot, precision: int = 17):
-    _write_csv(path, ("t", "z", "zdot"), zip(t, z, zdot), precision)
+    _write_csv(path, ("t", "z", "zdot"), (t, z, zdot), precision)
 
 
-def _write_csv(path, columns, rows, precision: int):
-    """A header line, then one line per row with every value as %.{precision}g."""
-    line = ",".join([f"%.{int(precision)}g"] * len(columns)) + "\n"
+# rows per `%` call: a block's text is a few dozen kB, so memory stays flat
+# however long the file
+_BLOCK_ROWS = 1024
+
+
+def _write_csv(path, names, columns, precision: int):
+    """A header line, then one line per row with every value as %.{precision}g.
+
+    ``columns`` holds one 1-d sequence per name, all of one length; unequal
+    lengths raise ``ValueError``. Rows are formatted ``_BLOCK_ROWS`` at a
+    time: the block's values, row by row, go as one tuple of Python numbers
+    to one ``%`` whose format is the line repeated once per row. The bytes
+    are those of ``line % row`` row by row: ``%g`` formats a bool or an int
+    as the float it converts to, which is the float numpy promotes it to in
+    a block that mixes it with floats.
+    """
+    cols = [np.asarray(c) for c in columns]
+    n = cols[0].size
+    if any(c.shape != (n,) for c in cols):
+        raise ValueError("CSV columns must be 1-d and of equal length, got "
+                         f"shapes {[c.shape for c in cols]}")
+    line = ",".join([f"%.{int(precision)}g"] * len(cols)) + "\n"
+    block = line * _BLOCK_ROWS
     with open(path, "w") as fh:
-        fh.write(",".join(columns) + "\n")
-        fh.writelines(line % tuple(row) for row in rows)
+        fh.write(",".join(names) + "\n")
+        for start in range(0, n, _BLOCK_ROWS):
+            rows = np.stack([c[start:start + _BLOCK_ROWS] for c in cols], axis=1)
+            fmt = block if len(rows) == _BLOCK_ROWS else line * len(rows)
+            fh.write(fmt % tuple(rows.ravel().tolist()))

@@ -155,16 +155,22 @@ def solve_smooth(psi: Potential, kernel: Kernel, v, past: PastData,
     if linear and memory._ratio is not None:
         force = _running_force(memory, B, eps)
 
+    heun = cfg.scheme == "heun"
+    v_n = drive(0.0)
     # overflow shows up as a non-finite node, reported below as a blow-up
     with np.errstate(over="ignore", invalid="ignore"):
         for n in range(n_steps):
             z_n = B[J + n]
-            rate = drive(n * dt) - force(n, z_n, 0)
+            if n and not heun:
+                v_n = drive(n * dt)
+            rate = v_n - force(n, z_n, 0)
             z_next = z_n + dt * rate
-            if cfg.scheme == "heun":
+            if heun:
                 # the age-0 term vanishes (zero stretch), so the corrector
-                # force at t_{n+1} only needs already-stored nodes
-                rate2 = drive((n + 1) * dt) - force(n + 1, z_next, 1)
+                # force at t_{n+1} only needs already-stored nodes; the next
+                # predictor reuses the drive at t_{n+1}
+                v_n = drive((n + 1) * dt)
+                rate2 = v_n - force(n + 1, z_next, 1)
                 z_next = z_n + 0.5 * dt * (rate + rate2)
             if not math.isfinite(z_next):
                 raise NumericalError(f"solution blew up at t = {(n + 1) * dt:.6g}")

@@ -3,7 +3,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from cellroll.experiments import StudyReport
 from cellroll.history import (ConstantPast, LinearPast, TabulatedPast,
                               Trajectory, initial_stretch,
                               write_trajectory_csv)
@@ -87,3 +90,72 @@ class TestCsv:
         rows = np.genfromtxt(path, delimiter=",", names=True)
         np.testing.assert_allclose(rows["t"], [0.0, 0.5, 1.0])
         np.testing.assert_allclose(rows["z"], traj.values)
+
+    def test_unequal_columns_are_rejected(self, tmp_path):
+        path = tmp_path / "traj.csv"
+        with pytest.raises(ValueError, match="equal length"):
+            write_trajectory_csv(path, [0.0, 1.0], [0.0], [0.0])
+        assert not path.exists()
+
+    def test_study_row_of_the_wrong_width_is_rejected(self, tmp_path):
+        report = StudyReport("demo", ("param", "metric"), [(1.0, 2.0, 3.0)],
+                             "none", True)
+        with pytest.raises(ValueError):
+            report.to_csv(tmp_path / "demo.csv")
+
+
+def assert_per_row_format(path, names, rows, precision):
+    """The file holds the header, then ``line % tuple(row)`` row by row."""
+    line = ",".join([f"%.{precision}g"] * len(names)) + "\n"
+    want = [",".join(names) + "\n"] + [line % tuple(row) for row in rows]
+    got = path.read_text().splitlines(keepends=True)
+    # line by line: pytest's diff of two whole files would take minutes
+    for i, (a, b) in enumerate(zip(got, want)):
+        assert a == b, f"line {i}"
+    assert len(got) == len(want)
+
+
+SPECIAL = (0.0, -0.0, math.nan, math.inf, -math.inf)
+ROW_COUNTS = (1, 1023, 1024, 1025, 2049)  # around the 1024-row block
+
+
+def wide_floats(rng, size, head):
+    """Magnitudes 1e-300 .. 1e300 of either sign, some special values, and
+    ``head`` (drawn by Hypothesis) in front."""
+    x = 10.0 ** rng.uniform(-300.0, 300.0, size) * rng.choice([-1.0, 1.0], size)
+    spots = rng.choice(size, min(size, 12), replace=False)
+    x[spots] = rng.choice(SPECIAL, spots.size)
+    head = head[:size]
+    x[:len(head)] = head
+    return x
+
+
+class TestBlockWriter:
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(precision=st.integers(1, 17), n=st.sampled_from(ROW_COUNTS),
+           seed=st.integers(0, 2**32 - 1), head=st.lists(st.floats(), max_size=6))
+    def test_trajectory_matches_per_row_format(self, tmp_path_factory,
+                                               precision, n, seed, head):
+        rng = np.random.default_rng(seed)
+        t, z, zdot = wide_floats(rng, 3 * n, head).reshape(n, 3).T
+        path = tmp_path_factory.mktemp("csv") / "traj.csv"
+        write_trajectory_csv(path, t, z, zdot, precision)
+        assert_per_row_format(path, ("t", "z", "zdot"), zip(t, z, zdot),
+                              precision)
+
+    @settings(max_examples=20, derandomize=True, deadline=None)
+    @given(precision=st.integers(1, 17), n=st.sampled_from(ROW_COUNTS),
+           seed=st.integers(0, 2**32 - 1))
+    def test_study_report_with_ints_and_bools(self, tmp_path_factory,
+                                              precision, n, seed):
+        rng = np.random.default_rng(seed)
+        floats = wide_floats(rng, n, [])
+        ints = rng.integers(-2**53 + 1, 2**53, n)
+        flags = rng.random(n) < 0.5
+        rows = [(float(x), int(i), bool(b))
+                for x, i, b in zip(floats, ints, flags)]
+        report = StudyReport("demo", ("param", "steps", "ok"), rows, "none",
+                             True)
+        path = tmp_path_factory.mktemp("csv") / "study.csv"
+        report.to_csv(path, precision)
+        assert_per_row_format(path, report.columns, rows, precision)

@@ -138,6 +138,19 @@ class TestSchemes:
         e_heun = abs(self.solve_at(4e-3, "heun") - ref)
         assert e_heun < e_euler / 3.0
 
+    @pytest.mark.parametrize("scheme, calls", [("euler", 100), ("heun", 101)])
+    def test_one_drive_call_per_time(self, scheme, calls):
+        seen = []
+
+        def drive(t):
+            seen.append(t)
+            return 1.0 + 0.5 * math.sin(t)
+
+        cfg = SolverConfig(eps=1.0, T=1.0, dt=1e-2, scheme=scheme)
+        solve_smooth(Tether(0.5), Exponential(1.0, 1.0), drive,
+                     ConstantPast(0.0), cfg)
+        assert seen == [n * 1e-2 for n in range(calls)]
+
 
 KERNELS = {"exponential": lambda: Exponential(1.0, 1.0),
            "truncated": lambda: TruncatedExponential(1.0, 1.0),
