@@ -16,7 +16,8 @@ converge / longtime
 Every CSV write is paired with a ``*.manifest.json`` echoing the fully
 resolved configuration; feeding a manifest back through ``--config``
 reproduces the run bit for bit. Bad input exits 2 with the dotted path of
-the offending field; a numerical failure, or an internal error, exits 1.
+the offending field; a numerical failure, a grid too large for memory, or
+an internal error, exits 1.
 """
 from __future__ import annotations
 
@@ -286,6 +287,10 @@ def main(argv=None) -> int:
         return 2
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        # step_count only refuses counts no array can index
+        print(f"out of memory: {exc}; lower T/dt", file=sys.stderr)
         return 1
     except ValueError as exc:
         # bad input is rejected as a ConfigError before any solve starts

@@ -21,9 +21,17 @@ from .kernels import Kernel
 __all__ = ["Memory", "age_step", "as_drive", "step_count"]
 
 
+# the most float64 nodes a numpy array can index; whether that many fit in
+# memory is only known when the buffer is allocated
+_MAX_NODES = np.iinfo(np.intp).max // np.dtype(float).itemsize
+
+
 def step_count(T: float, dt: float) -> int:
-    """Number of steps dt from 0 to T."""
-    n = round(T / dt)
+    """Number of steps dt from 0 to T; checked before any buffer exists."""
+    steps = T / dt
+    if not (math.isfinite(steps) and steps < _MAX_NODES):
+        raise ValueError(f"T/dt = {steps:.6g} steps exceed what an array can index")
+    n = round(steps)
     if n < 1 or abs(n * dt - T) > 1e-9 * max(1.0, abs(T)):
         raise ValueError("T must be a positive integer multiple of dt")
     return n

@@ -4,10 +4,12 @@ Each step minimizes a strongly convex incremental energy whose memory part
 anchors at the already-computed nodes, one step behind the unknown; it reads
 them from the node buffer through one ``Memory`` window, oldest age first. No
 smoothness of psi is required: the subgradient is strictly increasing in the
-step variable, and its root is found by one sorted sweep over the kinks for
-piecewise-linear psi. For any other psi, the strong convexity of the step
-(modulus 1/dt) brackets the root from the subgradient at the previous node,
-and the ITP search that also solves the limit law closes that bracket.
+step variable with slope at least 1/dt (the modulus of strong convexity), so
+its value at the previous node tells on which side of that node the root
+lies. For piecewise-linear psi that probe has already summed every kink on
+the other side, and one sorted sweep over the kinks on the root's side finds
+it exactly. For any other psi the probe brackets the root, and the ITP
+search that also solves the limit law closes the bracket.
 """
 from __future__ import annotations
 
@@ -67,50 +69,66 @@ class StepEnergy:
 def minimize_step(e: StepEnergy) -> float:
     """Unique minimizer of ``e``; the form of psi chooses the method.
 
-    * piecewise-linear psi (``AbsoluteValue``, ``PiecewiseLinear``): the
-      subgradient is piecewise linear in w with kinks at anchors + eps * k,
-      so one sorted sweep over the kinks finds the root exactly.
-    * any other psi: the subgradient has slope at least 1/dt, which brackets
-      its root from its value at the previous node; ITP closes the bracket
-      to 1e-11, or to adjacent floats where their spacing is wider.
+    Either way the first probe is the subgradient at the unconstrained
+    quadratic center (the previous node z), so a stuck step returns z
+    exactly, and the slope bound 1/dt puts the root within dt*|g(z)| of z,
+    on the side where g changes sign.
 
-    Either way the first probe is the unconstrained quadratic center (the
-    previous node), so sticking steps return that node exactly.
+    * piecewise-linear psi (``AbsoluteValue``, ``PiecewiseLinear``): the
+      subgradient is piecewise linear in w with kinks at anchors + eps * k.
+      The probe at z sums every kink on the far side of z from the root,
+      so one sorted sweep over the kinks on the root's side finds it
+      exactly.
+    * any other psi: ITP closes the bracket to 1e-11, or to adjacent floats
+      where their spacing is wider.
     """
     z = float(e.previous)
     if not hasattr(e.psi, "_half_line_form"):
         one = len(e.psi.breakpoints) == 0  # then subdiff_hi = subdiff_lo
         g = lambda w: (s := e.subgrad_lo(w), s if one else e.subgrad_hi(w))
         return _increasing_root(g, z, float(e.dt), 1e-11)
-    if e.subgrad_lo(z) <= 0.0 <= e.subgrad_hi(z):
-        return z
-    return _kink_sweep(e)
+    y = e.subgrad_hi(z)
+    if y >= 0.0:
+        y = e.subgrad_lo(z)
+        if y <= 0.0:
+            return z
+    return _kink_sweep(e, y)
 
 
-def _kink_sweep(e: StepEnergy) -> float:
-    """Root of the piecewise-linear subgradient by one sorted sweep.
+def _kink_sweep(e: StepEnergy, y: float) -> float:
+    """Root of the piecewise-linear subgradient g from its probe y at z.
 
-    g(w) = (w - prev)/dt - drive - L*Q + sum_{j,k} q_j ds_k H(w - a_j - eps k)
-    is strictly increasing. At a kink point p, g_lo(p) counts the weight of
-    the points strictly below p and g_hi(p) all weight up to p, ties included.
+    g(w) = (w - z)/dt - drive - L*Q + sum_{j,k} q_j ds_k H(w - a_j - eps k)
+    is strictly increasing. y < 0 is g_hi(z), which counts the kinks with
+    u_j >= k, u = (z - anchors)/eps; the root lies above z, so the kinks
+    left to sweep are those with u_j < k. y > 0 is g_lo(z), which counts
+    the kinks with u_j > k; the root lies below z, so those are the kinks
+    to sweep. The comparison is the probe's own, so a rounding tie is
+    counted exactly once. With no such kink, g is linear on that side.
     """
-    kinks, jumps, L = e.psi._full_line_kinks
+    kinks, jumps, _ = e.psi._full_line_kinks
     dt = float(e.dt)
-    points = (e.anchors[:, None] + e.eps * kinks).ravel()
-    order = np.argsort(points)
-    p = points[order]
-    weights = (e.weights[:, None] * jumps).ravel()[order]
-    cum = np.concatenate(([0.0], np.cumsum(weights)))
-    base = -float(e.drive) - L * float(e.weights.sum())
+    z = float(e.previous)
+    up = y < 0.0
+    u = ((z - e.anchors) / e.eps)[:, None]
+    j, k = np.nonzero(u < kinks if up else u > kinks)
+    if j.size == 0:
+        return z - dt * y
+    p = e.anchors[j] + e.eps * kinks[k]
+    order = np.argsort(p)
+    p = p[order]
+    cum = np.concatenate(([0.0], np.cumsum(e.weights[j[order]] * jumps[k[order]])))
+    # below the swept kinks g lacks their weight, which g_lo(z) counted
+    base = y if up else y - cum[-1]
     # i: the first point at which the running upper subgradient reaches 0.
     # If p[i] ties with p[i-1], g_lo(p[i]) is at most the running value at
     # i - 1, which is < 0, so p[i] is the root; otherwise cum[i] is exactly
     # the weight strictly below p[i]. Either way ties need no grouping.
-    i = int(np.searchsorted((p - e.previous) / dt + base + cum[1:], 0.0))
-    if i < p.size and (p[i] - e.previous) / dt + base + cum[i] <= 0.0:
+    i = int(np.searchsorted((p - z) / dt + base + cum[1:], 0.0))
+    if i < p.size and (p[i] - z) / dt + base + cum[i] <= 0.0:
         return float(p[i])
     # the root lies in the open interval just below p[i], where g is linear
-    return float(e.previous - dt * (base + cum[i]))
+    return float(z - dt * (base + cum[i]))
 
 
 def _step(psi: Potential, memory: Memory, drive, nodes, origin: int, n: int,
@@ -162,7 +180,7 @@ def solve_mm(psi: Potential, kernel: Kernel, v, past: PastData,
     B = memory.buffer(past, n_steps)  # B[J + n] = Z^n
     for n in range(1, n_steps + 1):
         B[J + n] = minimize_step(_step(psi, memory, drive, B, J, n, dt, eps))
-        if not np.isfinite(B[J + n]):
+        if not math.isfinite(B[J + n]):
             raise NumericalError(f"minimizing movements diverged at t = {n * dt:.6g}")
     return Trajectory(dt, B[J:].copy(), eps=eps)
 

@@ -238,6 +238,11 @@ class TestFailureExits:
         ("simulate", {"scheme": "explicit_euler"}, "quadratic",
          "solver.scheme"),
         ("oracle", {"T": 1.001}, "abs", "solver.T"),
+        # T/dt is inf, or more steps than any node buffer holds
+        ("mm", {"T": 1e308}, "abs", "solver.T"),
+        ("oracle", {"T": 1e308}, "abs", "solver.T"),
+        ("simulate", {"T": 2.0, "dt": 1e-300}, "quadratic", "solver.T"),
+        ("limit", {"T": 2.0, "dt": 1e-300}, "quadratic", "solver.T"),
     ])
     def test_solver_precondition_reports_dotted_path(
             self, capsys, tmp_path, command, solver, potential, field):
@@ -322,6 +327,21 @@ class TestFailureExits:
         assert code == 1
         assert err == "internal error: boom\n"
 
+    @pytest.mark.parametrize("command", ["simulate", "mm"])
+    def test_node_buffer_out_of_memory_exits_one(self, capsys, tmp_path,
+                                                 monkeypatch, command):
+        # 1e13 steps pass step_count; the buffer allocation is stubbed so
+        # that nothing of that size is really requested
+        def no_memory(self, past, n_steps):
+            assert n_steps == 10**13
+            raise MemoryError("Unable to allocate 72.8 TiB")
+
+        monkeypatch.setattr("cellroll.memory.Memory.buffer", no_memory)
+        cfg = write_config(tmp_path / "run.json", quad_config(T=1e10, dt=1e-3))
+        code, _, err = run(capsys, command, "--config", cfg)
+        assert code == 1
+        assert err == "out of memory: Unable to allocate 72.8 TiB; lower T/dt\n"
+
 
 class TestStudyCommands:
     def test_converge_passes_and_echoes_study(self, capsys, tmp_path):
@@ -358,6 +378,17 @@ class TestStudyCommands:
         cfg_dict = quad_config()
         del cfg_dict["solver"]
         cfg_dict["study"] = {"eps_list": [0.4, 0.2], "T": 1.001, "dt": 2e-3}
+        cfg = write_config(tmp_path / "conv.json", cfg_dict)
+        code, _, err = run(capsys, "converge", "--config", cfg)
+        assert code == 2
+        assert err.startswith("config error: study.T:")
+
+    @pytest.mark.parametrize("T, dt", [(1e308, 0.01), (2.0, 1e-300)])
+    def test_converge_step_count_beyond_any_buffer_reports_study_t(
+            self, capsys, tmp_path, T, dt):
+        cfg_dict = quad_config()
+        del cfg_dict["solver"]
+        cfg_dict["study"] = {"eps_list": [0.4, 0.2], "T": T, "dt": dt}
         cfg = write_config(tmp_path / "conv.json", cfg_dict)
         code, _, err = run(capsys, "converge", "--config", cfg)
         assert code == 2

@@ -1,9 +1,10 @@
 """The tied age grid, the node buffer and the memory window of the solvers."""
 import numpy as np
+import pytest
 
 from cellroll.history import LinearPast
 from cellroll.kernels import Exponential, Tabulated, TruncatedExponential
-from cellroll.memory import Memory
+from cellroll.memory import Memory, step_count
 
 
 class AgeCutTabulated(Tabulated):
@@ -92,3 +93,10 @@ def test_buffer_holds_the_past_before_the_first_node():
     assert B.size == memory.ages.size + 3
     # B[J + n] = Z^n: the prefix holds z_p at t = (k - J) dt, Z^0 = z_p(0)
     np.testing.assert_array_equal(B[:5], [-3.0, -2.0, -1.0, 0.0, 1.0])
+
+
+@pytest.mark.parametrize("T, dt", [(1e308, 0.01), (2.0, 1e-300)])
+def test_step_count_rejects_a_count_no_buffer_holds(T, dt):
+    # T/dt is inf, or 2e300 nodes: refused before anything is allocated
+    with pytest.raises(ValueError, match="can index"):
+        step_count(T, dt)

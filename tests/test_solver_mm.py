@@ -11,7 +11,7 @@ from scipy.optimize import minimize_scalar
 from cellroll import solver_mm
 from cellroll.errors import NumericalError
 from cellroll.history import ConstantPast, Trajectory
-from cellroll.kernels import Exponential, TruncatedExponential
+from cellroll.kernels import Exponential, Tabulated, TruncatedExponential
 from cellroll.potentials import (AbsoluteValue, Mollified, PiecewiseLinear,
                                  Potential, Quadratic, Tether, mollify)
 from cellroll.solver_limit import _increasing_root
@@ -50,6 +50,30 @@ def minimize_step_bisect(e, tol=1e-11):
         else:
             return mid
     return 0.5 * (lo + hi)
+
+
+def minimize_step_full_sort(e):
+    """Reference for ``minimize_step`` on piecewise-linear psi: one sweep
+    over every kink point anchors + eps*k, sorted in full.
+
+    The previous node is returned when 0 lies in the subdifferential there.
+    Otherwise the sweep runs upward from g(-inf) = -drive - L*Q, so it reads
+    nothing from a probe at the previous node.
+    """
+    z = float(e.previous)
+    if e.subgrad_lo(z) <= 0.0 <= e.subgrad_hi(z):
+        return z
+    kinks, jumps, L = e.psi._full_line_kinks
+    points = (e.anchors[:, None] + e.eps * kinks).ravel()
+    order = np.argsort(points)
+    p = points[order]
+    cum = np.concatenate(([0.0], np.cumsum(
+        (e.weights[:, None] * jumps).ravel()[order])))
+    base = -float(e.drive) - L * float(e.weights.sum())
+    i = int(np.searchsorted((p - z) / e.dt + base + cum[1:], 0.0))
+    if i < p.size and (p[i] - z) / e.dt + base + cum[i] <= 0.0:
+        return float(p[i])
+    return float(z - e.dt * (base + cum[i]))
 
 
 def assert_certified(e, w, h):
@@ -176,6 +200,8 @@ class TestStructuredStep:
         e = data.draw(step_energies(data.draw(piecewise_linear())))
         w = minimize_step(e)
         assert w == pytest.approx(minimize_step_bisect(e), abs=1e-10)
+        # sweeping from the probe changes only the rounding
+        assert w == pytest.approx(minimize_step_full_sort(e), abs=1e-14)
         assert_certified(e, w, 1e-12)
 
     @pytest.mark.parametrize("drive, root", [
@@ -202,9 +228,12 @@ class TestStructuredStep:
         cfg = SolverConfig(eps=0.5, T=0.4, dt=2e-3)
         traj = solve_mm(psi, TruncatedExponential(1.0, 1.0), v,
                         ConstantPast(0.0), cfg)
-        assert np.any(np.diff(traj.values) != 0.0)
-        # the centre probe is the one subgradient evaluation per step
-        assert psi.calls <= traj.values.size - 1
+        steps = np.diff(traj.values)
+        ups = np.count_nonzero(steps > 0.0)
+        assert 0 < ups < steps.size
+        # a step up takes one g_hi pass at the previous node; a step down or
+        # a stuck step adds one g_lo pass there
+        assert psi.calls + psi.hi_calls == 2 * steps.size - ups
 
 
 class TestSmoothStep:
@@ -301,6 +330,55 @@ class TestSolveMM:
         with pytest.raises(ValueError, match="unbounded"):
             solve_mm(Unbounded(), Exponential(1.0, 1.0), 0.0,
                      ConstantPast(0.0), cfg)
+
+
+class TestEpsScaling:
+    """y(s) = z(eps s)/eps solves the eps = 1 problem on [0, T/eps] with
+    start z(0)/eps, drive v(eps s) and kernel rho(a, eps s).
+
+    Each step energy at eps is eps times the scaled one, so on the tied grid
+    (da = dt/eps in both) the two solves take the same steps and agree to
+    rounding: over 240 random draws from the ranges below the largest
+    |z - eps y| was 1.6e-15. The drive pushes up, rests at 0 and pushes down
+    beyond the bond mass, so steps go up, stick and go down.
+    ``TruncatedExponential`` is left out: it cuts ages at a <= t for every
+    eps, so its scaled problem is not the eps = 1 one.
+    """
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(psi=st.sampled_from([AbsoluteValue(),
+                                PiecewiseLinear([0.5, 1.5], [0.3, 1.0, 2.0])]),
+           eps=st.sampled_from([0.1, 0.3, 0.5, 1.0]),
+           kind=st.sampled_from(["exponential", "tabulated", "modulated"]),
+           beta=st.floats(0.5, 2.0), zeta=st.floats(0.5, 2.0),
+           z0=st.floats(-1.0, 1.0), push=st.floats(3.0, 6.0))
+    def test_scaled_problem_agrees_to_rounding(self, psi, eps, kind, beta,
+                                               zeta, z0, push):
+        a = np.linspace(0.0, 4.0, 41)
+
+        def kernel(scale):
+            if kind == "exponential":
+                return Exponential(beta, zeta, a_max=4.0)
+            modulation = None
+            if kind == "modulated":
+                modulation = lambda t: 1.0 + 0.3 * math.sin(2.0 * scale * t)
+            return Tabulated(a, beta * np.exp(-zeta * a), modulation=modulation)
+
+        def v(t):
+            # 0 while |sin| <= 1/2; peaks at push/2 times the bond mass
+            s = math.sin(2.0 * math.pi * t)
+            return push * beta / zeta * math.copysign(max(abs(s) - 0.5, 0.0), s)
+
+        dt = 1e-2
+        z = solve_mm(psi, kernel(1.0), v, ConstantPast(z0),
+                     SolverConfig(eps=eps, T=1.0, dt=dt)).values
+        y = solve_mm(psi, kernel(eps), lambda s: v(eps * s),
+                     ConstantPast(z0 / eps),
+                     SolverConfig(eps=1.0, T=1.0 / eps, dt=dt / eps)).values
+        steps = np.diff(z)
+        assert np.any(steps > 0.0) and np.any(steps < 0.0)
+        assert np.any(steps == 0.0)
+        np.testing.assert_allclose(z, eps * y, rtol=0.0, atol=1e-14)
 
 
 class TestCertificates:
