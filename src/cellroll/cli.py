@@ -34,7 +34,7 @@ from .experiments import (_check_eps_list, convergence_study,
                           longtime_study, velocity_force_sweep)
 from .history import write_trajectory_csv
 from .kernels import Exponential
-from .memory import age_step, step_count
+from .memory import _MAX_NODES, age_step, step_count
 from .oracles import (kinematic_trajectory, kinematic_velocity,
                       plastic_trajectory)
 from .potentials import AbsoluteValue, Quadratic, Tether
@@ -152,14 +152,14 @@ def _run_gamma(args) -> int:
     kernel = _gamma_kernel(args)
     if args.sweep is not None:
         lo, hi, count = args.sweep
-        n = int(round(count))
-        if n < 2:
-            raise ConfigError("--sweep", "need at least 2 grid points")
+        if not (count.is_integer() and 2 <= count < _MAX_NODES):
+            raise ConfigError("--sweep", f"N must be an integer from 2 to "
+                              f"{_MAX_NODES - 1}, got {count:g}")
         if not lo < hi:
             raise ConfigError("--sweep", "need LO < HI")
         if not isinstance(psi, AbsoluteValue):
             raise ConfigError("--psi", "the sweep law is for the abs potential")
-        report = velocity_force_sweep(kernel, np.linspace(lo, hi, n))
+        report = velocity_force_sweep(kernel, np.linspace(lo, hi, int(count)))
         report.to_csv(args.out)
         print(report.summary())
         return 0 if report.passed else 1

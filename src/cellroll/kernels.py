@@ -32,9 +32,6 @@ class Kernel:
 
     a_max: float
     modulation = None
-    # rate zeta of a static profile c e^{-zeta a}: a memory sum over the
-    # tied age grid then obeys a one-step recurrence
-    _decay_rate = None
 
     @property
     def time_dependent(self) -> bool:
@@ -107,15 +104,6 @@ class Exponential(Kernel):
 
     def _rho(self, a):
         return self.beta * np.exp(-self.zeta * a)
-
-    @property
-    def _decay_rate(self):
-        # a subclass that redefines the profile, or a kernel that varies in
-        # time, does not inherit the claim
-        cls = type(self)
-        keeps = all(getattr(cls, name) is getattr(Exponential, name)
-                    for name in ("_rho", "support", "eval"))
-        return self.zeta if keeps and not self.time_dependent else None
 
     def _mass(self, x):
         return (self.beta / self.zeta) * -np.expm1(-self.zeta * x)

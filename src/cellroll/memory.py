@@ -63,12 +63,6 @@ class Memory:
     age cutoff), the window at time t stops before the first age
     a_j >= support(t). So a bond exactly t old is dropped here, although
     ``Kernel.eval`` counts it (a <= t).
-
-    On a static exponential kernel ``_ratio`` is r = e^{-zeta da}, so
-    rho(a_{j+1}) = r rho(a_j) at every age, and None on any other kernel.
-    With it ``solve_smooth`` advances the memory force of quadratic psi in
-    O(1) per step; any other kernel costs one dot over the J + 1 ages, and
-    any other psi J + 1 evaluations of psi'.
     """
 
     def __init__(self, kernel: Kernel, eps: float, dt: float, rule: str):
@@ -84,8 +78,6 @@ class Memory:
         self._static = None
         if kernel.modulation is None:
             self._static = self._quad * kernel.eval(self.ages[::-1], math.inf)
-        rate = kernel._decay_rate
-        self._ratio = None if rate is None else math.exp(-rate * da)
         self._last = (None, None)  # (t, all weights at t) of a modulated kernel
         self._totals = {}  # lo -> ((age count, t or None), sum of the weights)
 

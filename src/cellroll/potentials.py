@@ -9,7 +9,6 @@ surrogate with the same global Lipschitz constant.
 """
 from __future__ import annotations
 
-import functools
 import math
 
 import numpy as np
@@ -44,8 +43,6 @@ class Potential:
     breakpoints: tuple = ()
     lipschitz_L: float = math.inf
     lipschitz_Lprime: float = math.inf
-    # psi'(u) = u, so a memory force is linear in the anchors
-    _slope_is_identity: bool = False
 
     def value(self, u):
         raise NotImplementedError
@@ -69,23 +66,6 @@ class Potential:
             )
         return lo
 
-    @functools.cached_property
-    def _full_line_kinks(self):
-        """Kinks k, slope jumps ds > 0 and L of a piecewise-linear psi.
-
-        psi'(u) = -L + sum_k ds_k H(u - k) on the full line, built once from
-        the right-half profile that ``_half_line_form`` returns.
-        """
-        hk, hs = self._half_line_form()
-        pos = hk[1:]
-        jumps_pos = np.diff(hs)
-        kinks = np.concatenate((-pos[::-1], [0.0], pos))
-        jumps = np.concatenate((jumps_pos[::-1], [2.0 * hs[0]], jumps_pos))
-        keep = jumps > 0
-        kinks, jumps = kinks[keep], jumps[keep]
-        kinks.flags.writeable = jumps.flags.writeable = False
-        return kinks, jumps, float(hs[-1])
-
 
 class Quadratic(Potential):
     """psi(u) = u^2 / 2, the linear-spring energy."""
@@ -101,13 +81,6 @@ class Quadratic(Potential):
         return np.asarray(u, dtype=float)
 
     subdiff_hi = subdiff_lo
-
-    @property
-    def _slope_is_identity(self):
-        # a subclass that redefines the slope does not inherit the claim
-        cls = type(self)
-        return (cls.subdiff_lo is Quadratic.subdiff_lo
-                and cls.derivative is Potential.derivative)
 
     def __repr__(self):
         return "Quadratic()"
@@ -143,31 +116,6 @@ class Tether(Potential):
         return f"Tether(r={self.r})"
 
 
-class AbsoluteValue(Potential):
-    """psi(u) = |u|: constant force away from rest, set-valued at 0."""
-
-    breakpoints = (0.0,)
-    lipschitz_L = 1.0
-    lipschitz_Lprime = 0.0
-
-    def value(self, u):
-        return np.abs(np.asarray(u, dtype=float))
-
-    def subdiff_lo(self, u):
-        u = np.asarray(u, dtype=float)
-        return np.where(u == 0.0, -1.0, np.sign(u))
-
-    def subdiff_hi(self, u):
-        u = np.asarray(u, dtype=float)
-        return np.where(u == 0.0, 1.0, np.sign(u))
-
-    def _half_line_form(self):
-        return np.array([0.0]), np.array([1.0])
-
-    def __repr__(self):
-        return "AbsoluteValue()"
-
-
 class PiecewiseLinear(Potential):
     """Even convex piecewise-linear psi given by its right-half profile.
 
@@ -179,6 +127,11 @@ class PiecewiseLinear(Potential):
         N + 1 slopes, nondecreasing with slopes[0] >= 0; slopes[i] applies on
         (b_i, b_{i+1}) with b_0 = 0. The left half follows by evenness, which
         adds a kink at 0 whenever slopes[0] > 0.
+
+    The profile is stored on the full line: ``_knots`` -b_N .. b_N with the
+    values ``_kvals`` of psi there, and ``_slopes[i]`` on
+    (``_knots[i-1]``, ``_knots[i]``). ``_kink_table`` holds the kinks k with
+    slope jumps ds > 0 and L, so psi'(u) = -L + sum_k ds_k H(u - k).
     """
 
     lipschitz_Lprime = 0.0
@@ -192,45 +145,49 @@ class PiecewiseLinear(Potential):
             raise ValueError("breaks must be strictly increasing and positive")
         if hs[0] < 0 or np.any(np.diff(hs) < 0):
             raise ValueError("slopes must be nondecreasing with slopes[0] >= 0")
-        self._knots = np.concatenate(([0.0], hb))
-        self._slopes = hs
-        self._kvals = np.concatenate(([0.0], np.cumsum(hs[:-1] * np.diff(self._knots))))
+        kvals = np.concatenate(([0.0], np.cumsum(hs[:-1] * np.diff(hb, prepend=0.0))))
+        self._knots = np.concatenate((-hb[::-1], [0.0], hb))
+        self._kvals = np.concatenate((kvals[:0:-1], kvals))
+        self._slopes = np.concatenate((-hs[::-1], hs))
         self.lipschitz_L = float(hs[-1])
-        pos = [float(b) for b in hb[np.nonzero(np.diff(hs) > 0)[0]]] if hb.size else []
-        neg = [-b for b in pos[::-1]]
-        zero = [0.0] if hs[0] > 0 else []
-        self.breakpoints = tuple(neg + zero + pos)
+        jumps = np.diff(self._slopes)
+        self._kink_table = (self._knots[jumps > 0], jumps[jumps > 0], self.lipschitz_L)
+        self.breakpoints = tuple(self._kink_table[0].tolist())
 
     def value(self, u):
         x = np.abs(np.asarray(u, dtype=float))
         i = np.searchsorted(self._knots, x, side="right") - 1
-        return self._kvals[i] + self._slopes[i] * (x - self._knots[i])
-
-    def _slope_right(self, x):
-        return self._slopes[np.searchsorted(self._knots, x, side="right") - 1]
-
-    def _slope_left(self, x):
-        # left limit of psi' on the half line; only valid for x > 0
-        i = np.searchsorted(self._knots, x, side="left") - 1
-        return self._slopes[np.maximum(i, 0)]
+        return self._kvals[i] + self._slopes[i + 1] * (x - self._knots[i])
 
     def subdiff_lo(self, u):
+        return self._slopes[np.searchsorted(self._knots, u, side="left")]
+
+    def subdiff_hi(self, u):
+        return self._slopes[np.searchsorted(self._knots, u, side="right")]
+
+    def __repr__(self):
+        n = self._knots.size // 2
+        return (f"PiecewiseLinear(breaks={tuple(self._knots[n + 1:])}, "
+                f"slopes={tuple(self._slopes[n + 1:])})")
+
+
+class AbsoluteValue(PiecewiseLinear):
+    """psi(u) = |u|: constant force away from rest, set-valued at 0."""
+
+    def __init__(self):
+        super().__init__((), (1.0,))
+
+    # np.sign is cheaper than the table lookup on the solvers' hot path
+    def subdiff_lo(self, u):
         u = np.asarray(u, dtype=float)
-        x = np.abs(u)
-        lo = np.where(u > 0, self._slope_left(x), -self._slope_right(x))
-        return np.where(u == 0.0, -self._slopes[0], lo)
+        return np.where(u == 0.0, -1.0, np.sign(u))
 
     def subdiff_hi(self, u):
         u = np.asarray(u, dtype=float)
-        x = np.abs(u)
-        hi = np.where(u > 0, self._slope_right(x), -self._slope_left(x))
-        return np.where(u == 0.0, self._slopes[0], hi)
-
-    def _half_line_form(self):
-        return self._knots.copy(), self._slopes.copy()
+        return np.where(u == 0.0, 1.0, np.sign(u))
 
     def __repr__(self):
-        return f"PiecewiseLinear(breaks={tuple(self._knots[1:])}, slopes={tuple(self._slopes)})"
+        return "AbsoluteValue()"
 
 
 def _bump_raw(y):
@@ -308,7 +265,7 @@ class Mollified(Potential):
     def __init__(self, base: Potential, delta: float):
         self.base = base
         self.delta = float(delta)
-        self._kinks, self._jumps, self._L = base._full_line_kinks
+        self._kinks, self._jumps, self._L = base._kink_table
         tb = _tables()
         self._tb = tb
         self._iconsts = tb.icdf_eval(-self._kinks / self.delta)

@@ -20,7 +20,7 @@ from .errors import NumericalError
 from .history import Trajectory
 from .kernels import Kernel
 from .memory import as_drive, step_count
-from .potentials import Potential
+from .potentials import PiecewiseLinear, Potential
 
 __all__ = ["limit_velocity", "integrate_limit"]
 
@@ -32,8 +32,10 @@ def _force_selections(psi, kernel, t):
 
     Everything that does not depend on w is computed here, once per equation.
     """
-    if hasattr(psi, "_half_line_form"):
-        hk, hs = psi._half_line_form()
+    if isinstance(psi, PiecewiseLinear):
+        # the right half of the even profile: knots 0 .. b_N, their slopes
+        n = psi._knots.size // 2
+        hk, hs = psi._knots[n:], psi._slopes[n + 1:]
         total = float(kernel.cummass(kernel.a_max, t))
         band = float(hs[0]) * total
 

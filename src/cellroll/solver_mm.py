@@ -22,7 +22,7 @@ from .errors import NumericalError
 from .history import PastData, Trajectory
 from .kernels import Kernel
 from .memory import Memory, as_drive, step_count
-from .potentials import Potential
+from .potentials import PiecewiseLinear, Potential
 from .solver_limit import _increasing_root
 from .solver_smooth import SolverConfig
 
@@ -74,7 +74,7 @@ def minimize_step(e: StepEnergy) -> float:
     exactly, and the slope bound 1/dt puts the root within dt*|g(z)| of z,
     on the side where g changes sign.
 
-    * piecewise-linear psi (``AbsoluteValue``, ``PiecewiseLinear``): the
+    * ``PiecewiseLinear`` psi, ``AbsoluteValue`` included: the
       subgradient is piecewise linear in w with kinks at anchors + eps * k.
       The probe at z sums every kink on the far side of z from the root,
       so one sorted sweep over the kinks on the root's side finds it
@@ -83,7 +83,7 @@ def minimize_step(e: StepEnergy) -> float:
       where their spacing is wider.
     """
     z = float(e.previous)
-    if not hasattr(e.psi, "_half_line_form"):
+    if not isinstance(e.psi, PiecewiseLinear):
         one = len(e.psi.breakpoints) == 0  # then subdiff_hi = subdiff_lo
         g = lambda w: (s := e.subgrad_lo(w), s if one else e.subgrad_hi(w))
         return _increasing_root(g, z, float(e.dt), 1e-11)
@@ -106,7 +106,7 @@ def _kink_sweep(e: StepEnergy, y: float) -> float:
     to sweep. The comparison is the probe's own, so a rounding tie is
     counted exactly once. With no such kink, g is linear on that side.
     """
-    kinks, jumps, _ = e.psi._full_line_kinks
+    kinks, jumps, _ = e.psi._kink_table
     dt = float(e.dt)
     z = float(e.previous)
     up = y < 0.0

@@ -9,6 +9,7 @@ import time
 import numpy as np
 from scipy.integrate import quad
 
+from cellroll import solver_smooth
 from cellroll.cli import main as cli_main
 from cellroll.experiments import convergence_study, longtime_study
 from cellroll.history import (ConstantPast, LinearPast, TabulatedPast,
@@ -73,19 +74,22 @@ def test_velocity_force_diagram_matches_law(capsys, tmp_path):
                f"{band.size} pinned points exactly 0")
 
 
-def test_zero_drive_final_position(capsys):
+def test_zero_drive_final_position(capsys, monkeypatch):
     past = LinearPast(1.0, 1.0)
     cfg = SolverConfig(eps=1.0, T=40.0, dt=1e-3)
     kernel = Exponential(1.0, 1.0)
+    running = []
+    seed = solver_smooth._running_force
+    monkeypatch.setattr(solver_smooth, "_running_force",
+                        lambda *args: running.append(args) or seed(*args))
     start = time.perf_counter()
     traj = solve_smooth(Quadratic(), kernel, 0.0, past, cfg)
     elapsed = time.perf_counter() - start
     steps = traj.values.size - 1
-    memory = Memory(kernel, cfg.eps, cfg.dt, "trapezoid")
-    ages = memory.ages.size
-    # quadratic psi on a static exponential kernel runs on the running sum
+    ages = Memory(kernel, cfg.eps, cfg.dt, "trapezoid").ages.size
+    # quadratic psi on an exponential kernel runs on the running sum
     work = (f"one {ages}-age dot, then {steps} O(1) steps"
-            if memory._ratio is not None else f"{steps} steps x {ages} ages")
+            if running else f"{steps} steps x {ages} ages")
     target = quadratic_final_position(1.0, 1.0, past)
     err = abs(float(traj.values[-1]) - target)
     ok = err < 1e-2

@@ -95,6 +95,17 @@ class TestGamma:
         assert code == 2
         assert "--sweep" in err
 
+    @pytest.mark.parametrize("count", ["1e300", "2.5"])
+    def test_sweep_size_must_be_an_indexable_integer(self, capsys,
+                                                     monkeypatch, count):
+        # the check comes before the drive grid exists, so nothing of that
+        # size is allocated
+        monkeypatch.setattr(np, "linspace",
+                            lambda *args, **kwargs: pytest.fail("grid built"))
+        code, _, err = run(capsys, "gamma", "--sweep", "-3", "3", count)
+        assert code == 2
+        assert err.startswith("config error: --sweep: N must be an integer")
+
     def test_tether_requires_radius(self, capsys):
         code, _, err = run(capsys, "gamma", "--psi", "tether", "--v", "1")
         assert code == 2

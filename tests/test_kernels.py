@@ -53,18 +53,6 @@ class TestExponential:
         k = Exponential(1.0, 1.0)
         assert k.time_dependent is False
 
-    def test_decay_rate_only_for_the_static_exponential_profile(self):
-        assert Exponential(1.0, 0.7)._decay_rate == 0.7
-        assert TruncatedExponential(1.0, 0.7)._decay_rate is None
-        assert Tabulated([0.0, 1.0], [1.0, 0.0])._decay_rate is None
-
-    @pytest.mark.parametrize("name", ["_rho", "support", "eval"])
-    def test_subclass_that_redefines_the_profile_has_no_decay_rate(self, name):
-        inherited = getattr(Exponential, name)
-        cls = type("Redefined", (Exponential,),
-                   {name: lambda self, *args: inherited(self, *args)})
-        assert cls(1.0, 0.7)._decay_rate is None
-
 
 class TestTruncatedExponential:
     def test_eval_cuts_old_bonds(self):

@@ -8,6 +8,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from cellroll.errors import BreakpointCollisionError
@@ -105,6 +107,95 @@ class TestCatalogValues:
             for f in (psi.value, psi.subdiff_lo, psi.subdiff_hi):
                 got = [float(f(x)) for x in u]
                 assert got == list(f(u))
+
+
+def half_line_subgradients(breaks, slopes, u):
+    """(lo, hi) of psi at u from the right-half profile, mirrored by evenness.
+
+    The reference for the full-line table: at x = |u| > 0 the left slope is
+    that of the last knot below x and the right slope that of the last knot
+    at or below x; u < 0 takes the negated opposite side, and u = 0 gives
+    -+slopes[0].
+    """
+    knots = np.concatenate(([0.0], np.asarray(breaks, dtype=float)))
+    slopes = np.asarray(slopes, dtype=float)
+    u = np.asarray(u, dtype=float)
+    x = np.abs(u)
+    right = slopes[np.searchsorted(knots, x, side="right") - 1]
+    left = slopes[np.maximum(np.searchsorted(knots, x, side="left") - 1, 0)]
+    lo = np.where(u > 0, left, -right)
+    hi = np.where(u > 0, right, -left)
+    return (np.where(u == 0.0, -slopes[0], lo),
+            np.where(u == 0.0, slopes[0], hi))
+
+
+@st.composite
+def profiles(draw):
+    """(breaks, slopes) with zero steps: slopes[0] = 0 and repeated slopes."""
+    breaks = sorted(draw(st.sets(st.floats(0.05, 3.0), max_size=4)))
+    steps = draw(st.lists(st.one_of(st.just(0.0), st.floats(0.0, 2.0)),
+                          min_size=len(breaks) + 1, max_size=len(breaks) + 1))
+    slopes = np.cumsum(steps)
+    if slopes[-1] == 0.0:
+        slopes[-1] = 1.0
+    return breaks, slopes
+
+
+def probe_points(breaks, draw):
+    """Both signs of zero and infinity, every knot and its float neighbours,
+    and drawn points."""
+    b = np.asarray(breaks, dtype=float)
+    knots = np.concatenate((b, np.nextafter(b, 0.0), np.nextafter(b, np.inf)))
+    drawn = draw(st.lists(st.floats(-4.0, 4.0), max_size=8))
+    u = np.concatenate(([0.0, 5e-324, np.inf], knots, drawn))
+    return np.concatenate((u, -u))
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestPiecewiseLinearTable:
+    """The full-line table against the half-line formula, on random
+    profiles; every comparison is bitwise, signed zeros included."""
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(profile=profiles(), data=st.data())
+    def test_matches_the_half_line_reference(self, profile, data):
+        breaks, slopes = profile
+        psi = PiecewiseLinear(breaks, slopes)
+        u = probe_points(breaks, data.draw)
+        lo, hi = half_line_subgradients(breaks, slopes, u)
+        assert same_bits(psi.subdiff_lo(u), lo)
+        assert same_bits(psi.subdiff_hi(u), hi)
+        # exact oddness: the lower slope at -u is minus the upper one at u
+        assert same_bits(psi.subdiff_lo(-u), -psi.subdiff_hi(u))
+        kinks, jumps, L = psi._kink_table
+        assert psi.breakpoints == tuple(kinks)
+        assert np.all(jumps > 0.0) and L == slopes[-1] == psi.lipschitz_L
+        # the kinks are where lo and hi differ, among the knots
+        at = np.concatenate((-np.asarray(breaks[::-1]), [0.0], breaks))
+        lo_at, hi_at = half_line_subgradients(breaks, slopes, at)
+        assert same_bits(kinks, at[lo_at != hi_at])
+        if psi.breakpoints:
+            smooth = mollify(psi, data.draw(st.floats(0.05, 0.5)))
+            u = u[np.isfinite(u)]
+            assert same_bits(smooth.value(-u), smooth.value(u))
+            # odd up to the sign of a zero slope
+            np.testing.assert_array_equal(smooth.subdiff_lo(-u),
+                                          -smooth.subdiff_lo(u))
+
+    @settings(max_examples=50, derandomize=True, deadline=None)
+    @given(data=st.data())
+    def test_absolute_value_is_the_one_slope_profile(self, data):
+        abs_psi, table = AbsoluteValue(), PiecewiseLinear((), (1.0,))
+        u = probe_points([], data.draw)
+        for name in ("value", "subdiff_lo", "subdiff_hi"):
+            assert same_bits(getattr(abs_psi, name)(u), getattr(table, name)(u))
+        assert abs_psi.breakpoints == table.breakpoints == (0.0,)
+        for a, b in zip(abs_psi._kink_table, table._kink_table):
+            assert same_bits(a, b)
 
 
 class TestConvexityContract:

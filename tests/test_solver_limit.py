@@ -207,8 +207,8 @@ class TestAgainstBisection:
         w = limit_velocity(psi, kernel, v, t)
         assert abs(w - limit_velocity_bisect(psi, kernel, v, t)) <= 1e-11
         assert_certified(psi, kernel, v, t, w, TOL)
-        if hasattr(psi, "_half_line_form"):
-            band = psi._half_line_form()[1][0] * float(
+        if isinstance(psi, PiecewiseLinear):
+            band = float(psi.subdiff_hi(0.0)) * float(
                 kernel.cummass(kernel.a_max, t))
             if abs(v) <= band:
                 assert w == 0.0
@@ -255,7 +255,7 @@ def force_evaluations(psi, kernel):
     """Force evaluations so far: psi.derivative calls on the Simpson path; on
     the kinked path every probe off w = 0 takes one cummass call, the probe
     at w = 0 none, and one more call gives the total mass."""
-    if hasattr(psi, "_half_line_form"):
+    if isinstance(psi, PiecewiseLinear):
         return kernel.cummasses
     return psi.calls
 

@@ -63,7 +63,7 @@ def minimize_step_full_sort(e):
     z = float(e.previous)
     if e.subgrad_lo(z) <= 0.0 <= e.subgrad_hi(z):
         return z
-    kinks, jumps, L = e.psi._full_line_kinks
+    kinks, jumps, L = e.psi._kink_table
     points = (e.anchors[:, None] + e.eps * kinks).ravel()
     order = np.argsort(points)
     p = points[order]
@@ -234,6 +234,36 @@ class TestStructuredStep:
         # a step up takes one g_hi pass at the previous node; a step down or
         # a stuck step adds one g_lo pass there
         assert psi.calls + psi.hi_calls == 2 * steps.size - ups
+
+
+class TestPathSelection:
+    """The kink sweep runs for AbsoluteValue, PiecewiseLinear and their
+    subclasses, and never for a smooth psi, which ITP solves."""
+
+    @pytest.mark.parametrize("psi, sweeps", [
+        (AbsoluteValue(), True),
+        (PiecewiseLinear([0.5], [0.3, 1.0]), True),
+        (type("Counted", (Counting, AbsoluteValue), {})(), True),
+        (type("Counted", (Counting, PiecewiseLinear), {})([0.5], [0.0, 1.0]),
+         True),
+        (Quadratic(), False),
+        (Tether(0.5), False),
+        (mollify(AbsoluteValue(), 0.2), False),
+    ], ids=["abs", "piecewise", "abs-sub", "piecewise-sub", "quadratic",
+            "tether", "mollified"])
+    def test_kink_sweep_only_for_piecewise_linear(self, monkeypatch, psi,
+                                                  sweeps):
+        calls = {"_kink_sweep": 0, "_increasing_root": 0}
+        for name in calls:
+            def counted(*args, _name=name, _f=getattr(solver_mm, name)):
+                calls[_name] += 1
+                return _f(*args)
+            monkeypatch.setattr(solver_mm, name, counted)
+        # the drive exceeds the bond mass, so none of the 10 steps sticks
+        cfg = SolverConfig(eps=0.5, T=0.1, dt=1e-2)
+        solve_mm(psi, Exponential(1.0, 1.0), 1.5, ConstantPast(0.0), cfg)
+        swept, rooted = calls["_kink_sweep"], calls["_increasing_root"]
+        assert (swept, rooted) == ((10, 0) if sweeps else (0, 10))
 
 
 class TestSmoothStep:

@@ -177,10 +177,6 @@ class TestLinearForce:
     @pytest.mark.parametrize("eps", [1.0, 0.3])
     @pytest.mark.parametrize("scheme", ["euler", "heun"])
     def test_matches_the_per_age_sum(self, kernel, eps, scheme):
-        assert Quadratic()._slope_is_identity
-        assert not LinearSlope()._slope_is_identity
-        running = Memory(KERNELS[kernel](), eps, 1e-2, "trapezoid")._ratio
-        assert (running is not None) == (kernel == "exponential")
         fast = self.solve(Quadratic(), KERNELS[kernel](), eps, scheme)
         ref = self.solve(LinearSlope(), KERNELS[kernel](), eps, scheme)
         np.testing.assert_allclose(fast, ref, rtol=0.0, atol=1e-12)
@@ -208,7 +204,6 @@ class TestLinearForce:
 
     @pytest.mark.parametrize("scheme", ["euler", "heun"])
     def test_subclass_that_redefines_the_slope_sums_per_age(self, scheme):
-        assert not DoubledQuadratic()._slope_is_identity
         kernel = Exponential(1.0, 1.0)
         got = self.solve(DoubledQuadratic(), kernel, 0.3, scheme)
         ref = self.solve(LinearSlope(2.0), kernel, 0.3, scheme)
@@ -218,9 +213,7 @@ class TestLinearForce:
 
     @pytest.mark.parametrize("scheme", ["euler", "heun"])
     def test_subclass_that_redefines_the_profile_takes_the_dot(self, scheme):
-        assert Exponential(1.0, 1.0)._decay_rate == 1.0
         kernel = BumpedExponential(1.0, 1.0, a_max=8.0)
-        assert kernel._decay_rate is None
         got = self.solve(Quadratic(), kernel, 0.3, scheme)
         ref = self.solve(LinearSlope(), kernel, 0.3, scheme)
         np.testing.assert_allclose(got, ref, rtol=0.0, atol=1e-12)
@@ -229,26 +222,73 @@ class TestLinearForce:
         assert np.max(np.abs(got - plain)) > 1e-3
 
 
+class SupportRedefined(Exponential):
+    def support(self, t):
+        return super().support(t)
+
+
+class EvalRedefined(Exponential):
+    def eval(self, a, t):
+        return super().eval(a, t)
+
+
+class TestPathSelection:
+    """The running sum runs for Quadratic psi on an Exponential kernel and
+    for no subclass of either, whatever the subclass redefines."""
+
+    @pytest.mark.parametrize("psi, kernel, running", [
+        (Quadratic(), Exponential(1.0, 1.0), True),
+        (DoubledQuadratic(), Exponential(1.0, 1.0), False),
+        (LinearSlope(), Exponential(1.0, 1.0), False),
+        (Tether(0.5), Exponential(1.0, 1.0), False),
+        (Quadratic(), BumpedExponential(1.0, 1.0, a_max=8.0), False),
+        (Quadratic(), SupportRedefined(1.0, 1.0), False),
+        (Quadratic(), EvalRedefined(1.0, 1.0), False),
+        (Quadratic(), TruncatedExponential(1.0, 1.0), False),
+        (Quadratic(), Tabulated(np.linspace(0.0, 6.0, 301),
+                                np.exp(-np.linspace(0.0, 6.0, 301))), False),
+        (Quadratic(), modulated_kernel(), False),
+    ], ids=["quadratic", "doubled", "linear-slope", "tether", "bumped",
+            "support", "eval", "truncated", "tabulated", "modulated"])
+    def test_running_sum_only_for_quadratic_on_exponential(
+            self, monkeypatch, psi, kernel, running):
+        calls = []
+        seed = solver_smooth._running_force
+        monkeypatch.setattr(solver_smooth, "_running_force",
+                            lambda *args: calls.append(args) or seed(*args))
+        cfg = SolverConfig(eps=0.5, T=0.1, dt=1e-2)
+        solve_smooth(psi, kernel, 0.5, LinearPast(1.0, 0.5), cfg)
+        assert len(calls) == running
+
+
 class TestEpsScaling:
     """y(s) = z(eps s)/eps solves the eps = 1 problem on [0, T/eps] with past
     z_p(eps s)/eps, drive v(eps s) and kernel rho(a, eps s).
 
     On the tied grid (da = dt/eps in both) the two solves take the same
     steps, so they agree to rounding: over 300 random draws from the ranges
-    below the largest |z - eps y| was 8.9e-16 on the running sum (static
-    ``Exponential``) and 1.3e-15 on the dot (static and modulated
-    ``Tabulated``), at |z| <= 3.
+    below the largest |z - eps y| was 8.9e-16 on the running sum (quadratic
+    psi, static ``Exponential``) and 1.3e-15 on the dot (static and
+    modulated ``Tabulated``), at |z| <= 3. The stretch (z - z(t - eps a))/eps
+    is the same in both, so the per-age sum of any other psi' scales too:
+    over 240 draws at most 1.8e-15. The mollifier width 0.5 keeps the
+    explicit step stable at eps = 0.1; at width 0.2 the steepest slope of
+    psi' makes it unstable there, and the rounding grows to 5e-12.
     """
 
-    @settings(max_examples=60, derandomize=True, deadline=None)
-    @given(eps=st.sampled_from([0.1, 0.3, 0.5, 2.0]),
+    @settings(max_examples=120, derandomize=True, deadline=None)
+    @given(psi=st.sampled_from([
+               Quadratic(), Tether(0.5), mollify(AbsoluteValue(), 0.5),
+               mollify(PiecewiseLinear([1.0], [0.3, 2.0]), 0.5)]),
+           eps=st.sampled_from([0.1, 0.3, 0.5, 2.0]),
            kind=st.sampled_from(["exponential", "tabulated", "modulated"]),
            scheme=st.sampled_from(["euler", "heun"]),
            beta=st.floats(0.2, 2.0), zeta=st.floats(0.5, 2.0),
            slope=st.floats(-1.0, 1.0), intercept=st.floats(-1.0, 1.0),
            v0=st.floats(-2.0, 2.0), v1=st.floats(-2.0, 2.0))
-    def test_scaled_problem_agrees_to_rounding(self, eps, kind, scheme, beta,
-                                               zeta, slope, intercept, v0, v1):
+    def test_scaled_problem_agrees_to_rounding(self, psi, eps, kind, scheme,
+                                               beta, zeta, slope, intercept,
+                                               v0, v1):
         a = np.linspace(0.0, 4.0, 41)
 
         def kernel(scale):
@@ -260,11 +300,11 @@ class TestEpsScaling:
             return Tabulated(a, beta * np.exp(-zeta * a), modulation=modulation)
 
         dt = 1e-2
-        z = solve_smooth(Quadratic(), kernel(1.0),
+        z = solve_smooth(psi, kernel(1.0),
                          lambda t: v0 + v1 * math.sin(t),
                          LinearPast(slope, intercept),
                          SolverConfig(eps=eps, T=1.0, dt=dt, scheme=scheme))
-        y = solve_smooth(Quadratic(), kernel(eps),
+        y = solve_smooth(psi, kernel(eps),
                          lambda s: v0 + v1 * math.sin(eps * s),
                          LinearPast(slope, intercept / eps),
                          SolverConfig(eps=1.0, T=1.0 / eps, dt=dt / eps,
