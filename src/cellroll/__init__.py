@@ -12,7 +12,7 @@ from .errors import (BreakpointCollisionError, CellrollError, ConfigError,
 from .experiments import (StudyReport, convergence_study, longtime_study,
                           velocity_force_sweep)
 from .history import (ConstantPast, LinearPast, PastData, TabulatedPast,
-                      Trajectory, initial_stretch, write_trajectory_csv)
+                      Trajectory, write_trajectory_csv)
 from .kernels import Exponential, Kernel, Tabulated, TruncatedExponential
 from .oracles import (PlasticProfile, gamma_abs, kinematic_trajectory,
                       kinematic_velocity, plastic_trajectory,
@@ -32,9 +32,9 @@ __all__ = [
     "PlasticProfile", "Potential", "Quadratic", "SolverConfig", "StepEnergy",
     "StudyReport", "Tabulated", "TabulatedPast", "Tether",
     "TruncatedExponential", "Trajectory", "convergence_study", "gamma_abs",
-    "initial_stretch", "integrate_limit", "kinematic_trajectory",
-    "kinematic_velocity", "limit_velocity", "longtime_study",
-    "minimize_step", "mollify", "plastic_trajectory",
-    "quadratic_final_position", "solve_mm", "solve_smooth", "step_energy",
-    "velocity_force_sweep", "write_trajectory_csv",
+    "integrate_limit", "kinematic_trajectory", "kinematic_velocity",
+    "limit_velocity", "longtime_study", "minimize_step", "mollify",
+    "plastic_trajectory", "quadratic_final_position", "solve_mm",
+    "solve_smooth", "step_energy", "velocity_force_sweep",
+    "write_trajectory_csv",
 ]

@@ -289,8 +289,9 @@ def main(argv=None) -> int:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 1
     except MemoryError as exc:
-        # step_count only refuses counts no array can index
-        print(f"out of memory: {exc}; lower T/dt", file=sys.stderr)
+        # the count checks only refuse sizes that no array can index
+        knob = "--sweep N" if args.command == "gamma" else "T/dt"
+        print(f"out of memory: {exc}; lower {knob}", file=sys.stderr)
         return 1
     except ValueError as exc:
         # bad input is rejected as a ConfigError before any solve starts

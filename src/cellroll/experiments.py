@@ -73,7 +73,8 @@ def convergence_study(psi: Potential, kernel: Kernel, v, past: PastData,
 
     Smooth potentials are expected to converge at rate eps (errors strictly
     decreasing down the list); kinked potentials at rate eps|ln eps|, checked
-    as "last ratio <= 1.2 * first ratio" on e(eps)/(eps|ln eps|).
+    as "last ratio <= 1.2 * first ratio" on e(eps)/(eps|ln eps|). A given
+    ``final_bound`` also caps the error at the smallest eps, in every case.
     """
     eps_list = [float(e) for e in eps_list]
     _check_eps_list(eps_list, dt)
@@ -112,9 +113,9 @@ def convergence_study(psi: Potential, kernel: Kernel, v, past: PastData,
     else:
         criterion = "errors strictly decreasing along decreasing eps"
         passed = bool(np.all(np.diff(errs) < 0))
-        if final_bound is not None:
-            criterion += f"; final error <= {final_bound:g}"
-            passed = passed and bool(errs[-1] <= final_bound)
+    if final_bound is not None:
+        criterion += f"; final error <= {final_bound:g}"
+        passed = passed and bool(errs[-1] <= final_bound)
     return StudyReport("convergence", ("param", "metric", "fit"), rows,
                        criterion, passed, fit)
 

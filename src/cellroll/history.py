@@ -17,7 +17,6 @@ __all__ = [
     "LinearPast",
     "TabulatedPast",
     "Trajectory",
-    "initial_stretch",
 ]
 
 
@@ -87,12 +86,6 @@ class TabulatedPast(PastData):
 
     def __repr__(self):
         return f"TabulatedPast(n={self.tau_grid.size})"
-
-
-def initial_stretch(past: PastData, a):
-    """u_I(a) = z_p(0) - z_p(-a), the inherited elongation of an age-a bond."""
-    a = np.asarray(a, dtype=float)
-    return past.eval(np.zeros_like(a)) - past.eval(-a)
 
 
 class Trajectory:

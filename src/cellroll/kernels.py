@@ -1,8 +1,9 @@
-"""Linkage-age densities rho(a, t), their moments, and cumulative bond mass.
+"""Linkage-age densities rho(a, t) and their cumulative bond mass.
 
-Every kernel quantity (``eval``, ``profile``, ``cummass``, ``mu``,
-``mu_total`` and ``moment``) stops at the truncation horizon ``a_max``, so
-they all see the same bonds. The built-in exponential kinds default to an
+A kernel gives rho (``eval``), its mass on [0, x] (``cummass``) and the
+total mass mu_inf (``mu_total``); the static profile and its mass mu(t) are
+``eval(a, inf)`` and ``cummass(t, inf)``. All stop at the truncation horizon
+``a_max``, so they see the same bonds. The exponential kinds default to an
 ``a_max`` at which the neglected tail of (1 + a^2) rho is below 1e-10; a
 tabulated kernel defaults to the end of its grid. ``TruncatedExponential``
 also cuts ages older than t.
@@ -19,15 +20,15 @@ __all__ = ["Kernel", "Exponential", "TruncatedExponential", "Tabulated"]
 class Kernel:
     """Base class for age densities.
 
-    A kind supplies its profile ``_rho``, the profile's mass ``_mass(x)`` and
-    its moments ``_moment_to(x, p)`` (p = 1, 2) on [0, x] for x <= ``a_max``.
-    This class cuts them at ``support(t)``, the oldest age carrying bonds at
-    time t, and applies the optional time ``modulation``.
+    A kind supplies its profile ``_rho`` and the profile's mass ``_mass(x)``
+    on [0, x] for x <= ``a_max``. This class cuts them at ``support(t)``,
+    the oldest age carrying bonds at time t, and applies the optional time
+    ``modulation``.
 
     ``time_dependent`` is True when rho(a, t) genuinely varies with t: a
     modulated kernel, or a kind whose ``support(t)`` cuts ages (the
-    age-truncation indicator of ``TruncatedExponential``). Kinds with a
-    static underlying profile rho_inf still expose ``profile`` and ``mu``.
+    age-truncation indicator of ``TruncatedExponential``). A modulated
+    kernel has no value at t = inf, so every quantity there raises ValueError.
     """
 
     a_max: float
@@ -46,31 +47,13 @@ class Kernel:
         a = np.asarray(a, dtype=float)
         return self._modulated(np.where(a <= self.support(t), self._rho(a), 0.0), t)
 
-    def profile(self, a):
-        """rho_inf(a), the time-independent profile."""
-        self._require_static()
-        a = np.asarray(a, dtype=float)
-        return np.where(a <= self.a_max, self._rho(a), 0.0)
-
     def cummass(self, x, t):
         """int_0^x rho(a, t) da."""
         return self._modulated(self._mass(self._cap(x, t)), t)
 
-    def mu(self, t):
-        """Cumulative profile mass int_0^t rho_inf(a) da."""
-        self._require_static()
-        return self._mass(self._cap(t, math.inf))
-
     def mu_total(self) -> float:
         """Total bond mass int_0^a_max rho(a, inf) da."""
         return float(self._modulated(self._mass(self.a_max), math.inf))
-
-    def moment(self, t, p):
-        """int_0^inf a^p rho(a, t) da for p in {0, 1, 2}."""
-        if p not in (0, 1, 2):
-            raise ValueError("moment order p must be 0, 1, or 2")
-        x = self._cap(math.inf, t)
-        return float(self._modulated(self._mass(x) if p == 0 else self._moment_to(x, p), t))
 
     def _cap(self, x, t):
         """x clipped to [0, support(t)]."""
@@ -84,10 +67,6 @@ class Kernel:
             # mass are undefined
             raise ValueError("time-modulated kernel has no value at t = inf")
         return value * self.modulation(t)
-
-    def _require_static(self):
-        if self.modulation is not None:
-            raise ValueError("time-modulated kernel has no static profile")
 
 
 class Exponential(Kernel):
@@ -107,14 +86,6 @@ class Exponential(Kernel):
 
     def _mass(self, x):
         return (self.beta / self.zeta) * -np.expm1(-self.zeta * x)
-
-    def _moment_to(self, x, p):
-        # closed forms for int_0^x a^p beta e^{-zeta a} da
-        b, z = self.beta, self.zeta
-        y = np.minimum(z * x, 745.0)  # exp(-745) underflows; beyond it the tail is zero
-        if p == 1:
-            return (b / z**2) * (1.0 - np.exp(-y) * (1.0 + y))
-        return (2.0 * b / z**3) * (1.0 - np.exp(-y) * (1.0 + y + 0.5 * y * y))
 
     def __repr__(self):
         return f"Exponential(beta={self.beta}, zeta={self.zeta})"
@@ -146,7 +117,7 @@ class Tabulated(Kernel):
         interpolation between nodes, zero outside the grid.
     modulation:
         Optional callable m(t) >= 0 multiplying the profile. A modulated
-        kernel has no static profile, so ``profile``/``mu`` reject it.
+        kernel has no value at t = inf.
     a_max:
         Truncation horizon; defaults to the last grid age.
     """
@@ -176,22 +147,6 @@ class Tabulated(Kernel):
         x = np.clip(x, a[0], a[-1])
         i = np.clip(np.searchsorted(a, x, side="right") - 1, 0, a.size - 2)
         return self._cum[i] + 0.5 * (v[i] + np.interp(x, a, v)) * (x - a[i])
-
-    def _moment_to(self, x, p):
-        # exact for the interpolated density v_i + s tau on each segment
-        # [a_i, a_i + h]: the integral of (a_i + tau)^p (v_i + s tau)
-        a, v = self.a_grid, self.values
-        if x < a[-1]:
-            keep = a < x
-            a = np.append(a[keep], x)
-            v = np.append(v[keep], np.interp(x, self.a_grid, self.values))
-        h = np.diff(a)
-        s = np.diff(v) / h
-        # m[k] = int_0^h tau^k (v_i + s tau) dtau
-        m = [v[:-1] * h**(k + 1) / (k + 1) + s * h**(k + 2) / (k + 2)
-             for k in range(p + 1)]
-        return sum(math.comb(p, k) * a[:-1]**(p - k) * m[k]
-                   for k in range(p + 1)).sum()
 
     def __repr__(self):
         return f"Tabulated(n={self.a_grid.size}, a_max={self.a_max})"

@@ -92,7 +92,7 @@ class PlasticProfile:
 
     def zdot(self, t):
         t = np.asarray(t, dtype=float)
-        rate = np.maximum(abs(self.v_inf) - self.kernel.mu(t), 0.0)
+        rate = np.maximum(abs(self.v_inf) - self.kernel.cummass(t, math.inf), 0.0)
         return math.copysign(1.0, self.v_inf) * rate if self.v_inf != 0 else 0.0 * rate
 
     def z(self, t):
@@ -108,14 +108,14 @@ class PlasticProfile:
 
 def _invert_mu(kernel: Kernel, target: float, tol: float = 1e-12) -> float:
     hi = 1.0
-    while float(kernel.mu(hi)) < target:
+    while float(kernel.cummass(hi, math.inf)) < target:
         hi *= 2.0
         if hi > 1e12:
             raise ValueError("cumulative mass never reaches |v_inf|")
     lo = 0.0
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        if float(kernel.mu(mid)) < target:
+        if float(kernel.cummass(mid, math.inf)) < target:
             lo = mid
         else:
             hi = mid
@@ -136,7 +136,7 @@ def _mu_integral(kernel: Kernel, t):
         return cum
     tmax = float(np.max(t)) if t.size else 0.0
     grid = np.linspace(0.0, max(tmax, 1e-12), 100001)
-    mu = kernel.mu(grid)
+    mu = kernel.cummass(grid, math.inf)
     cum = np.concatenate(([0.0], np.cumsum(0.5 * (grid[1] - grid[0]) * (mu[1:] + mu[:-1]))))
     return np.interp(t, grid, cum)
 
@@ -153,7 +153,7 @@ def plastic_trajectory(v_inf: float, kernel: Kernel, z0: float) -> PlasticProfil
 
 def kinematic_velocity(v_inf: float, kernel: Kernel, t):
     """zdot(t) = v_inf - sgn(v_inf) mu_inf(t) in the rolling regime."""
-    return v_inf - math.copysign(1.0, v_inf) * kernel.mu(t)
+    return v_inf - math.copysign(1.0, v_inf) * kernel.cummass(t, math.inf)
 
 
 def kinematic_trajectory(v_inf: float, kernel: Kernel, z0: float, t):

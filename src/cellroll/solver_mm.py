@@ -155,7 +155,7 @@ def solve_mm(psi: Potential, kernel: Kernel, v, past: PastData,
     ----------
     psi : Potential
         Convex; kinks are handled exactly. Globally Lipschitz psi gives the
-        a priori velocity bound |zdot| <= sup|v| + L * moment0.
+        a priori velocity bound |zdot| <= sup|v| + L * (sum of the weights).
     kernel : Kernel
         Age density; its a_max caps the memory window.
     v : callable or float

@@ -12,8 +12,7 @@ from scipy.integrate import quad
 from cellroll import solver_smooth
 from cellroll.cli import main as cli_main
 from cellroll.experiments import convergence_study, longtime_study
-from cellroll.history import (ConstantPast, LinearPast, TabulatedPast,
-                              initial_stretch)
+from cellroll.history import ConstantPast, LinearPast, TabulatedPast
 from cellroll.kernels import Exponential, TruncatedExponential
 from cellroll.memory import Memory
 from cellroll.oracles import quadratic_final_position
@@ -161,7 +160,7 @@ def _suite_energy():
     zdot = traj.zdot()
     kinetic = float(np.sum(zdot**2) * cfg.dt)
     budget = quad(lambda a: kernel.eval(a, 0.0)
-                  * psi.value(initial_stretch(past, a)), 0, np.inf)[0]
+                  * psi.value(past.eval(0.0) - past.eval(-a)), 0, np.inf)[0]
     # zero drive: motion is funded by the inherited bond energy alone,
     # and the speed dies out (to exact zero once fully relaxed)
     speeds = np.abs(zdot[[2500, 5000, 10000]])

@@ -353,6 +353,17 @@ class TestFailureExits:
         assert code == 1
         assert err == "out of memory: Unable to allocate 72.8 TiB; lower T/dt\n"
 
+    def test_sweep_out_of_memory_names_the_sweep_size(self, capsys,
+                                                      monkeypatch):
+        # the sweep is stubbed, so nothing of a failing size is requested
+        def no_memory(kernel, v_grid):
+            raise MemoryError("Unable to allocate 7.11 PiB")
+
+        monkeypatch.setattr("cellroll.cli.velocity_force_sweep", no_memory)
+        code, _, err = run(capsys, "gamma", "--sweep", "-3", "3", "5")
+        assert code == 1
+        assert err == "out of memory: Unable to allocate 7.11 PiB; lower --sweep N\n"
+
 
 class TestStudyCommands:
     def test_converge_passes_and_echoes_study(self, capsys, tmp_path):
@@ -374,6 +385,22 @@ class TestStudyCommands:
         manifest = json.loads((tmp_path / "conv.manifest.json").read_text())
         assert manifest["study"] == {"eps_list": [0.4, 0.2, 0.1], "T": 1.0,
                                      "dt": 2e-3, "final_bound": 0.05}
+
+    def test_converge_kinked_study_fails_its_final_bound(self, capsys,
+                                                         tmp_path):
+        cfg_dict = quad_config()
+        del cfg_dict["solver"]
+        cfg_dict["model"]["potential"] = {"kind": "abs"}
+        cfg_dict["model"]["past"] = {"kind": "constant", "value": 0.0}
+        cfg_dict["model"]["v"] = {"kind": "constant", "value": 1.5}
+        cfg_dict["study"] = {"eps_list": [0.2, 0.1], "T": 0.2, "dt": 1e-3,
+                             "final_bound": 1e-9}
+        cfg = write_config(tmp_path / "conv.json", cfg_dict)
+        code, out, _ = run(capsys, "converge", "--config", cfg,
+                           "--out", str(tmp_path / "conv.csv"))
+        assert code == 1
+        assert out.startswith("FAIL convergence:")
+        assert "final error <= 1e-09" in out
 
     def test_converge_rejects_increasing_eps(self, capsys, tmp_path):
         cfg_dict = quad_config()

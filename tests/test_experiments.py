@@ -62,6 +62,21 @@ class TestConvergenceStudy:
         # without a fit the fitted column repeats the measured error
         assert report.rows[0][2] == report.rows[0][1]
 
+    @pytest.mark.parametrize("psi, eps_list", [
+        (AbsoluteValue(), [0.2, 0.1]),
+        (Quadratic(), [0.2]),
+    ], ids=["kinked", "single-point"])
+    def test_final_bound_applies_to_every_case(self, psi, eps_list):
+        kernel, past = Exponential(1.0, 1.0), ConstantPast(0.0)
+        free = convergence_study(psi, kernel, 1.5, past, eps_list, 0.2, 1e-3)
+        assert free.passed
+        assert "final error" not in free.criterion
+        report = convergence_study(psi, kernel, 1.5, past, eps_list, 0.2,
+                                   1e-3, final_bound=1e-9)
+        assert report.rows[-1][1] > 1e-9
+        assert not report.passed
+        assert report.criterion == free.criterion + "; final error <= 1e-09"
+
     def test_rows_follow_the_requested_eps_order(self):
         psi, kernel, v, past = smooth_instance()
         report = convergence_study(psi, kernel, v, past, [0.4, 0.2],

@@ -8,8 +8,7 @@ from hypothesis import strategies as st
 
 from cellroll.experiments import StudyReport
 from cellroll.history import (ConstantPast, LinearPast, TabulatedPast,
-                              Trajectory, initial_stretch,
-                              write_trajectory_csv)
+                              Trajectory, write_trajectory_csv)
 
 
 class TestPastData:
@@ -38,12 +37,6 @@ class TestPastData:
             TabulatedPast([-1.0, -2.0, 0.0], [0.0, 0.0, 0.0])
         with pytest.raises(ValueError):
             TabulatedPast([-2.0, -1.0], [0.0, 1.0])
-
-    def test_initial_stretch(self):
-        p = LinearPast(2.0, 1.0)
-        a = np.array([0.0, 0.5, 3.0])
-        np.testing.assert_allclose(initial_stretch(p, a), 2.0 * a)
-        np.testing.assert_allclose(initial_stretch(ConstantPast(5.0), a), 0.0)
 
 
 class TestTrajectory:

@@ -13,7 +13,7 @@ class TestExponential:
         k = Exponential(2.0, 0.5)
         assert k.eval(1.0, 0.0) == pytest.approx(2.0 * math.exp(-0.5))
         assert k.eval(1.0, 7.0) == k.eval(1.0, 0.0)
-        assert k.profile(0.0) == 2.0
+        assert k.eval(0.0, math.inf) == 2.0
         assert k.eval(k.a_max + 1.0, 0.0) == 0.0
 
     def test_default_horizon_tail_is_negligible(self):
@@ -22,32 +22,24 @@ class TestExponential:
         tail = quad(lambda a: (1 + a * a) * math.exp(-2 * a), k.a_max, np.inf)[0]
         assert tail < 1e-10
 
-    def test_moments_match_quadrature(self):
-        k = Exponential(1.3, 0.7)
-        for p in (0, 1, 2):
-            ref = quad(lambda a: a**p * 1.3 * math.exp(-0.7 * a), 0, np.inf)[0]
-            assert k.moment(math.inf, p) == pytest.approx(ref, rel=1e-12)
-            assert k.moment(3.0, p) == k.moment(math.inf, p)
-
     def test_mu_matches_quadrature(self):
         k = Exponential(1.3, 0.7)
         for t in (0.0, 0.4, 2.5):
             ref = quad(lambda a: 1.3 * math.exp(-0.7 * a), 0, t)[0]
-            assert k.mu(t) == pytest.approx(ref, rel=1e-12, abs=1e-15)
+            assert k.cummass(t, math.inf) == pytest.approx(ref, rel=1e-12,
+                                                          abs=1e-15)
         assert k.mu_total() == pytest.approx(1.3 / 0.7, rel=1e-12)
 
     def test_cummass_is_static(self):
         k = Exponential(1.0, 1.0)
-        assert k.cummass(0.5, 0.1) == pytest.approx(k.mu(0.5))
-        assert k.cummass(1e9, 0.1) == pytest.approx(k.mu(k.a_max))
+        assert k.cummass(0.5, 0.1) == pytest.approx(k.cummass(0.5, math.inf))
+        assert k.cummass(1e9, 0.1) == pytest.approx(k.cummass(k.a_max, math.inf))
 
     def test_validation(self):
         with pytest.raises(ValueError):
             Exponential(-1.0, 1.0)
         with pytest.raises(ValueError):
             Exponential(1.0, 0.0)
-        with pytest.raises(ValueError):
-            Exponential(1.0, 1.0).moment(1.0, 3)
 
     def test_flags(self):
         k = Exponential(1.0, 1.0)
@@ -64,38 +56,18 @@ class TestTruncatedExponential:
         assert k.eval(2.0, 1.0) == 0.0
         assert k.time_dependent is True
 
-    def test_moments_match_quadrature(self):
-        k = TruncatedExponential(1.2, 0.9)
-        for t in (0.0, 0.3, 2.0, 15.0):
-            for p in (0, 1, 2):
-                ref = quad(lambda a: a**p * 1.2 * math.exp(-0.9 * a), 0, t)[0]
-                assert k.moment(t, p) == pytest.approx(ref, rel=1e-11,
-                                                       abs=1e-15)
-
-    def test_moments_finite_at_infinite_time(self):
-        k = TruncatedExponential(1.0, 1.0)
-        assert k.moment(math.inf, 0) == pytest.approx(1.0)
-        assert k.moment(math.inf, 1) == pytest.approx(1.0)
-        assert k.moment(math.inf, 2) == pytest.approx(2.0)
-
     def test_cummass_respects_both_caps(self):
         k = TruncatedExponential(1.0, 1.0)
-        assert k.cummass(5.0, 0.7) == pytest.approx(k.mu(0.7))
-        assert k.cummass(0.3, 0.7) == pytest.approx(k.mu(0.3))
-        assert k.cummass(100.0, math.inf) == pytest.approx(k.mu(k.a_max))
+        assert k.cummass(5.0, 0.7) == pytest.approx(k.cummass(0.7, math.inf))
+        assert k.cummass(0.3, 0.7) == pytest.approx(k.cummass(0.3, math.inf))
+        assert k.cummass(100.0, math.inf) == pytest.approx(
+            k.cummass(k.a_max, math.inf))
 
     def test_support_follows_process_age(self):
         k = TruncatedExponential(1.0, 1.0)
         assert k.support(2.5) == 2.5
         assert k.support(math.inf) == k.a_max
         assert Exponential(1.0, 1.0).support(2.5) == 40.0
-
-    def test_moment_grows_toward_untruncated(self):
-        k = TruncatedExponential(1.0, 1.0)
-        t = np.array([0.1, 0.5, 1.0, 5.0, 40.0])
-        m = np.array([k.moment(ti, 1) for ti in t])
-        assert np.all(np.diff(m) > 0)
-        assert m[-1] == pytest.approx(Exponential(1.0, 1.0).moment(np.inf, 1))
 
 
 class TestTabulated:
@@ -107,35 +79,21 @@ class TestTabulated:
         k = self.grid_kernel()
         ref = Exponential(1.0, 1.0)
         nodes = np.linspace(0.0, 4.0, 81)
-        np.testing.assert_allclose(k.profile(nodes), ref.profile(nodes),
-                                   rtol=1e-12)
+        np.testing.assert_allclose(k.eval(nodes, math.inf),
+                                   ref.eval(nodes, math.inf), rtol=1e-12)
         between = np.linspace(0.0, 4.0, 37)
-        np.testing.assert_allclose(k.profile(between), ref.profile(between),
-                                   rtol=5e-4)
+        np.testing.assert_allclose(k.eval(between, math.inf),
+                                   ref.eval(between, math.inf), rtol=5e-4)
         assert k.eval(5.0, 0.0) == 0.0
-
-    def test_moments_match_quadrature_of_profile(self):
-        # the moments of the piecewise-linear density that eval returns
-        cut = Tabulated([0.0, 1.0, 3.0], [2.0, 1.0, 0.0], a_max=2.0)
-        assert cut.moment(0.0, 1) == pytest.approx(1.75, rel=1e-14)
-        k = self.grid_kernel()
-        for kernel, nodes in ((k, k.a_grid[1:-1]), (cut, [1.0])):
-            rho = lambda a: float(kernel.eval(a, 0.0))
-            for p in (0, 1, 2):
-                ref = quad(lambda a: a**p * rho(a), 0.0, kernel.a_max,
-                           points=nodes, limit=200)[0]
-                assert kernel.moment(0.0, p) == pytest.approx(ref, rel=1e-12)
-        with pytest.raises(ValueError):
-            k.moment(0.0, 3)
 
     def test_mu_is_exact_for_segments(self):
         k = Tabulated([0.0, 1.0, 3.0], [2.0, 1.0, 0.0])
-        assert k.mu(1.0) == pytest.approx(1.5)
-        assert k.mu(3.0) == pytest.approx(2.5)
+        assert k.cummass(1.0, math.inf) == pytest.approx(1.5)
+        assert k.cummass(3.0, math.inf) == pytest.approx(2.5)
         assert k.cummass(10.0, 0.0) == pytest.approx(2.5)
         # inside a segment the density is linear, so its mass is a trapezoid
-        assert k.mu(0.5) == pytest.approx(0.875)
-        assert k.mu(2.0) == pytest.approx(2.25)
+        assert k.cummass(0.5, math.inf) == pytest.approx(0.875)
+        assert k.cummass(2.0, math.inf) == pytest.approx(2.25)
         assert Tabulated([0.0, 1.0, 3.0], [2.0, 1.0, 0.0], a_max=2.0).mu_total() \
             == pytest.approx(2.25)
 
@@ -149,25 +107,20 @@ class TestTabulated:
     def test_quantities_honor_a_max(self, make):
         k = make()
         rho = lambda a: float(k.eval(a, math.inf))
-        assert k.mu_total() == k.cummass(k.a_max, math.inf) == k.moment(math.inf, 0)
+        assert k.mu_total() == k.cummass(k.a_max, math.inf)
         assert k.mu_total() == pytest.approx(quad(rho, 0, k.a_max)[0], rel=1e-12)
-        assert k.mu(10.0) == k.mu(k.a_max)
-        assert k.moment(math.inf, 1) == pytest.approx(
-            quad(lambda a: a * rho(a), 0, k.a_max)[0], rel=1e-12)
+        assert k.cummass(10.0, math.inf) == k.cummass(k.a_max, math.inf)
 
     def test_modulated_kernel(self):
         m = lambda t: 1.0 + 0.5 * math.sin(t)
         k = Tabulated([0.0, 1.0], [1.0, 1.0], modulation=m)
         assert k.time_dependent is True
         assert k.eval(0.5, 2.0) == pytest.approx(m(2.0))
-        assert k.moment(2.0, 0) == pytest.approx(m(2.0))
+        assert k.cummass(math.inf, 2.0) == pytest.approx(m(2.0))
         assert k.cummass(0.5, 2.0) == pytest.approx(0.5 * m(2.0))
-        with pytest.raises(ValueError):
-            k.profile(0.5)
-        with pytest.raises(ValueError):
-            k.mu(1.0)
-        # m(t) has no limit as t -> inf, so neither has the bond mass
-        for at_inf in (k.mu_total, lambda: k.moment(math.inf, 1)):
+        # m(t) has no limit as t -> inf, so neither has rho nor the bond mass
+        for at_inf in (k.mu_total, lambda: k.eval(0.5, math.inf),
+                       lambda: k.cummass(1.0, math.inf)):
             with pytest.raises(ValueError, match="no value at t = inf"):
                 at_inf()
 
@@ -179,10 +132,3 @@ class TestTabulated:
         with pytest.raises(ValueError):
             Tabulated([0.0, 1.0], [1.0, -1.0])
 
-
-class TestOps:
-    def test_moment_and_mu_return_floats(self):
-        k = TruncatedExponential(1.0, 1.0)
-        assert isinstance(k.moment(2.0, 1), float)
-        assert isinstance(k.mu(2.0), float)
-        assert k.moment(2.0, 0) == pytest.approx(k.mu(2.0))

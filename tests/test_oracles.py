@@ -66,7 +66,8 @@ class TestPlasticProfile:
     def test_stop_time_solves_mu_equals_drive(self):
         prof = plastic_trajectory(0.1, self.kernel(), -0.001)
         assert prof.t1 == pytest.approx(LN_10_9, abs=1e-11)
-        assert self.kernel().mu(prof.t1) == pytest.approx(0.1, abs=1e-11)
+        assert self.kernel().cummass(prof.t1, math.inf) == pytest.approx(
+            0.1, abs=1e-11)
 
     def test_final_position_closed_form(self):
         prof = plastic_trajectory(0.1, self.kernel(), -0.001)
@@ -79,7 +80,8 @@ class TestPlasticProfile:
         prof = plastic_trajectory(0.4, self.kernel(), 0.2)
         k = self.kernel()
         for t in (0.05, 0.2, min(0.45, prof.t1)):
-            ref = 0.2 + quad(lambda s: 0.4 - float(k.mu(s)), 0, t)[0]
+            ref = 0.2 + quad(lambda s: 0.4 - float(k.cummass(s, math.inf)),
+                             0, t)[0]
             assert prof.z(t) == pytest.approx(ref, rel=1e-10)
 
     def test_negative_drive_mirrors_positive(self):

@@ -10,7 +10,7 @@ from scipy.optimize import minimize_scalar
 
 from cellroll import solver_mm
 from cellroll.errors import NumericalError
-from cellroll.history import ConstantPast, Trajectory
+from cellroll.history import ConstantPast, LinearPast, Trajectory
 from cellroll.kernels import Exponential, Tabulated, TruncatedExponential
 from cellroll.potentials import (AbsoluteValue, Mollified, PiecewiseLinear,
                                  Potential, Quadratic, Tether, mollify)
@@ -321,7 +321,7 @@ class TestSolveMM:
         traj = solve_mm(AbsoluteValue(), k, 1.5, ConstantPast(0.0),
                         self.fig_config(T=0.5))
         zdot = np.abs(np.diff(traj.values)) / 1e-3
-        assert np.max(zdot) <= 1.5 + 1.0 * k.moment(math.inf, 0) + 1e-9
+        assert np.max(zdot) <= 1.5 + 1.0 * k.mu_total() + 1e-9
 
     def test_matches_smooth_solver_to_first_order(self):
         k = TruncatedExponential(1.0, 1.0)
@@ -409,6 +409,49 @@ class TestEpsScaling:
         assert np.any(steps > 0.0) and np.any(steps < 0.0)
         assert np.any(steps == 0.0)
         np.testing.assert_allclose(z, eps * y, rtol=0.0, atol=1e-14)
+
+
+@st.composite
+def lipschitz_potentials(draw):
+    """AbsoluteValue, or an even convex PiecewiseLinear with 1-3 breaks."""
+    if draw(st.booleans()):
+        return AbsoluteValue()
+    breaks = sorted(draw(st.sets(st.floats(0.05, 2.0), min_size=1,
+                                 max_size=3)))
+    steps = draw(st.lists(st.floats(0.0, 2.0), min_size=len(breaks) + 1,
+                          max_size=len(breaks) + 1))
+    return PiecewiseLinear(breaks, np.cumsum(steps) + 0.1)
+
+
+class TestVelocityBound:
+    """|Z^n - Z^{n-1}|/dt <= sup|v| + L*Q for Lipschitz psi.
+
+    The step's subgradient is (w - Z^{n-1})/dt - v(t_n) plus the memory
+    force sum_j q_j psi'(u_j), whose size is at most L times the weight sum.
+    On an exponential kernel the rectangle rule's weights beta e^{-zeta a_j} da
+    sum to at most Q = beta da / (1 - e^{-zeta da}), and the age cutoff of
+    ``TruncatedExponential`` only drops weights.
+    """
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(psi=lipschitz_potentials(),
+           truncated=st.booleans(),
+           beta=st.floats(0.3, 2.0), zeta=st.floats(0.5, 3.0),
+           amp=st.floats(0.5, 4.0), omega=st.floats(1.0, 20.0),
+           slope=st.floats(-2.0, 2.0), intercept=st.floats(-1.0, 1.0),
+           eps=st.sampled_from([0.1, 0.5, 1.0]))
+    def test_steps_respect_the_a_priori_bound(self, psi, truncated, beta,
+                                              zeta, amp, omega, slope,
+                                              intercept, eps):
+        kernel = (TruncatedExponential if truncated else Exponential)(beta, zeta)
+        dt = 1e-2
+        z = solve_mm(psi, kernel, lambda t: amp * math.sin(omega * t),
+                     LinearPast(slope, intercept),
+                     SolverConfig(eps=eps, T=1.0, dt=dt)).values
+        da = dt / eps
+        Q = beta * da / -math.expm1(-zeta * da)
+        speed = np.abs(np.diff(z)) / dt
+        assert np.max(speed) <= amp + psi.lipschitz_L * Q + 1e-9
 
 
 class TestCertificates:

@@ -85,10 +85,9 @@ def one_step_force(psi, kernel, eps):
 
 class TestMemoryForce:
     def test_linear_history_quadratic_psi_gives_first_moment(self):
-        # stretch a at every age, so the force is m_1
-        k = Exponential(1.0, 1.0)
-        got = one_step_force(Quadratic(), k, 1.0)
-        assert got == pytest.approx(k.moment(math.inf, 1), abs=1e-6)
+        # stretch a at every age, so the force is m_1 = beta/zeta^2 = 1
+        got = one_step_force(Quadratic(), Exponential(1.0, 1.0), 1.0)
+        assert got == pytest.approx(1.0, abs=1e-6)
 
     def test_matches_quadrature_for_mollified_potential(self):
         psi = mollify(AbsoluteValue(), 0.3)
