@@ -5,7 +5,8 @@ Subcommands
 simulate / mm / limit
     Integrate one trajectory from a JSON config and write ``t,z,zdot`` CSV.
 oracle
-    Closed-form reference trajectory (plastic or kinematic) on the same grid.
+    Closed-form reference trajectory (plastic or kinematic) on the same
+    grid, for the abs potential on a truncated_exponential kernel.
 gamma
     Print the asymptotic velocity for a constant drive, or sweep a force
     grid against the velocity-force law.
@@ -13,11 +14,13 @@ converge / longtime
     Parameter studies; the exit code reports whether the declared
     criteria passed.
 
-Every CSV write is paired with a ``*.manifest.json`` echoing the fully
+Every command but ``gamma`` runs through :func:`_run_config`: the config
+is parsed and checked by :mod:`cellroll.config`, then the solve or study
+runs, and its CSV is paired with a ``*.manifest.json`` echoing the fully
 resolved configuration; feeding a manifest back through ``--config``
-reproduces the run bit for bit. Bad input exits 2 with the dotted path of
-the offending field; a numerical failure, a grid too large for memory, or
-an internal error, exits 1.
+reproduces the run bit for bit. Bad input, an unreadable config file
+included, exits 2 with the dotted path of the offending field; a numerical
+failure, a grid too large for memory, or an internal error, exits 1.
 """
 from __future__ import annotations
 
@@ -30,100 +33,72 @@ import numpy as np
 
 from . import config as cfgmod
 from .errors import ConfigError, NumericalError
-from .experiments import (_check_eps_list, convergence_study,
-                          longtime_study, velocity_force_sweep)
+from .experiments import (convergence_study, longtime_study,
+                          velocity_force_sweep)
 from .history import write_trajectory_csv
 from .kernels import Exponential
-from .memory import _MAX_NODES, age_step, step_count
+from .memory import _MAX_NODES, step_count
 from .oracles import (kinematic_trajectory, kinematic_velocity,
                       plastic_trajectory)
 from .potentials import AbsoluteValue, Quadratic, Tether
 from .solver_limit import integrate_limit, limit_velocity
 from .solver_mm import solve_mm
-from .solver_smooth import _reject_nonsmooth, solve_smooth
+from .solver_smooth import solve_smooth
 
 __all__ = ["main"]
 
 
-def _manifest_path(csv_path: str) -> str:
-    stem = csv_path[:-4] if csv_path.endswith(".csv") else csv_path
-    return stem + ".manifest.json"
-
-
-def _write_manifest(resolved: dict, csv_path: str) -> None:
-    with open(_manifest_path(csv_path), "w") as fh:
-        json.dump(resolved, fh, sort_keys=True, indent=2)
-        fh.write("\n")
-
-
-def _output_section(cfg: dict, default_path: str) -> dict:
-    return cfgmod.build_output(cfgmod._section(cfg, "output", required=False),
-                               default_path=default_path)
-
-
-def _checked(path: str, check, *args):
-    """Run one of a solver's own precondition checks as a config check."""
-    try:
-        return check(*args)
-    except ValueError as exc:
-        raise ConfigError(path, str(exc)) from exc
-
-
-def _run_trajectory(cmd: str, args) -> int:
-    cfg = cfgmod.load_config(args.config)
-    psi, kernel, past, drive, r_model = cfgmod.resolve_model(cfg)
-    solver_cfg, r_solver = cfgmod.build_solver(
-        cfgmod._section(cfg, "solver", required=False))
-    _checked("solver.T", step_count, solver_cfg.T, solver_cfg.dt)
-    if cmd != "limit":
-        _checked("solver.dt", age_step, kernel, solver_cfg.eps, solver_cfg.dt)
-    if cmd == "simulate":
-        _checked("model.potential", _reject_nonsmooth, psi)
-    out = _output_section(cfg, default_path=f"{cmd}.csv")
-    if args.out:
-        out["path"] = args.out
-    if cmd == "simulate":
-        traj = solve_smooth(psi, kernel, drive, past, solver_cfg)
-    elif cmd == "mm":
-        traj = solve_mm(psi, kernel, drive, past, solver_cfg)
-    else:
-        traj = integrate_limit(psi, kernel, drive, past.eval(0.0),
-                               solver_cfg.T, solver_cfg.dt)
-    traj.to_csv(out["path"], precision=out["precision"])
-    resolved = {"command": cmd, "model": r_model, "solver": r_solver,
-                "output": out}
-    _write_manifest(resolved, out["path"])
-    print(f"wrote {out['path']}")
-    return 0
-
-
-def _run_oracle(args) -> int:
-    cfg = cfgmod.load_config(args.config)
-    psi, kernel, past, drive, r_model = cfgmod.resolve_model(cfg)
-    if r_model["v"]["kind"] != "constant":
-        raise ConfigError("model.v.kind",
-                          "oracle profiles need a constant drive")
-    v_inf = r_model["v"]["value"]
-    solver_cfg, r_solver = cfgmod.build_solver(
-        cfgmod._section(cfg, "solver", required=False))
-    out = _output_section(cfg, default_path="oracle.csv")
-    if args.out:
-        out["path"] = args.out
-    z0 = past.eval(0.0)
-    n = _checked("solver.T", step_count, solver_cfg.T, solver_cfg.dt)
-    t = np.arange(n + 1) * solver_cfg.dt
+def _oracle(kernel, z0, v_inf, solver):
+    """The closed-form trajectory on the solver's grid, as a CSV writer."""
+    t = np.arange(step_count(solver.T, solver.dt) + 1) * solver.dt
     if abs(v_inf) <= kernel.mu_total():
         profile = plastic_trajectory(v_inf, kernel, z0)
         z, zdot = profile.z(t), profile.zdot(t)
     else:
         z = kinematic_trajectory(v_inf, kernel, z0, t)
         zdot = kinematic_velocity(v_inf, kernel, t)
-    write_trajectory_csv(out["path"], t, z, zdot, precision=out["precision"])
-    resolved = {"command": "oracle", "model": r_model, "solver": r_solver,
-                "output": out}
-    _write_manifest(resolved, out["path"])
-    print(f"wrote {out['path']}")
-    return 0
+    return lambda path, precision: write_trajectory_csv(path, t, z, zdot,
+                                                        precision)
+
+
+def _run_config(cmd: str, args) -> int:
+    """Run one config command; a study exits 1 if its criteria failed."""
+    psi, kernel, past, drive, run, manifest = cfgmod.resolve_run(
+        cfgmod.load_config(args.config), cmd)
+    out = manifest["output"]
+    if args.out:
+        out["path"] = args.out
+    r_v = manifest["model"]["v"]
+    # a table drive holds its last value beyond its last time
+    v_inf = r_v["value"] if r_v["kind"] == "constant" else r_v["values"][-1]
+    report = None
+    if cmd == "simulate":
+        write = solve_smooth(psi, kernel, drive, past, run).to_csv
+    elif cmd == "mm":
+        write = solve_mm(psi, kernel, drive, past, run).to_csv
+    elif cmd == "limit":
+        write = integrate_limit(psi, kernel, drive, past.eval(0.0),
+                                run.T, run.dt).to_csv
+    elif cmd == "oracle":
+        write = _oracle(kernel, past.eval(0.0), v_inf, run)
+    elif cmd == "converge":
+        report = convergence_study(psi, kernel, drive, past, run["eps_list"],
+                                   run["T"], run["dt"],
+                                   final_bound=run.get("final_bound"))
+    else:
+        report = longtime_study(psi, kernel, drive, past, run["T_list"],
+                                dt=run["dt"], v_inf=v_inf)
+    if report is not None:
+        write = report.to_csv
+    write(out["path"], precision=out["precision"])
+    stem = out["path"][:-4] if out["path"].endswith(".csv") else out["path"]
+    with open(stem + ".manifest.json", "w") as fh:
+        fh.write(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
+    if report is None:
+        print(f"wrote {out['path']}")
+        return 0
+    print(report.summary())
+    return 0 if report.passed else 1
 
 
 def _gamma_potential(args):
@@ -168,61 +143,6 @@ def _run_gamma(args) -> int:
     gamma = limit_velocity(psi, kernel, args.v, math.inf)
     print("%.12g" % gamma)
     return 0
-
-
-def _run_converge(args) -> int:
-    cfg = cfgmod.load_config(args.config)
-    psi, kernel, past, drive, r_model = cfgmod.resolve_model(cfg)
-    study = cfgmod._section(cfg, "study")
-    cfgmod._check_keys(study, {"eps_list", "T", "dt", "final_bound"}, "study")
-    eps_arr = cfgmod._array(study, "eps_list", "study")
-    T = cfgmod._num(study, "T", "study", required=True, positive=True)
-    dt = cfgmod._num(study, "dt", "study", required=True, positive=True)
-    bound = cfgmod._num(study, "final_bound", "study", positive=True)
-    out = _output_section(cfg, default_path="converge.csv")
-    if args.out:
-        out["path"] = args.out
-    eps_list = [float(e) for e in eps_arr]
-    _checked("study.eps_list", _check_eps_list, eps_list, dt)
-    _checked("study.T", step_count, T, dt)
-    _checked("study.dt", age_step, kernel, eps_list[-1], dt)
-    report = convergence_study(psi, kernel, drive, past, eps_list, T, dt,
-                               final_bound=bound)
-    report.to_csv(out["path"], precision=out["precision"])
-    r_study = {"eps_list": eps_list, "T": T, "dt": dt}
-    if bound is not None:
-        r_study["final_bound"] = bound
-    resolved = {"command": "converge", "model": r_model, "study": r_study,
-                "output": out}
-    _write_manifest(resolved, out["path"])
-    print(report.summary())
-    return 0 if report.passed else 1
-
-
-def _run_longtime(args) -> int:
-    cfg = cfgmod.load_config(args.config)
-    psi, kernel, past, drive, r_model = cfgmod.resolve_model(cfg)
-    study = cfgmod._section(cfg, "study")
-    cfgmod._check_keys(study, {"T_list", "dt"}, "study")
-    T_arr = cfgmod._array(study, "T_list", "study")
-    dt = cfgmod._num(study, "dt", "study", default=1e-2, positive=True)
-    out = _output_section(cfg, default_path="longtime.csv")
-    if args.out:
-        out["path"] = args.out
-    T_list = [float(T) for T in T_arr]
-    for T in T_list:
-        _checked("study.T_list", step_count, T, dt)
-    _checked("study.dt", age_step, kernel, 1.0, dt)  # the study runs at eps = 1
-    r_v = r_model["v"]
-    # a table drive holds its last value beyond its last time
-    v_inf = r_v["value"] if r_v["kind"] == "constant" else r_v["values"][-1]
-    report = longtime_study(psi, kernel, drive, past, T_list, dt=dt, v_inf=v_inf)
-    report.to_csv(out["path"], precision=out["precision"])
-    resolved = {"command": "longtime", "model": r_model,
-                "study": {"T_list": T_list, "dt": dt}, "output": out}
-    _write_manifest(resolved, out["path"])
-    print(report.summary())
-    return 0 if report.passed else 1
 
 
 def _finite(text: str) -> float:
@@ -273,15 +193,9 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command in ("simulate", "mm", "limit"):
-            return _run_trajectory(args.command, args)
-        if args.command == "oracle":
-            return _run_oracle(args)
         if args.command == "gamma":
             return _run_gamma(args)
-        if args.command == "converge":
-            return _run_converge(args)
-        return _run_longtime(args)
+        return _run_config(args.command, args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

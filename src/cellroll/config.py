@@ -1,9 +1,12 @@
-"""JSON run configs resolved into model objects.
+"""JSON run configs: every section parsed, checked and resolved.
 
-Every validation failure raises :class:`ConfigError` carrying the dotted
-field path, so the CLI can report exactly which entry is wrong before any
-computation starts. Builders return both the object and the fully resolved
-(defaults filled) dictionary that goes into the run manifest.
+:func:`resolve_run` builds each section a command reads (``model``; then
+``solver``, or ``study`` for ``converge`` and ``longtime``; then
+``output``) and checks the preconditions its solve or study would check
+at its start, so bad input fails before any computation starts, as a
+:class:`ConfigError` carrying the dotted field path. It also returns the
+manifest: the config with every default filled in, which reproduces the
+run when fed back. A JSON ``null`` number, list or section counts as absent.
 """
 from __future__ import annotations
 
@@ -13,30 +16,40 @@ import math
 import numpy as np
 
 from .errors import ConfigError
-from .history import ConstantPast, LinearPast, PastData, TabulatedPast
-from .kernels import Exponential, Kernel, Tabulated, TruncatedExponential
-from .potentials import (AbsoluteValue, PiecewiseLinear, Potential, Quadratic,
-                         Tether, mollify)
-from .solver_smooth import SolverConfig
+from .experiments import _check_eps_list
+from .history import ConstantPast, LinearPast, TabulatedPast
+from .kernels import Exponential, Tabulated, TruncatedExponential
+from .memory import age_step, step_count
+from .potentials import (AbsoluteValue, PiecewiseLinear, Quadratic, Tether,
+                         mollify)
+from .solver_smooth import SolverConfig, _reject_nonsmooth
 
 __all__ = ["load_config", "build_potential", "build_kernel", "build_past",
            "build_drive", "build_solver", "build_output"]
 
-_TOP_KEYS = {"model", "solver", "output", "study", "command"}
-
 
 def load_config(path) -> dict:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             cfg = json.load(fh)
-    except OSError as exc:
+    except (OSError, UnicodeError) as exc:
         raise ConfigError("<config>", f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # RecursionError: too deep
         raise ConfigError("<config>", f"invalid JSON in {path}: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError("<config>", "top level must be an object")
-    _check_keys(cfg, _TOP_KEYS, "<config>")
+    _check_keys(cfg, {"model", "solver", "output", "study", "command"},
+                "<config>")
     return cfg
+
+
+def _checked(path, check, *args, **kwargs):
+    """``check(*args, **kwargs)``, with a ValueError it raises reported at
+    ``path``: the solvers' own precondition checks become config checks."""
+    try:
+        return check(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(path, str(exc)) from exc
 
 
 def _check_keys(d, allowed, path):
@@ -64,16 +77,32 @@ def _get(d, key, path, default=None, required=False):
     return d[key]
 
 
+def _kind(d, path, what, fields, *common):
+    """The ``kind`` of the object ``d``, checked against ``fields``, which
+    maps each kind to the keys it takes besides ``kind`` and ``common``."""
+    if not isinstance(d, dict):
+        raise ConfigError(path, "must be an object")
+    kind = _get(d, "kind", path, required=True)
+    if not isinstance(kind, str) or kind not in fields:
+        raise ConfigError(f"{path}.kind",
+                          f"unknown {what} {kind!r}; use {', '.join(fields)}")
+    _check_keys(d, {"kind", *common, *fields[kind]}, path)
+    return kind
+
+
 def _num(d, key, path, default=None, required=False, positive=False,
          nonnegative=False):
-    raw = _get(d, key, path, default, required)
+    raw = d.get(key)  # a JSON null counts as absent
     if raw is None:
-        return None
+        if required:
+            raise ConfigError(f"{path}.{key}", "required")
+        return default
     try:
         val = float(raw)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         val = math.nan
-    # JSON true/false would pass as 1.0/0.0, "1.5" as 1.5, NaN/Infinity as floats
+    # JSON true/false would pass as 1.0/0.0, "1.5" as 1.5, NaN/Infinity as
+    # floats, and an integer past the float range overflows
     if isinstance(raw, (bool, str)) or not math.isfinite(val):
         raise ConfigError(f"{path}.{key}", f"expected a finite number, got {raw!r}")
     if positive and not val > 0:
@@ -83,13 +112,13 @@ def _num(d, key, path, default=None, required=False, positive=False,
     return val
 
 
-def _array(d, key, path, required=True):
-    raw = _get(d, key, path, required=required)
+def _array(d, key, path):
+    raw = d.get(key)  # a JSON null counts as absent
     if raw is None:
-        return None
+        raise ConfigError(f"{path}.{key}", "required")
     try:
         arr = np.asarray(raw, dtype=float)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"{path}.{key}", "expected a list of numbers")
     if arr.ndim != 1 or arr.size == 0:
         raise ConfigError(f"{path}.{key}", "expected a nonempty flat list")
@@ -99,147 +128,115 @@ def _array(d, key, path, required=True):
 
 
 def build_potential(d, path="model.potential"):
-    if not isinstance(d, dict):
-        raise ConfigError(path, "must be an object")
-    kind = _get(d, "kind", path, required=True)
+    kind = _kind(d, path, "potential",
+                 {"quadratic": (), "tether": ("r",), "abs": (),
+                  "piecewise_linear": ("breaks", "slopes")}, "mollify_delta")
     resolved = {"kind": kind}
     if kind == "quadratic":
-        _check_keys(d, {"kind", "mollify_delta"}, path)
-        psi: Potential = Quadratic()
+        psi = Quadratic()
     elif kind == "tether":
-        _check_keys(d, {"kind", "r", "mollify_delta"}, path)
         r = _num(d, "r", path, required=True, positive=True)
         psi = Tether(r)
         resolved["r"] = r
     elif kind == "abs":
-        _check_keys(d, {"kind", "mollify_delta"}, path)
         psi = AbsoluteValue()
-    elif kind == "piecewise_linear":
-        _check_keys(d, {"kind", "breaks", "slopes", "mollify_delta"}, path)
+    else:
         breaks = _array(d, "breaks", path)
         slopes = _array(d, "slopes", path)
-        try:
-            psi = PiecewiseLinear(breaks, slopes)
-        except ValueError as exc:
-            raise ConfigError(path, str(exc)) from exc
+        psi = _checked(path, PiecewiseLinear, breaks, slopes)
         resolved["breaks"] = list(map(float, breaks))
         resolved["slopes"] = list(map(float, slopes))
-    else:
-        raise ConfigError(f"{path}.kind",
-                          f"unknown potential {kind!r}; use quadratic, tether, "
-                          "abs, or piecewise_linear")
     delta = _num(d, "mollify_delta", path, positive=True)
     if delta is not None:
-        try:
-            psi = mollify(psi, delta)
-        except ValueError as exc:
-            raise ConfigError(f"{path}.mollify_delta", str(exc)) from exc
+        psi = _checked(f"{path}.mollify_delta", mollify, psi, delta)
         resolved["mollify_delta"] = delta
     return psi, resolved
 
 
 def build_kernel(d, path="model.kernel"):
-    if not isinstance(d, dict):
-        raise ConfigError(path, "must be an object")
-    kind = _get(d, "kind", path, required=True)
+    kind = _kind(d, path, "kernel",
+                 {"exponential": ("beta", "zeta"),
+                  "truncated_exponential": ("beta", "zeta"),
+                  "tabulated": ("a", "values")}, "a_max")
     resolved = {"kind": kind}
-    if kind in ("exponential", "truncated_exponential"):
-        _check_keys(d, {"kind", "beta", "zeta", "a_max"}, path)
+    if kind == "tabulated":
+        a = _array(d, "a", path)
+        values = _array(d, "values", path)
+        a_max = _num(d, "a_max", path, positive=True)
+        kernel = _checked(path, Tabulated, a, values, a_max=a_max)
+        resolved.update(a=list(map(float, a)), values=list(map(float, values)))
+    else:
         beta = _num(d, "beta", path, required=True, nonnegative=True)
         zeta = _num(d, "zeta", path, required=True, positive=True)
         a_max = _num(d, "a_max", path, positive=True)
         cls = Exponential if kind == "exponential" else TruncatedExponential
-        kernel: Kernel = cls(beta, zeta, a_max)
-        resolved.update(beta=beta, zeta=zeta, a_max=kernel.a_max)
-    elif kind == "tabulated":
-        _check_keys(d, {"kind", "a", "values", "a_max"}, path)
-        a = _array(d, "a", path)
-        values = _array(d, "values", path)
-        a_max = _num(d, "a_max", path, positive=True)
-        try:
-            kernel = Tabulated(a, values, a_max=a_max)
-        except ValueError as exc:
-            raise ConfigError(path, str(exc)) from exc
-        resolved.update(a=list(map(float, a)), values=list(map(float, values)),
-                        a_max=kernel.a_max)
-    else:
-        raise ConfigError(f"{path}.kind",
-                          f"unknown kernel {kind!r}; use exponential, "
-                          "truncated_exponential, or tabulated")
+        kernel = cls(beta, zeta, a_max)
+        resolved.update(beta=beta, zeta=zeta)
+    resolved["a_max"] = kernel.a_max
     return kernel, resolved
 
 
 def build_past(d, path="model.past"):
-    if not isinstance(d, dict):
-        raise ConfigError(path, "must be an object")
-    kind = _get(d, "kind", path, required=True)
-    resolved = {"kind": kind}
+    kind = _kind(d, path, "past",
+                 {"constant": ("value",), "linear": ("slope", "intercept"),
+                  "tabulated": ("tau", "values")})
     if kind == "constant":
-        _check_keys(d, {"kind", "value"}, path)
         c = _num(d, "value", path, required=True)
-        past: PastData = ConstantPast(c)
-        resolved["value"] = c
-    elif kind == "linear":
-        _check_keys(d, {"kind", "slope", "intercept"}, path)
+        return ConstantPast(c), {"kind": kind, "value": c}
+    if kind == "linear":
         slope = _num(d, "slope", path, required=True)
         intercept = _num(d, "intercept", path, required=True)
-        past = LinearPast(slope, intercept)
-        resolved.update(slope=slope, intercept=intercept)
-    elif kind == "tabulated":
-        _check_keys(d, {"kind", "tau", "values"}, path)
-        tau = _array(d, "tau", path)
-        values = _array(d, "values", path)
-        try:
-            past = TabulatedPast(tau, values)
-        except ValueError as exc:
-            raise ConfigError(path, str(exc)) from exc
-        resolved.update(tau=list(map(float, tau)),
-                        values=list(map(float, values)))
-    else:
-        raise ConfigError(f"{path}.kind",
-                          f"unknown past {kind!r}; use constant, linear, "
-                          "or tabulated")
-    return past, resolved
+        return LinearPast(slope, intercept), {"kind": kind, "slope": slope,
+                                              "intercept": intercept}
+    tau = _array(d, "tau", path)
+    values = _array(d, "values", path)
+    past = _checked(path, TabulatedPast, tau, values)
+    return past, {"kind": kind, "tau": list(map(float, tau)),
+                  "values": list(map(float, values))}
 
 
 def build_drive(d, path="model.v"):
-    if not isinstance(d, dict):
-        raise ConfigError(path, "must be an object")
-    kind = _get(d, "kind", path, required=True)
+    kind = _kind(d, path, "drive",
+                 {"constant": ("value",), "table": ("t", "values")})
     if kind == "constant":
-        _check_keys(d, {"kind", "value"}, path)
         value = _num(d, "value", path, required=True)
         return (lambda t, _c=value: _c), {"kind": kind, "value": value}
-    if kind == "table":
-        _check_keys(d, {"kind", "t", "values"}, path)
-        t = _array(d, "t", path)
-        values = _array(d, "values", path)
-        if t.size != values.size:
-            raise ConfigError(f"{path}.values", "length must match t")
-        if np.any(np.diff(t) <= 0):
-            raise ConfigError(f"{path}.t", "must be strictly increasing")
-        drive = lambda s, _t=t, _v=values: float(np.interp(s, _t, _v))
-        return drive, {"kind": kind, "t": list(map(float, t)),
-                       "values": list(map(float, values))}
-    raise ConfigError(f"{path}.kind",
-                      f"unknown drive {kind!r}; use constant or table")
+    t = _array(d, "t", path)
+    values = _array(d, "values", path)
+    if t.size != values.size:
+        raise ConfigError(f"{path}.values", "length must match t")
+    if np.any(np.diff(t) <= 0):
+        raise ConfigError(f"{path}.t", "must be strictly increasing")
+    drive = lambda s, _t=t, _v=values: float(np.interp(s, _t, _v))
+    return drive, {"kind": kind, "t": list(map(float, t)),
+                   "values": list(map(float, values))}
 
 
 def build_solver(d, path="solver"):
-    _check_keys(d, {"eps", "T", "dt", "scheme", "tol_fixedpoint"}, path)
+    _check_keys(d, {"eps", "T", "dt", "scheme"}, path)
     eps = _num(d, "eps", path, default=1.0, positive=True)
     T = _num(d, "T", path, default=1.0, positive=True)
     dt = _num(d, "dt", path, default=1e-2, positive=True)
     scheme = _get(d, "scheme", path, default="euler")
-    # "tol_fixedpoint" is accepted and ignored: manifests written before it
-    # was dropped still carry it
     cfg = SolverConfig(eps=eps, T=T, dt=dt, scheme=scheme)
-    try:
-        cfg.validated()
-    except ValueError as exc:
-        raise ConfigError(f"{path}.scheme", str(exc)) from exc
-    resolved = {"eps": eps, "T": T, "dt": dt, "scheme": scheme}
-    return cfg, resolved
+    _checked(f"{path}.scheme", cfg.validated)
+    return cfg, {"eps": eps, "T": T, "dt": dt, "scheme": scheme}
+
+
+def _build_study(d, command, path="study"):
+    """The resolved ``study`` section of ``converge`` or ``longtime``."""
+    if command == "longtime":
+        _check_keys(d, {"T_list", "dt"}, path)
+        return {"T_list": list(map(float, _array(d, "T_list", path))),
+                "dt": _num(d, "dt", path, default=1e-2, positive=True)}
+    _check_keys(d, {"eps_list", "T", "dt", "final_bound"}, path)
+    study = {"eps_list": list(map(float, _array(d, "eps_list", path))),
+             "T": _num(d, "T", path, required=True, positive=True),
+             "dt": _num(d, "dt", path, required=True, positive=True)}
+    bound = _num(d, "final_bound", path, positive=True)
+    if bound is not None:
+        study["final_bound"] = bound
+    return study
 
 
 def build_output(d, path="output", default_path="out.csv"):
@@ -253,13 +250,54 @@ def build_output(d, path="output", default_path="out.csv"):
     return {"path": out_path, "precision": precision}
 
 
-def resolve_model(cfg):
-    """model section -> (psi, kernel, past, drive, resolved-dict)."""
+def resolve_run(cfg, command):
+    """``(psi, kernel, past, drive, run, manifest)`` for ``command``.
+
+    ``run`` is the :class:`SolverConfig`, or for a study the resolved
+    ``study`` section; ``manifest`` is the resolved config.
+    """
     model = _section(cfg, "model")
     _check_keys(model, {"potential", "kernel", "past", "v"}, "model")
     psi, r_pot = build_potential(_get(model, "potential", "model", required=True))
     kernel, r_ker = build_kernel(_get(model, "kernel", "model", required=True))
     past, r_past = build_past(_get(model, "past", "model", required=True))
     drive, r_v = build_drive(_get(model, "v", "model", required=True))
-    resolved = {"potential": r_pot, "kernel": r_ker, "past": r_past, "v": r_v}
-    return psi, kernel, past, drive, resolved
+    r_model = {"potential": r_pot, "kernel": r_ker, "past": r_past, "v": r_v}
+    manifest = {"command": command, "model": r_model}
+    if command in ("converge", "longtime"):
+        run = manifest["study"] = _build_study(_section(cfg, "study"),
+                                               command)
+    else:
+        run, manifest["solver"] = build_solver(
+            _section(cfg, "solver", required=False))
+    manifest["output"] = build_output(_section(cfg, "output", required=False),
+                                      default_path=f"{command}.csv")
+
+    if command == "converge":
+        _checked("study.eps_list", _check_eps_list, run["eps_list"],
+                 run["dt"])
+        _checked("study.T", step_count, run["T"], run["dt"])
+        _checked("study.dt", age_step, kernel, run["eps_list"][-1], run["dt"])
+    elif command == "longtime":
+        for T in run["T_list"]:
+            _checked("study.T_list", step_count, T, run["dt"])
+        # the study runs at eps = 1
+        _checked("study.dt", age_step, kernel, 1.0, run["dt"])
+    else:
+        _checked("solver.T", step_count, run.T, run.dt)
+    if command in ("simulate", "mm"):
+        _checked("solver.dt", age_step, kernel, run.eps, run.dt)
+    if command == "simulate":
+        _checked("model.potential", _reject_nonsmooth, psi)
+    if command == "oracle":
+        # the closed forms hold for psi = |u| under a constant drive, with
+        # no bond older than t
+        for field, holds, need in (
+                ("model.v.kind", r_v["kind"] == "constant", "a constant drive"),
+                ("model.potential.kind", r_pot == {"kind": "abs"},
+                 "the abs potential, not mollified"),
+                ("model.kernel.kind", r_ker["kind"] == "truncated_exponential",
+                 "a truncated_exponential kernel")):
+            if not holds:
+                raise ConfigError(field, f"oracle profiles need {need}")
+    return psi, kernel, past, drive, run, manifest

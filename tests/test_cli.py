@@ -1,13 +1,20 @@
 """Command-line interface: exit codes, CSV outputs, manifest round-trips."""
+import io
 import json
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cellroll.cli import main
 from cellroll.oracles import gamma_abs
@@ -48,6 +55,32 @@ def creep_config():
                       "past": {"kind": "constant", "value": -0.001},
                       "v": {"kind": "constant", "value": 0.1}},
             "solver": {"eps": 1.0, "T": 0.3, "dt": 1e-3}}
+
+
+def valid_config(command):
+    """A config each config command accepts, with an entry of every shape:
+    a number, a list of numbers, a string and a nested object."""
+    if command in ("mm", "oracle"):
+        cfg = creep_config()
+    else:
+        cfg = quad_config()
+    if command == "mm":
+        cfg["model"]["potential"] = {"kind": "piecewise_linear",
+                                     "breaks": [0.0], "slopes": [-1.0, 1.0]}
+        cfg["model"]["past"] = {"kind": "tabulated", "tau": [-1.0, 0.0],
+                                "values": [0.0, -0.001]}
+    if command == "limit":
+        cfg["model"]["v"] = {"kind": "table", "t": [0.0, 1.0],
+                             "values": [0.0, 0.5]}
+    if command == "converge":
+        del cfg["solver"]
+        cfg["study"] = {"eps_list": [0.4, 0.2], "T": 1.0, "dt": 2e-3,
+                        "final_bound": 0.05}
+    if command == "longtime":
+        del cfg["solver"]
+        cfg["study"] = {"T_list": [1.0, 2.0], "dt": 5e-3}
+    cfg["output"] = {"path": "run.csv", "precision": 17}
+    return cfg
 
 
 class TestGamma:
@@ -198,6 +231,26 @@ class TestTrajectoryCommands:
         run(capsys, "simulate", "--config", cfg, "--out", str(out_csv))
         assert out_csv.read_text().splitlines()[1] == "0,1,-1"
 
+    @pytest.mark.parametrize("part, value, field", [
+        ("potential", {"kind": "quadratic"}, "model.potential.kind"),
+        ("potential", {"kind": "abs", "mollify_delta": 0.01},
+         "model.potential.kind"),
+        ("kernel", {"kind": "exponential", "beta": 1.0, "zeta": 1.0},
+         "model.kernel.kind"),
+    ], ids=["quadratic", "mollified-abs", "exponential-kernel"])
+    def test_oracle_rejects_model_without_closed_form(self, capsys, tmp_path,
+                                                      part, value, field):
+        # the closed forms are for psi = |u| with no bond older than t
+        cfg_dict = creep_config()
+        cfg_dict["model"][part] = value
+        cfg_dict["model"]["v"]["value"] = 1.5
+        cfg = write_config(tmp_path / "run.json", cfg_dict)
+        code, _, err = run(capsys, "oracle", "--config", cfg,
+                           "--out", str(tmp_path / "oracle.csv"))
+        assert code == 2
+        assert err.startswith(f"config error: {field}: oracle profiles need")
+        assert not (tmp_path / "oracle.csv").exists()
+
     def test_oracle_rejects_varying_drive(self, capsys, tmp_path):
         cfg_dict = creep_config()
         cfg_dict["model"]["v"] = {"kind": "table", "t": [0.0, 1.0],
@@ -303,6 +356,20 @@ class TestFailureExits:
         ("mm", ("model", "past"),
          {"kind": "tabulated", "tau": ["-1", 0.0], "values": [0.0, 0.0]},
          "model.past.tau"),
+        # an integer past the float range, alone or in a list
+        pytest.param("simulate", ("solver", "T"), 10**400, "solver.T",
+                     id="huge-solver.T"),
+        pytest.param("converge", ("study",),
+                     {"eps_list": [0.4, 0.2], "T": 1.0, "dt": 2e-3,
+                      "final_bound": 10**400}, "study.final_bound",
+                     id="huge-study.final_bound"),
+        pytest.param("mm", ("model", "potential"),
+                     {"kind": "piecewise_linear", "breaks": [10**400],
+                      "slopes": [-1.0, 1.0]}, "model.potential.breaks",
+                     id="huge-model.potential.breaks"),
+        pytest.param("longtime", ("study",),
+                     {"T_list": [1.0, -10**400], "dt": 5e-3}, "study.T_list",
+                     id="huge-study.T_list"),
     ])
     def test_non_finite_or_boolean_number_reports_its_field(
             self, capsys, tmp_path, command, keys, value, field):
@@ -317,15 +384,27 @@ class TestFailureExits:
         assert code == 2
         assert err.startswith(f"config error: {field}")
 
-    def test_legacy_tol_fixedpoint_is_ignored(self, capsys, tmp_path):
+    def test_dropped_tol_fixedpoint_is_an_unknown_field(self, capsys,
+                                                        tmp_path):
         cfg = write_config(tmp_path / "run.json",
                            quad_config(T=0.1, tol_fixedpoint=1e-10))
-        out_csv = tmp_path / "run.csv"
-        code, _, _ = run(capsys, "simulate", "--config", cfg,
-                         "--out", str(out_csv))
-        assert code == 0
-        manifest = json.loads((tmp_path / "run.manifest.json").read_text())
-        assert "tol_fixedpoint" not in manifest["solver"]
+        code, _, err = run(capsys, "simulate", "--config", cfg,
+                           "--out", str(tmp_path / "run.csv"))
+        assert code == 2
+        assert err == "config error: solver.tol_fixedpoint: unknown field\n"
+
+    @pytest.mark.parametrize("content, reason", [
+        (b"\xff\xfe{}", "cannot read"),
+        (b"[" * 100_000, "invalid JSON in"),
+        (b'{"model": 1' + b"0" * 5000 + b"}", "invalid JSON in"),
+    ], ids=["not-utf8", "deep-nesting", "integer-digit-limit"])
+    def test_unparsable_config_file_is_a_config_error(self, capsys, tmp_path,
+                                                      content, reason):
+        path = tmp_path / "run.json"
+        path.write_bytes(content)
+        code, _, err = run(capsys, "simulate", "--config", str(path))
+        assert code == 2
+        assert err.startswith(f"config error: <config>: {reason} {path}")
 
     def test_internal_value_error_exits_one(self, capsys, tmp_path,
                                             monkeypatch):
@@ -490,6 +569,76 @@ class TestStudyCommands:
         code, _, err = run(capsys, "longtime", "--config", cfg)
         assert code == 2
         assert "study.slack" in err and "unknown field" in err
+
+
+CONFIG_COMMANDS = ("simulate", "mm", "limit", "oracle", "converge", "longtime")
+
+# every solve, study and closed form a config command calls, and the CSV
+# writer the oracle calls; stubbed, a drawn grid size allocates nothing
+SOLVES = dict.fromkeys(
+    ("solve_smooth", "solve_mm", "integrate_limit", "convergence_study",
+     "longtime_study", "plastic_trajectory", "kinematic_trajectory",
+     "kinematic_velocity", "write_trajectory_csv"), mock.MagicMock())
+
+_huge = (st.integers(min_value=2**1024, max_value=10**400)
+         | st.integers(min_value=-10**400, max_value=-2**1024))
+_scalar = st.one_of(st.none(), st.booleans(), _huge,
+                    st.sampled_from([math.nan, math.inf, -math.inf,
+                                     0.0, -1.0, 0.5]),
+                    st.text(max_size=4))
+# scalars, nested lists, and objects whose keys no section takes
+_json_value = st.recursive(
+    _scalar,
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.sampled_from(["x", "extra"]), inner,
+                                     min_size=1)),
+    max_leaves=6)
+
+
+def _locations(node, where=()):
+    """The path to every entry below ``node``: members and list items."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for key, child in items:
+        yield where + (key,)
+        yield from _locations(child, where + (key,))
+
+
+@st.composite
+def broken_configs(draw):
+    """A valid config for a drawn command with one entry replaced."""
+    command = draw(st.sampled_from(CONFIG_COMMANDS))
+    cfg = valid_config(command)
+    where = draw(st.sampled_from(list(_locations(cfg))))
+    node = cfg
+    for key in where[:-1]:
+        node = node[key]
+    node[where[-1]] = draw(_json_value)
+    return command, cfg
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(broken_configs())
+def test_config_commands_never_traceback(case):
+    command, cfg = case
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.multiple("cellroll.cli", **SOLVES), \
+            redirect_stdout(out), redirect_stderr(err):
+        path = os.path.join(tmp, "run.json")
+        with open(path, "w") as fh:
+            json.dump(cfg, fh)
+        code = main([command, "--config", path,
+                     "--out", os.path.join(tmp, "run.csv")])
+    assert code in (0, 1, 2)
+    assert "internal error:" not in err.getvalue()
+    if code == 2:
+        assert re.match(r"config error: (<config>|[A-Za-z_]\w*)(\.\w+)*: ",
+                        err.getvalue()), err.getvalue()
 
 
 def test_console_script_is_installed():
