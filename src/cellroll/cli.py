@@ -18,15 +18,17 @@ Every command but ``gamma`` runs through :func:`_run_config`: the config
 is parsed and checked by :mod:`cellroll.config`, then the solve or study
 runs, and its CSV is paired with a ``*.manifest.json`` echoing the fully
 resolved configuration; feeding a manifest back through ``--config``
-reproduces the run bit for bit. Bad input, an unreadable config file
-included, exits 2 with the dotted path of the offending field; a numerical
-failure, a grid too large for memory, or an internal error, exits 1.
+reproduces the run bit for bit. Bad input, an unreadable config file or a
+missing output directory included, exits 2 with the dotted path of the
+offending field (or the flag); a numerical failure, a grid too large for
+memory, an output write that fails, or an internal error, exits 1.
 """
 from __future__ import annotations
 
 import argparse
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -68,6 +70,10 @@ def _run_config(cmd: str, args) -> int:
     out = manifest["output"]
     if args.out:
         out["path"] = args.out
+    folder = os.path.dirname(out["path"]) or "."
+    if not os.path.isdir(folder):
+        raise ConfigError("--out" if args.out else "output.path",
+                          f"directory {folder!r} does not exist")
     r_v = manifest["model"]["v"]
     # a table drive holds its last value beyond its last time
     v_inf = r_v["value"] if r_v["kind"] == "constant" else r_v["values"][-1]
@@ -201,6 +207,10 @@ def main(argv=None) -> int:
         return 2
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
+        return 1
+    except OSError as exc:
+        # the output directory was checked before the solve
+        print(f"cannot write output: {exc}", file=sys.stderr)
         return 1
     except MemoryError as exc:
         # the count checks only refuse sizes that no array can index

@@ -170,7 +170,9 @@ def build_kernel(d, path="model.kernel"):
         zeta = _num(d, "zeta", path, required=True, positive=True)
         a_max = _num(d, "a_max", path, positive=True)
         cls = Exponential if kind == "exponential" else TruncatedExponential
-        kernel = cls(beta, zeta, a_max)
+        # a_max is finite here, but a subnormal zeta makes the default
+        # 40/zeta infinite
+        kernel = _checked(f"{path}.zeta", cls, beta, zeta, a_max)
         resolved.update(beta=beta, zeta=zeta)
     resolved["a_max"] = kernel.a_max
     return kernel, resolved

@@ -80,6 +80,9 @@ class Exponential(Kernel):
         self.beta = float(beta)
         self.zeta = float(zeta)
         self.a_max = float(a_max) if a_max is not None else 40.0 / self.zeta
+        if not math.isfinite(self.a_max):
+            raise ValueError("a_max is not finite (the default 40/zeta "
+                             "overflows for a subnormal zeta)")
 
     def _rho(self, a):
         return self.beta * np.exp(-self.zeta * a)

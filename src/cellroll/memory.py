@@ -62,7 +62,8 @@ class Memory:
     ``support(t)`` is below ``a_max`` (a kernel whose time dependence is an
     age cutoff), the window at time t stops before the first age
     a_j >= support(t). So a bond exactly t old is dropped here, although
-    ``Kernel.eval`` counts it (a <= t).
+    ``Kernel.eval`` counts it (a <= t). ``static_windows`` gives the age
+    counts and weight totals of a static kernel's windows for a whole run.
     """
 
     def __init__(self, kernel: Kernel, eps: float, dt: float, rule: str):
@@ -113,3 +114,22 @@ class Memory:
         if total is None or total[0] != key:
             total = self._totals[lo] = (key, float(w.sum()))
         return w, total[1], nodes[end - w.size: end]
+
+    def static_windows(self, times, hi):
+        """Age counts m and weight totals of the windows ``window`` gives
+        at ``times`` with caps ``hi`` (arrays), for a kernel without
+        ``modulation``: window i holds the last m[i] static weights.
+
+        The support cut is applied to all times at once, and every total is
+        read off one cumulative sum of the weights, youngest age first, up
+        to the largest window, so none comes from a subtraction.
+        """
+        size = self.ages.size
+        m = np.minimum(hi, size)
+        if self.kernel.time_dependent:
+            support = np.array([self.kernel.support(t) for t in times])
+            cut = np.searchsorted(self.ages, support, side="left")
+            m = np.where(support < self.kernel.a_max, np.minimum(m, cut), m)
+        youngest = self._static[size - int(m.max(initial=0)):][::-1]
+        totals = np.concatenate(([0.0], np.cumsum(youngest)))
+        return m, totals[m]

@@ -130,8 +130,9 @@ class PiecewiseLinear(Potential):
 
     The profile is stored on the full line: ``_knots`` -b_N .. b_N with the
     values ``_kvals`` of psi there, and ``_slopes[i]`` on
-    (``_knots[i-1]``, ``_knots[i]``). ``_kink_table`` holds the kinks k with
-    slope jumps ds > 0 and L, so psi'(u) = -L + sum_k ds_k H(u - k).
+    (``_knots[i-1]``, ``_knots[i]``); the slope lookups give NaN at NaN.
+    ``_kink_table`` holds the kinks k with slope jumps ds > 0 and L, so
+    psi'(u) = -L + sum_k ds_k H(u - k).
     """
 
     lipschitz_Lprime = 0.0
@@ -149,6 +150,12 @@ class PiecewiseLinear(Potential):
         self._knots = np.concatenate((-hb[::-1], [0.0], hb))
         self._kvals = np.concatenate((kvals[:0:-1], kvals))
         self._slopes = np.concatenate((-hs[::-1], hs))
+        # searchsorted orders NaN after +inf: one key past the knots (+inf
+        # searching left, NaN searching right) sends every u up to +inf to
+        # its slope as before, and NaN alone one index further, to NaN
+        self._lo_keys = np.append(self._knots, np.inf)
+        self._hi_keys = np.append(self._knots, np.nan)
+        self._nan_slopes = np.append(self._slopes, np.nan)
         self.lipschitz_L = float(hs[-1])
         jumps = np.diff(self._slopes)
         self._kink_table = (self._knots[jumps > 0], jumps[jumps > 0], self.lipschitz_L)
@@ -160,10 +167,10 @@ class PiecewiseLinear(Potential):
         return self._kvals[i] + self._slopes[i + 1] * (x - self._knots[i])
 
     def subdiff_lo(self, u):
-        return self._slopes[np.searchsorted(self._knots, u, side="left")]
+        return self._nan_slopes[np.searchsorted(self._lo_keys, u, side="left")]
 
     def subdiff_hi(self, u):
-        return self._slopes[np.searchsorted(self._knots, u, side="right")]
+        return self._nan_slopes[np.searchsorted(self._hi_keys, u, side="right")]
 
     def __repr__(self):
         n = self._knots.size // 2
@@ -278,7 +285,10 @@ class Mollified(Potential):
         x = np.abs(u)
         t = (x[..., None] - self._kinks) / self.delta
         parts = self._jumps * self.delta * (self._tb.icdf_eval(t) - self._iconsts)
-        return np.maximum(-self._L * x + parts.sum(axis=-1), 0.0)
+        # at |u| = inf the sum reads -inf + inf; psi grows without bound there
+        with np.errstate(invalid="ignore"):
+            out = np.maximum(-self._L * x + parts.sum(axis=-1), 0.0)
+        return np.where(x == np.inf, np.inf, out)
 
     def subdiff_lo(self, u):
         u = np.asarray(u, dtype=float)

@@ -10,10 +10,20 @@ lies. For piecewise-linear psi that probe has already summed every kink on
 the other side, and one sorted sweep over the kinks on the root's side finds
 it exactly. For any other psi the probe brackets the root, and the ITP
 search that also solves the limit law closes the bracket.
+
+A rolling step costs O(1). Each step carries its window's weight total Q;
+a static kernel's age counts and totals are computed for the whole run up
+front. The probe at the previous node sees the youngest stretch 0, so every
+stretch can lie past the outermost kink only when psi has no kink but 0
+(abs); for such psi each step also carries its highest and lowest anchor,
+kept by two monotone deques (Lemire, arXiv:cs/0610046). When every stretch
+lies past that kink, on the side the step probes, the memory force is
++-L*Q, with no pass over the anchors, and no kink is left to sweep.
 """
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,6 +50,16 @@ class StepEnergy:
     with weights[j] = rho(a, t_n) * da >= 0 for one age a and anchors[j] its
     node one step behind z(t_n - eps*a): oldest age first, paired index by
     index. Strongly convex with modulus 1/dt.
+
+    ``total`` is the sum of the weights, and ``anchor_max``/``anchor_min``
+    bound the anchors from above and below; left out, they are computed
+    from the arrays, the bounds as the extreme anchors (-inf/+inf for no
+    anchor). For piecewise-linear psi they give the subgradient in O(1)
+    when every stretch u_j = (w - anchors[j])/eps lies at or beyond the
+    outermost kink on the side asked for, where psi'(u_j) = +-L. The test
+    computes the extreme u_j from the bound with the same float operations
+    as u, so with the extremes as bounds it holds exactly when every u_j
+    clears the kink; +-inf bounds turn it off wherever psi has a kink.
     """
 
     psi: Potential
@@ -49,6 +69,17 @@ class StepEnergy:
     weights: np.ndarray
     anchors: np.ndarray
     eps: float = 1.0
+    total: float | None = None
+    anchor_max: float | None = None
+    anchor_min: float | None = None
+
+    def __post_init__(self):
+        if self.total is None:
+            self.total = float(np.sum(self.weights))
+        if self.anchor_max is None:
+            self.anchor_max = float(np.max(self.anchors, initial=-math.inf))
+        if self.anchor_min is None:
+            self.anchor_min = float(np.min(self.anchors, initial=math.inf))
 
     def value(self, w: float) -> float:
         u = (w - self.anchors) / self.eps
@@ -56,14 +87,36 @@ class StepEnergy:
         return (w - self.previous) ** 2 / (2.0 * self.dt) + mem - self.drive * w
 
     def subgrad_lo(self, w: float) -> float:
-        u = (w - self.anchors) / self.eps
-        mem = float(np.dot(self.weights, self.psi.subdiff_lo(u)))
+        if _past_kinks(self, w, False):
+            mem = -self.psi.lipschitz_L * self.total
+        else:
+            u = (w - self.anchors) / self.eps
+            mem = float(np.dot(self.weights, self.psi.subdiff_lo(u)))
         return (w - self.previous) / self.dt + mem - self.drive
 
     def subgrad_hi(self, w: float) -> float:
-        u = (w - self.anchors) / self.eps
-        mem = float(np.dot(self.weights, self.psi.subdiff_hi(u)))
+        if _past_kinks(self, w, True):
+            mem = self.psi.lipschitz_L * self.total
+        else:
+            u = (w - self.anchors) / self.eps
+            mem = float(np.dot(self.weights, self.psi.subdiff_hi(u)))
         return (w - self.previous) / self.dt + mem - self.drive
+
+
+def _past_kinks(e: StepEnergy, w: float, up: bool) -> bool:
+    """Whether psi is piecewise linear and every stretch (w - anchors)/eps
+    is at or above its highest kink (``up``), or at or below its lowest.
+
+    A NaN stretch clears no kink; with no kink at all, psi = 0.
+    """
+    if not isinstance(e.psi, PiecewiseLinear):
+        return False
+    kinks = e.psi.breakpoints  # the kink table's, as floats
+    if not kinks:
+        return True
+    if up:
+        return (w - e.anchor_max) / e.eps >= kinks[-1]
+    return (w - e.anchor_min) / e.eps <= kinks[0]
 
 
 def minimize_step(e: StepEnergy) -> float:
@@ -78,7 +131,9 @@ def minimize_step(e: StepEnergy) -> float:
       subgradient is piecewise linear in w with kinks at anchors + eps * k.
       The probe at z sums every kink on the far side of z from the root,
       so one sorted sweep over the kinks on the root's side finds it
-      exactly.
+      exactly. When every stretch at z lies past the outermost kink on the
+      probe's side, the probe reads only the carried weight total, and the
+      sweep has no kink to sort: the step is O(1).
     * any other psi: ITP closes the bracket to 1e-11, or to adjacent floats
       where their spacing is wider.
     """
@@ -104,12 +159,15 @@ def _kink_sweep(e: StepEnergy, y: float) -> float:
     left to sweep are those with u_j < k. y > 0 is g_lo(z), which counts
     the kinks with u_j > k; the root lies below z, so those are the kinks
     to sweep. The comparison is the probe's own, so a rounding tie is
-    counted exactly once. With no such kink, g is linear on that side.
+    counted exactly once. With no such kink, g is linear on that side: the
+    extreme anchor tells so before any pass over the anchors.
     """
     kinks, jumps, _ = e.psi._kink_table
     dt = float(e.dt)
     z = float(e.previous)
     up = y < 0.0
+    if _past_kinks(e, z, up):
+        return z - dt * y
     u = ((z - e.anchors) / e.eps)[:, None]
     j, k = np.nonzero(u < kinks if up else u > kinks)
     if j.size == 0:
@@ -131,15 +189,84 @@ def _kink_sweep(e: StepEnergy, y: float) -> float:
     return float(z - dt * (base + cum[i]))
 
 
-def _step(psi: Potential, memory: Memory, drive, nodes, origin: int, n: int,
-          dt: float, eps: float) -> StepEnergy:
-    """E_n from nodes[origin + k] = Z^k; anchors Z^{n-m} .. Z^{n-1}."""
-    t_n = n * dt
+class _SlidingExtrema:
+    """Highest and lowest of values[start:end] as the window slides.
+
+    Two monotone deques of (index, value) pairs (Lemire): each index enters
+    and leaves each deque at most once while both ends move forward, so a
+    slide costs O(1) amortised. A value is read when it enters, so it must
+    be final by then. A start that moves back adds older values at the
+    front, where a value that is not a new extreme can never become one.
+    """
+
+    def __init__(self, values, start: int):
+        self.values = values
+        self.start = self.end = start
+        self.high = deque()  # strictly falling values
+        self.low = deque()  # strictly rising values
+
+    def slide(self, start: int, end: int):
+        """(max, min) of values[start:end]; (-inf, inf) when it is empty."""
+        v, high, low = self.values, self.high, self.low
+        for i in range(self.end, end):
+            x = float(v[i])
+            while high and high[-1][1] <= x:
+                high.pop()
+            high.append((i, x))
+            while low and low[-1][1] >= x:
+                low.pop()
+            low.append((i, x))
+        while high and high[0][0] < start:
+            high.popleft()
+        while low and low[0][0] < start:
+            low.popleft()
+        for i in range(self.start - 1, start - 1, -1):
+            x = float(v[i])
+            if not high or x > high[0][1]:
+                high.appendleft((i, x))
+            if not low or x < low[0][1]:
+                low.appendleft((i, x))
+        self.start, self.end = start, end
+        return (high[0][1] if high else -math.inf,
+                low[0][1] if low else math.inf)
+
+
+def _steps(psi: Potential, memory: Memory, drive, nodes, origin: int,
+           first: int, last: int, dt: float, eps: float):
+    """E_first .. E_last from nodes[origin + k] = Z^k; E_n anchors at
+    Z^{n-m} .. Z^{n-1}, and is built when asked for, so Z^{n-1} must be in
+    ``nodes`` by then.
+
+    A kernel without modulation gets every step's age count and weight
+    total from one ``Memory.static_windows`` call; a modulated one from
+    ``Memory.window`` at each step. The youngest anchor is Z^{n-1}, whose
+    stretch at the probe is 0, so only a psi with no kink but 0 can find
+    every stretch past its outermost kink there; only for such psi are the
+    extreme anchors kept, and any other psi gets the bounds +-inf.
+    """
+    static = memory._static
     # hi = n keeps the anchors at computed nodes, so bonds older than t_n
     # carry no force: the known gap to the prescribed past z_p
-    weights, _, anchors = memory.window(t_n, nodes, origin + n, hi=n)
-    return StepEnergy(psi, float(nodes[origin + n - 1]), dt, float(drive(t_n)),
-                      weights, anchors, eps)
+    if static is not None:
+        steps = np.arange(first, last + 1)
+        sizes, totals = memory.static_windows(steps * dt, steps)
+    extrema = None
+    if isinstance(psi, PiecewiseLinear) and set(psi.breakpoints) <= {0.0}:
+        extrema = _SlidingExtrema(nodes, origin)
+    top, bottom = math.inf, -math.inf
+    for i, n in enumerate(range(first, last + 1)):
+        t_n = n * dt
+        end = origin + n
+        if static is None:
+            weights, total, anchors = memory.window(t_n, nodes, end, hi=n)
+        else:
+            m = int(sizes[i])
+            weights, total = static[static.size - m:], float(totals[i])
+            anchors = nodes[end - m: end]
+        if extrema is not None:
+            top, bottom = extrema.slide(end - weights.size, end)
+        yield StepEnergy(psi, float(nodes[end - 1]), dt, float(drive(t_n)),
+                         weights, anchors, eps, total, top, bottom)
 
 
 def _reject_unbounded(psi: Potential):
@@ -178,8 +305,9 @@ def solve_mm(psi: Potential, kernel: Kernel, v, past: PastData,
     J = memory.ages.size - 1
     drive = as_drive(v)
     B = memory.buffer(past, n_steps)  # B[J + n] = Z^n
-    for n in range(1, n_steps + 1):
-        B[J + n] = minimize_step(_step(psi, memory, drive, B, J, n, dt, eps))
+    steps = _steps(psi, memory, drive, B, J, 1, n_steps, dt, eps)
+    for n, e in enumerate(steps, start=1):
+        B[J + n] = minimize_step(e)
         if not math.isfinite(B[J + n]):
             raise NumericalError(f"minimizing movements diverged at t = {n * dt:.6g}")
     return Trajectory(dt, B[J:].copy(), eps=eps)
@@ -195,4 +323,5 @@ def step_energy(psi: Potential, kernel: Kernel, v, traj: Trajectory,
     if n < 1:
         raise ValueError("steps are numbered from 1")
     memory = Memory(kernel, traj.eps, traj.dt, "rectangle")
-    return _step(psi, memory, as_drive(v), traj.values, 0, n, traj.dt, traj.eps)
+    return next(_steps(psi, memory, as_drive(v), traj.values, 0, n, n,
+                       traj.dt, traj.eps))

@@ -317,6 +317,51 @@ class TestFailureExits:
         assert code == 2
         assert err.startswith(f"config error: {field}")
 
+    @pytest.mark.parametrize("command", ["simulate", "mm", "limit"])
+    @pytest.mark.parametrize("zeta", [5e-324, 1e-310])
+    def test_subnormal_zeta_reports_its_field(self, capsys, tmp_path,
+                                              command, zeta):
+        # the default a_max = 40/zeta overflows to inf
+        cfg_dict = creep_config() if command == "mm" else quad_config()
+        cfg_dict["model"]["kernel"]["zeta"] = zeta
+        cfg = write_config(tmp_path / "run.json", cfg_dict)
+        code, _, err = run(capsys, command, "--config", cfg,
+                           "--out", str(tmp_path / "run.csv"))
+        assert code == 2
+        assert err.startswith("config error: model.kernel.zeta: ")
+
+    @pytest.mark.parametrize("command", ["oracle", "mm", "converge"])
+    @pytest.mark.parametrize("flag", [False, True], ids=["config", "--out"])
+    def test_missing_output_directory_exits_before_the_solve(
+            self, capsys, tmp_path, command, flag):
+        cfg_dict = valid_config(command) if command == "converge" else creep_config()
+        target = str(tmp_path / "absent" / "run.csv")
+        argv = [command, "--config", None]
+        if flag:
+            argv += ["--out", target]
+        else:
+            cfg_dict["output"] = {"path": target}
+        argv[2] = write_config(tmp_path / "run.json", cfg_dict)
+        solves = {name: mock.MagicMock() for name in SOLVES}
+        with mock.patch.multiple("cellroll.cli", **solves):
+            code, _, err = run(capsys, *argv)
+        assert code == 2
+        field = "--out" if flag else "output.path"
+        assert err == (f"config error: {field}: directory "
+                       f"{str(tmp_path / 'absent')!r} does not exist\n")
+        for name, solve in solves.items():
+            assert not solve.called, name
+
+    def test_failed_write_exits_one_in_one_line(self, capsys, tmp_path):
+        # the output path is an existing directory: open() fails after the
+        # solve, so the directory check cannot see it
+        cfg = write_config(tmp_path / "run.json", creep_config())
+        code, _, err = run(capsys, "mm", "--config", cfg,
+                           "--out", str(tmp_path))
+        assert code == 1
+        assert err.startswith("cannot write output: ")
+        assert err.count("\n") == 1
+
     @pytest.mark.parametrize("command, section, value", [
         ("limit", "solver", []),
         ("limit", "output", 0),
@@ -584,7 +629,7 @@ _huge = (st.integers(min_value=2**1024, max_value=10**400)
          | st.integers(min_value=-10**400, max_value=-2**1024))
 _scalar = st.one_of(st.none(), st.booleans(), _huge,
                     st.sampled_from([math.nan, math.inf, -math.inf,
-                                     0.0, -1.0, 0.5]),
+                                     0.0, -1.0, 0.5, 5e-324, 1e-310]),
                     st.text(max_size=4))
 # scalars, nested lists, and objects whose keys no section takes
 _json_value = st.recursive(

@@ -41,6 +41,16 @@ class TestExponential:
         with pytest.raises(ValueError):
             Exponential(1.0, 0.0)
 
+    @pytest.mark.parametrize("cls", [Exponential, TruncatedExponential])
+    def test_rejects_an_infinite_horizon(self, cls):
+        # 40/zeta overflows for a subnormal zeta
+        for zeta in (5e-324, 1e-310):
+            with pytest.raises(ValueError, match="not finite"):
+                cls(1.0, zeta)
+        with pytest.raises(ValueError, match="not finite"):
+            cls(1.0, 1.0, a_max=math.inf)
+        assert math.isfinite(cls(1.0, 1e-300).a_max)
+
     def test_flags(self):
         k = Exponential(1.0, 1.0)
         assert k.time_dependent is False

@@ -87,6 +87,26 @@ def test_sum_follows_the_age_count():
         weights(memory, t, lo=1)
 
 
+@pytest.mark.parametrize("kernel", [
+    Exponential(1.0, 1.0, a_max=1.0), TruncatedExponential(1.0, 1.0),
+    AgeCutTabulated([0.0, 0.5, 1.0, 2.0], [1.0, 0.8, 0.5, 0.1])],
+    ids=["exponential", "truncated", "age-cut-tabulated"])
+@pytest.mark.parametrize("eps", [1.0, 0.5, 2.0])
+def test_static_windows_match_the_window(kernel, eps):
+    memory = Memory(kernel, eps, 0.25, "rectangle")
+    steps = np.arange(1, 17)
+    times = 0.25 * steps
+    youngest_first = np.concatenate(([0.0], np.cumsum(memory._static[::-1])))
+    for hi in (steps, np.full(steps.size, 100)):
+        sizes, totals = memory.static_windows(times, hi)
+        for t, cap, m, total in zip(times, hi, sizes, totals):
+            w = weights(memory, t, hi=int(cap))
+            assert m == w.size
+            assert total == pytest.approx(w.sum(), rel=1e-15)
+        # every total is read off one running sum, none is a difference
+        np.testing.assert_array_equal(totals, youngest_first[sizes])
+
+
 def test_buffer_holds_the_past_before_the_first_node():
     memory = Memory(Exponential(1.0, 1.0, a_max=1.0), 2.0, 0.5, "rectangle")
     B = memory.buffer(LinearPast(2.0, 1.0), 3)

@@ -5,6 +5,7 @@ convolution with the normalized bump, computed here independently with
 scipy.
 """
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -196,6 +197,34 @@ class TestPiecewiseLinearTable:
         assert abs_psi.breakpoints == table.breakpoints == (0.0,)
         for a, b in zip(abs_psi._kink_table, table._kink_table):
             assert same_bits(a, b)
+
+
+class TestNonFiniteInput:
+    """A NaN stretch has no slope, as under AbsoluteValue, and psi is +inf
+    at both infinities. ``solve_mm`` compares stretches with the outermost
+    kink, so a NaN there must never read as past it."""
+
+    @pytest.mark.parametrize("psi", [
+        AbsoluteValue(), PiecewiseLinear([1.0], [0.3, 2.0]),
+        PiecewiseLinear([0.5], [0.0, 2.0]), PiecewiseLinear((), (0.0,))])
+    def test_nan_has_no_slope(self, psi):
+        L = psi.lipschitz_L
+        for f in (psi.subdiff_lo, psi.subdiff_hi):
+            assert math.isnan(float(f(math.nan)))
+            s = f(np.array([math.nan, -math.inf, math.inf, 0.75]))
+            assert math.isnan(s[0]) and s[1] == -L and s[2] == L
+            assert s[3] == f(0.75)
+
+    @pytest.mark.parametrize("base", [
+        AbsoluteValue(), PiecewiseLinear([1.0], [0.3, 2.0])])
+    def test_mollified_value_is_infinite_at_infinity(self, base):
+        psi = mollify(base, 0.2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = psi.value(np.array([-math.inf, math.inf, 1.5]))
+            assert float(psi.value(math.inf)) == math.inf
+        assert got[0] == got[1] == math.inf
+        assert got[2] == psi.value(1.5) < math.inf
 
 
 class TestConvexityContract:

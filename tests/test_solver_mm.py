@@ -1,5 +1,6 @@
 """Minimizing movements: per-step minimizer, plastic stopping, certificates."""
 import math
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -224,16 +225,159 @@ class TestStructuredStep:
     ])
     def test_never_bisects(self, cls, args):
         psi = type("Counted", (Counting, cls), {})(*args)
-        v = lambda t: 1.0 + 1.5 * math.sin(20.0 * t)
+        kernel = TruncatedExponential(1.0, 1.0)
+        v = lambda t: 1.5 * math.sin(20.0 * t)
         cfg = SolverConfig(eps=0.5, T=0.4, dt=2e-3)
-        traj = solve_mm(psi, TruncatedExponential(1.0, 1.0), v,
-                        ConstantPast(0.0), cfg)
-        steps = np.diff(traj.values)
-        ups = np.count_nonzero(steps > 0.0)
-        assert 0 < ups < steps.size
-        # a step up takes one g_hi pass at the previous node; a step down or
-        # a stuck step adds one g_lo pass there
-        assert psi.calls + psi.hi_calls == 2 * steps.size - ups
+        traj = solve_mm(psi, kernel, v, ConstantPast(0.0), cfg)
+        kinks = psi._kink_table[0]
+        # a step up takes one g_hi pass at the previous node z; a step down
+        # or a stuck step adds one g_lo pass there. A pass whose stretches
+        # (z - anchors)/eps all lie at or beyond the outermost kink on its
+        # side reads L times the weight total and touches no psi.
+        passes, fast = 0, {"up": 0, "down": 0}
+        for n in range(1, traj.values.size):
+            e = step_energy(psi, kernel, v, traj, n)
+            z = traj.values[n - 1]
+            u = (z - e.anchors) / e.eps
+            up = traj.values[n] > z
+            past_hi = bool(np.all(u >= kinks[-1]))
+            past_lo = bool(np.all(u <= kinks[0]))
+            passes += 1 - past_hi
+            fast["up"] += up and past_hi
+            if not up:
+                passes += 1 - past_lo
+                fast["down"] += past_lo
+        assert psi.calls + psi.hi_calls == passes
+        ups = np.count_nonzero(np.diff(traj.values) > 0.0)
+        assert 0 < ups < traj.values.size - 1
+        if cls is AbsoluteValue:
+            # some steps roll up and some down past every kink, some do not
+            assert fast["up"] > 0 and fast["down"] > 0
+            assert 0 < passes < 2 * (traj.values.size - 1) - ups
+        else:
+            # the youngest anchor is z, inside the kinks at +-0.5 .. 1.5
+            assert passes == 2 * (traj.values.size - 1) - ups
+
+
+class Plain(Potential):
+    """A piecewise-linear psi behind the generic interface, so a step
+    energy over it takes no O(1) branch: the reference for the fast one."""
+
+    def __init__(self, psi):
+        self.psi = psi
+        self.breakpoints = psi.breakpoints
+        self.lipschitz_L = psi.lipschitz_L
+        self._kink_table = psi._kink_table
+
+    def value(self, u):
+        return self.psi.value(u)
+
+    def subdiff_lo(self, u):
+        return self.psi.subdiff_lo(u)
+
+    def subdiff_hi(self, u):
+        return self.psi.subdiff_hi(u)
+
+
+@st.composite
+def rolling_energies(draw):
+    """A step energy on piecewise-linear psi whose previous node lies at or
+    beyond the outermost kink from every anchor, on either side, or
+    anywhere; the weight total and extreme anchors are carried."""
+    psi = draw(piecewise_linear())
+    m = draw(st.integers(0, 6))
+    weights = draw(st.lists(st.one_of(st.just(0.0), st.floats(0.0, 2.0)),
+                            min_size=m, max_size=m))
+    anchors = draw(st.lists(coords, min_size=m, max_size=m))
+    eps = draw(st.sampled_from([0.5, 1.0]))
+    kinks = psi._kink_table[0]
+    gap = draw(st.one_of(st.just(0.0), st.floats(0.0, 0.5)))
+    side = draw(st.sampled_from(["above", "below", "anywhere"]))
+    if side == "above" and m:
+        previous = max(anchors) + eps * kinks[-1] + gap
+    elif side == "below" and m:
+        previous = min(anchors) + eps * kinks[0] - gap
+    else:
+        previous = draw(coords)
+    return StepEnergy(psi, float(previous), draw(st.floats(0.01, 0.3)),
+                      draw(st.floats(-3.0, 3.0)), np.asarray(weights, float),
+                      np.asarray(anchors, float), eps, math.fsum(weights),
+                      max(anchors, default=-math.inf),
+                      min(anchors, default=math.inf))
+
+
+class TestRollingStep:
+    """Steps whose stretches all lie past the outermost kink read only the
+    carried weight total and extreme anchors."""
+
+    @settings(max_examples=400, derandomize=True, deadline=None)
+    @given(e=rolling_energies(), probe=st.floats(-2.0, 2.0))
+    def test_carried_totals_give_the_reference_step(self, e, probe):
+        plain = replace(e, psi=Plain(e.psi))
+        for w in (e.previous, probe):
+            assert e.subgrad_lo(w) == pytest.approx(plain.subgrad_lo(w),
+                                                    abs=1e-13)
+            assert e.subgrad_hi(w) == pytest.approx(plain.subgrad_hi(w),
+                                                    abs=1e-13)
+        passes = []
+        e.psi.subdiff_lo = lambda u, f=e.psi.subdiff_lo: passes.append(u) or f(u)
+        e.psi.subdiff_hi = lambda u, f=e.psi.subdiff_hi: passes.append(u) or f(u)
+        w = minimize_step(e)
+        del e.psi.subdiff_lo, e.psi.subdiff_hi
+        assert w == pytest.approx(minimize_step_full_sort(plain), abs=1e-14)
+        assert w == pytest.approx(minimize_step_bisect(plain), abs=1e-10)
+        assert_certified(plain, w, 1e-12)
+        u = (e.previous - e.anchors) / e.eps
+        kinks = e.psi._kink_table[0]
+        if w > e.previous and np.all(u >= kinks[-1]):
+            assert passes == []
+        if w < e.previous and np.all(u <= kinks[0]):
+            # only the g_hi probe that sent the step down may read psi
+            assert len(passes) <= 1
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(values=st.lists(st.sampled_from([-1.0, 0.0, 0.5]) | st.floats(-2, 2),
+                           min_size=1, max_size=40),
+           moves=st.lists(st.tuples(st.integers(0, 3), st.integers(-2, 3)),
+                          max_size=40))
+    def test_sliding_extrema_match_the_slices(self, values, moves):
+        # the end moves forward; the start mostly does too, and sometimes
+        # moves back, as a kernel whose support shrinks and grows makes it
+        values = np.asarray(values, float)
+        start = end = 0
+        extrema = solver_mm._SlidingExtrema(values, 0)
+        for grow, shift in moves:
+            end = min(end + grow, values.size)
+            start = min(max(start + shift, 0), end)
+            window = values[start:end]
+            assert extrema.slide(start, end) == (
+                window.max(initial=-math.inf), window.min(initial=math.inf))
+
+    @pytest.mark.parametrize("psi", [
+        AbsoluteValue(), PiecewiseLinear([1.0], [0.3, 2.0])],
+        ids=["abs", "piecewise"])
+    @pytest.mark.parametrize("kernel", [
+        Exponential(1.0, 1.0, a_max=0.3), TruncatedExponential(1.0, 2.0),
+        Tabulated([0.0, 0.5, 1.0], [1.0, 0.5, 0.2],
+                  modulation=lambda t: 1.0 + 0.5 * math.sin(5.0 * t))],
+        ids=["static", "cut", "modulated"])
+    def test_step_energy_rebuilds_every_step(self, kernel, psi):
+        # the drive rolls the cell up and down and sticks
+        v = lambda t: 2.0 * math.sin(15.0 * t)
+        cfg = SolverConfig(eps=0.5, T=0.6, dt=5e-3)
+        traj = solve_mm(psi, kernel, v, ConstantPast(0.0), cfg)
+        for n in range(1, traj.values.size):
+            e = step_energy(psi, kernel, v, traj, n)
+            assert e.total == pytest.approx(float(np.sum(e.weights)),
+                                            rel=1e-14)
+            if psi.breakpoints == (0.0,):
+                assert (e.anchor_max, e.anchor_min) == (e.anchors.max(),
+                                                        e.anchors.min())
+            else:
+                # the youngest stretch at the probe, 0, lies inside the
+                # kinks at +-1, so no extreme is kept
+                assert (e.anchor_max, e.anchor_min) == (math.inf, -math.inf)
+            assert minimize_step(e) == traj.values[n]
 
 
 class TestPathSelection:
