@@ -123,9 +123,11 @@ def _gamma_kernel(args):
     if args.beta is not None or args.zeta is not None:
         if args.beta is None or args.zeta is None:
             raise ConfigError("--beta", "give both --beta and --zeta")
-        return Exponential(args.beta, args.zeta)
+        # Exponential checks beta first, so any other complaint is zeta's
+        flag = "--beta" if args.beta < 0 else "--zeta"
+        return cfgmod._checked(flag, Exponential, args.beta, args.zeta)
     # default: unit-rate bonds scaled so the total mass equals --mu
-    return Exponential(args.mu, 1.0)
+    return cfgmod._checked("--mu", Exponential, args.mu, 1.0)
 
 
 def _run_gamma(args) -> int:

@@ -83,6 +83,8 @@ class Exponential(Kernel):
         if not math.isfinite(self.a_max):
             raise ValueError("a_max is not finite (the default 40/zeta "
                              "overflows for a subnormal zeta)")
+        if not math.isfinite(self.beta / self.zeta):  # the scale of every mass
+            raise ValueError("beta/zeta overflows; zeta is too small for beta")
 
     def _rho(self, a):
         return self.beta * np.exp(-self.zeta * a)

@@ -53,7 +53,7 @@ def as_drive(v):
 
 
 class Memory:
-    """Tied age grid, node buffer and per-step memory window for one kernel.
+    """Tied age grid, node buffer and per-step memory windows for one kernel.
 
     ``rule`` is "trapezoid" (end weights da/2) or "rectangle" (every weight
     da). A kernel without a time ``modulation`` gets its weights q_j rho(a_j)
@@ -62,8 +62,7 @@ class Memory:
     ``support(t)`` is below ``a_max`` (a kernel whose time dependence is an
     age cutoff), the window at time t stops before the first age
     a_j >= support(t). So a bond exactly t old is dropped here, although
-    ``Kernel.eval`` counts it (a <= t). ``static_windows`` gives the age
-    counts and weight totals of a static kernel's windows for a whole run.
+    ``Kernel.eval`` counts it (a <= t).
     """
 
     def __init__(self, kernel: Kernel, eps: float, dt: float, rule: str):
@@ -89,40 +88,44 @@ class Memory:
         B[:J + 1] = past.eval((np.arange(J + 1) - J) * self.dt)
         return B
 
-    def window(self, t: float, nodes, end: int, lo: int = 0,
-               hi: int | None = None):
+    def weights(self, t: float) -> np.ndarray:
+        """q_j rho(a_j, t) for all J + 1 ages, oldest first: one shared array
+        for a kernel without modulation, else one evaluation per new t."""
+        if self._static is not None:
+            return self._static
+        if self._last[0] != t:
+            self._last = (t, self._quad * self.kernel.eval(self.ages[::-1], t))
+        return self._last[1]
+
+    def window(self, t: float, nodes, end: int, lo: int = 0):
         """Ages a_lo .. a_{m-1} at time t: weights, their sum, and anchors.
 
         Both arrays run oldest age first: the weights are one contiguous
-        slice and the anchors the forward slice of ``nodes`` ending just
-        before index ``end``, so age a_lo pairs with ``nodes[end - 1]``. The
-        age count m is capped by ``support(t)``, by J + 1 and by ``hi``.
+        slice of ``weights(t)`` and the anchors the forward slice of
+        ``nodes`` ending just before index ``end``, so age a_lo pairs with
+        ``nodes[end - 1]``. The age count m is J + 1, cut by ``support(t)``.
         """
-        size = self.ages.size
-        m = size if hi is None else min(hi, size)
+        size = m = self.ages.size
         if self.kernel.time_dependent:
             support = self.kernel.support(t)
             if support < self.kernel.a_max:
-                m = min(m, int(np.searchsorted(self.ages, support, side="left")))
-        weights, key = self._static, (m, None)
-        if weights is None:
-            if self._last[0] != t:
-                self._last = (t, self._quad * self.kernel.eval(self.ages[::-1], t))
-            weights, key = self._last[1], (m, t)
-        w = weights[size - m: size - lo]
+                m = int(np.searchsorted(self.ages, support, side="left"))
+        w = self.weights(t)[size - m: size - lo]
+        key = (m, None if self._static is not None else t)
         total = self._totals.get(lo)
         if total is None or total[0] != key:
             total = self._totals[lo] = (key, float(w.sum()))
         return w, total[1], nodes[end - w.size: end]
 
-    def static_windows(self, times, hi):
-        """Age counts m and weight totals of the windows ``window`` gives
-        at ``times`` with caps ``hi`` (arrays), for a kernel without
-        ``modulation``: window i holds the last m[i] static weights.
+    def windows(self, times, hi):
+        """Age counts m and weight totals (arrays) of the windows at
+        ``times`` with counts capped by ``hi``: window i holds the last m[i]
+        of ``weights(times[i])``, for any kernel.
 
-        The support cut is applied to all times at once, and every total is
-        read off one cumulative sum of the weights, youngest age first, up
-        to the largest window, so none comes from a subtraction.
+        The support cut is applied to all times at once. Without modulation,
+        every total is read off one cumulative sum of the weights, youngest
+        age first, so none comes from a subtraction; a modulated kernel's
+        totals are None, as its weights change with t.
         """
         size = self.ages.size
         m = np.minimum(hi, size)
@@ -130,6 +133,8 @@ class Memory:
             support = np.array([self.kernel.support(t) for t in times])
             cut = np.searchsorted(self.ages, support, side="left")
             m = np.where(support < self.kernel.a_max, np.minimum(m, cut), m)
+        if self._static is None:
+            return m, np.full(m.size, None)
         youngest = self._static[size - int(m.max(initial=0)):][::-1]
         totals = np.concatenate(([0.0], np.cumsum(youngest)))
         return m, totals[m]

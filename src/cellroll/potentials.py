@@ -3,9 +3,11 @@
 Every potential in the catalog satisfies one contract: psi is even, convex,
 nonnegative, and psi(0) = 0. Forces enter the solvers through the
 subdifferential, which collapses to psi' wherever psi is differentiable.
-Nonsmooth members (``AbsoluteValue``, ``PiecewiseLinear``) expose their kink
-set through ``breakpoints``; ``mollify`` replaces them by a smooth convex
-surrogate with the same global Lipschitz constant.
+The nonsmooth members are ``PiecewiseLinear`` profiles (``AbsoluteValue`` is
+the one-slope profile, with no code of its own); each exposes its kink set
+as ``breakpoints`` and its kink table as ``kinks`` and ``jumps``. ``mollify``
+replaces them by a smooth convex surrogate with the same global Lipschitz
+constant.
 """
 from __future__ import annotations
 
@@ -128,18 +130,18 @@ class PiecewiseLinear(Potential):
         (b_i, b_{i+1}) with b_0 = 0. The left half follows by evenness, which
         adds a kink at 0 whenever slopes[0] > 0.
 
-    The profile is stored on the full line: ``_knots`` -b_N .. b_N with the
-    values ``_kvals`` of psi there, and ``_slopes[i]`` on
+    ``breaks`` and ``slopes`` keep copies of this input, and the full-line
+    kink table is ``kinks`` k with slope jumps ``jumps`` ds > 0, so
+    psi'(u) = -L + sum_k ds_k H(u - k). The lookups read ``_knots``
+    -b_N .. b_N, the values ``_kvals`` of psi there, and ``_slopes[i]`` on
     (``_knots[i-1]``, ``_knots[i]``); the slope lookups give NaN at NaN.
-    ``_kink_table`` holds the kinks k with slope jumps ds > 0 and L, so
-    psi'(u) = -L + sum_k ds_k H(u - k).
     """
 
     lipschitz_Lprime = 0.0
 
     def __init__(self, breaks, slopes):
-        hb = np.asarray(breaks, dtype=float)
-        hs = np.asarray(slopes, dtype=float)
+        hb = self.breaks = np.array(breaks, dtype=float)
+        hs = self.slopes = np.array(slopes, dtype=float)
         if hb.ndim != 1 or hs.ndim != 1 or hs.size != hb.size + 1:
             raise ValueError("need len(slopes) == len(breaks) + 1")
         if hb.size and (np.any(hb <= 0) or np.any(np.diff(hb) <= 0)):
@@ -158,11 +160,14 @@ class PiecewiseLinear(Potential):
         self._nan_slopes = np.append(self._slopes, np.nan)
         self.lipschitz_L = float(hs[-1])
         jumps = np.diff(self._slopes)
-        self._kink_table = (self._knots[jumps > 0], jumps[jumps > 0], self.lipschitz_L)
-        self.breakpoints = tuple(self._kink_table[0].tolist())
+        self.kinks, self.jumps = self._knots[jumps > 0], jumps[jumps > 0]
+        self.breakpoints = tuple(self.kinks.tolist())
 
     def value(self, u):
         x = np.abs(np.asarray(u, dtype=float))
+        if not self.lipschitz_L:
+            # psi = 0, where the profile would read 0 * inf at |u| = inf
+            return np.where(np.isnan(x), np.nan, 0.0)
         i = np.searchsorted(self._knots, x, side="right") - 1
         return self._kvals[i] + self._slopes[i + 1] * (x - self._knots[i])
 
@@ -173,9 +178,8 @@ class PiecewiseLinear(Potential):
         return self._nan_slopes[np.searchsorted(self._hi_keys, u, side="right")]
 
     def __repr__(self):
-        n = self._knots.size // 2
-        return (f"PiecewiseLinear(breaks={tuple(self._knots[n + 1:])}, "
-                f"slopes={tuple(self._slopes[n + 1:])})")
+        return (f"PiecewiseLinear(breaks={tuple(self.breaks)}, "
+                f"slopes={tuple(self.slopes)})")
 
 
 class AbsoluteValue(PiecewiseLinear):
@@ -183,15 +187,6 @@ class AbsoluteValue(PiecewiseLinear):
 
     def __init__(self):
         super().__init__((), (1.0,))
-
-    # np.sign is cheaper than the table lookup on the solvers' hot path
-    def subdiff_lo(self, u):
-        u = np.asarray(u, dtype=float)
-        return np.where(u == 0.0, -1.0, np.sign(u))
-
-    def subdiff_hi(self, u):
-        u = np.asarray(u, dtype=float)
-        return np.where(u == 0.0, 1.0, np.sign(u))
 
     def __repr__(self):
         return "AbsoluteValue()"
@@ -239,7 +234,8 @@ class _BumpTables:
         """Exact integral of the interpolated CDF from -1 to t."""
         t = np.asarray(t, dtype=float)
         tc = np.clip(t, -1.0, 1.0)
-        i = np.clip(((tc + 1.0) / self.h).astype(int), 0, self.y.size - 2)
+        # a NaN takes row 0, where dy = NaN makes the result NaN
+        i = np.clip(np.nan_to_num((tc + 1.0) / self.h).astype(int), 0, self.y.size - 2)
         dy = tc - self.y[i]
         slope = (self.cdf[i + 1] - self.cdf[i]) / self.h
         out = self.icdf[i] + self.cdf[i] * dy + 0.5 * slope * dy * dy
@@ -272,29 +268,27 @@ class Mollified(Potential):
     def __init__(self, base: Potential, delta: float):
         self.base = base
         self.delta = float(delta)
-        self._kinks, self._jumps, self._L = base._kink_table
-        tb = _tables()
-        self._tb = tb
-        self._iconsts = tb.icdf_eval(-self._kinks / self.delta)
-        self.lipschitz_L = self._L
-        self.lipschitz_Lprime = self._L * 2.0 * tb.omega0 / self.delta
+        self._tb = tb = _tables()
+        self._iconsts = tb.icdf_eval(-base.kinks / self.delta)
+        self.lipschitz_L = base.lipschitz_L
+        self.lipschitz_Lprime = self.lipschitz_L * 2.0 * tb.omega0 / self.delta
         self.breakpoints = ()
 
     def value(self, u):
         u = np.asarray(u, dtype=float)
         x = np.abs(u)
-        t = (x[..., None] - self._kinks) / self.delta
-        parts = self._jumps * self.delta * (self._tb.icdf_eval(t) - self._iconsts)
+        t = (x[..., None] - self.base.kinks) / self.delta
+        parts = self.base.jumps * self.delta * (self._tb.icdf_eval(t) - self._iconsts)
         # at |u| = inf the sum reads -inf + inf; psi grows without bound there
         with np.errstate(invalid="ignore"):
-            out = np.maximum(-self._L * x + parts.sum(axis=-1), 0.0)
+            out = np.maximum(-self.lipschitz_L * x + parts.sum(axis=-1), 0.0)
         return np.where(x == np.inf, np.inf, out)
 
     def subdiff_lo(self, u):
         u = np.asarray(u, dtype=float)
         x = np.abs(u)
-        t = (x[..., None] - self._kinks) / self.delta
-        d = -self._L + (self._jumps * self._tb.cdf_eval(t)).sum(axis=-1)
+        t = (x[..., None] - self.base.kinks) / self.delta
+        d = (self.base.jumps * self._tb.cdf_eval(t)).sum(axis=-1) - self.lipschitz_L
         return np.sign(u) * d
 
     subdiff_hi = subdiff_lo

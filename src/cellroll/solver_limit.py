@@ -34,8 +34,7 @@ def _force_selections(psi, kernel, t):
     """
     if isinstance(psi, PiecewiseLinear):
         # the right half of the even profile: knots 0 .. b_N, their slopes
-        n = psi._knots.size // 2
-        hk, hs = psi._knots[n:], psi._slopes[n + 1:]
+        hk, hs = np.concatenate(([0.0], psi.breaks)), psi.slopes
         total = float(kernel.cummass(kernel.a_max, t))
         band = float(hs[0]) * total
 

@@ -12,13 +12,14 @@ it exactly. For any other psi the probe brackets the root, and the ITP
 search that also solves the limit law closes the bracket.
 
 A rolling step costs O(1). Each step carries its window's weight total Q;
-a static kernel's age counts and totals are computed for the whole run up
-front. The probe at the previous node sees the youngest stretch 0, so every
-stretch can lie past the outermost kink only when psi has no kink but 0
-(abs); for such psi each step also carries its highest and lowest anchor,
-kept by two monotone deques (Lemire, arXiv:cs/0610046). When every stretch
-lies past that kink, on the side the step probes, the memory force is
-+-L*Q, with no pass over the anchors, and no kink is left to sweep.
+every window's age count, and for a kernel without modulation its total,
+is computed for the whole run up front. The probe at the previous node sees
+the youngest stretch 0, so every stretch can lie past the outermost kink
+only when psi has no kink but 0 (abs); for such psi each step also carries
+its highest and lowest anchor, kept by two monotone deques (Lemire,
+arXiv:cs/0610046). When every stretch lies past that kink, on the side the
+step probes, the memory force is +-L*Q, with no pass over the anchors, and
+no kink is left to sweep.
 """
 from __future__ import annotations
 
@@ -74,8 +75,7 @@ class StepEnergy:
     anchor_min: float | None = None
 
     def __post_init__(self):
-        if self.total is None:
-            self.total = float(np.sum(self.weights))
+        self.total = float(np.sum(self.weights) if self.total is None else self.total)
         if self.anchor_max is None:
             self.anchor_max = float(np.max(self.anchors, initial=-math.inf))
         if self.anchor_min is None:
@@ -162,7 +162,7 @@ def _kink_sweep(e: StepEnergy, y: float) -> float:
     counted exactly once. With no such kink, g is linear on that side: the
     extreme anchor tells so before any pass over the anchors.
     """
-    kinks, jumps, _ = e.psi._kink_table
+    kinks, jumps = e.psi.kinks, e.psi.jumps
     dt = float(e.dt)
     z = float(e.previous)
     up = y < 0.0
@@ -237,36 +237,30 @@ def _steps(psi: Potential, memory: Memory, drive, nodes, origin: int,
     Z^{n-m} .. Z^{n-1}, and is built when asked for, so Z^{n-1} must be in
     ``nodes`` by then.
 
-    A kernel without modulation gets every step's age count and weight
-    total from one ``Memory.static_windows`` call; a modulated one from
-    ``Memory.window`` at each step. The youngest anchor is Z^{n-1}, whose
+    Every step takes its age count m and weight total from one
+    ``Memory.windows`` call, and its weights as the last m of
+    ``Memory.weights`` at its time. The youngest anchor is Z^{n-1}, whose
     stretch at the probe is 0, so only a psi with no kink but 0 can find
     every stretch past its outermost kink there; only for such psi are the
     extreme anchors kept, and any other psi gets the bounds +-inf.
     """
-    static = memory._static
+    steps = np.arange(first, last + 1)
     # hi = n keeps the anchors at computed nodes, so bonds older than t_n
     # carry no force: the known gap to the prescribed past z_p
-    if static is not None:
-        steps = np.arange(first, last + 1)
-        sizes, totals = memory.static_windows(steps * dt, steps)
+    sizes, totals = memory.windows(steps * dt, steps)
+    size, weights = memory.ages.size, memory.weights
     extrema = None
     if isinstance(psi, PiecewiseLinear) and set(psi.breakpoints) <= {0.0}:
         extrema = _SlidingExtrema(nodes, origin)
     top, bottom = math.inf, -math.inf
-    for i, n in enumerate(range(first, last + 1)):
+    for n, m, total in zip(range(first, last + 1), map(int, sizes), totals):
         t_n = n * dt
         end = origin + n
-        if static is None:
-            weights, total, anchors = memory.window(t_n, nodes, end, hi=n)
-        else:
-            m = int(sizes[i])
-            weights, total = static[static.size - m:], float(totals[i])
-            anchors = nodes[end - m: end]
         if extrema is not None:
-            top, bottom = extrema.slide(end - weights.size, end)
+            top, bottom = extrema.slide(end - m, end)
         yield StepEnergy(psi, float(nodes[end - 1]), dt, float(drive(t_n)),
-                         weights, anchors, eps, total, top, bottom)
+                         weights(t_n)[size - m:], nodes[end - m: end], eps,
+                         total, top, bottom)
 
 
 def _reject_unbounded(psi: Potential):

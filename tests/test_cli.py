@@ -150,6 +150,18 @@ class TestGamma:
         assert "--beta" in err
 
     @pytest.mark.parametrize("argv, flag", [
+        (["--beta", "-1", "--zeta", "1"], "--beta"),
+        (["--zeta", "0", "--beta", "1"], "--zeta"),
+        (["--mu", "-1"], "--mu"),
+        (["--beta", "1", "--zeta", "1e-310"], "--zeta"),
+        (["--beta", "1e10", "--zeta", "1e-300"], "--zeta"),
+    ])
+    def test_bad_kernel_flag_is_a_config_error(self, capsys, argv, flag):
+        code, _, err = run(capsys, "gamma", *argv, "--v", "1")
+        assert code == 2
+        assert err.startswith(f"config error: {flag}: ")
+
+    @pytest.mark.parametrize("argv, flag", [
         (["--v", "nan"], "--v"),
         (["--mu", "nan", "--v", "1"], "--mu"),
         (["--beta", "inf", "--zeta", "1", "--v", "1"], "--beta"),
@@ -329,6 +341,20 @@ class TestFailureExits:
                            "--out", str(tmp_path / "run.csv"))
         assert code == 2
         assert err.startswith("config error: model.kernel.zeta: ")
+
+    @pytest.mark.parametrize("command", ["simulate", "mm", "limit", "oracle"])
+    def test_overflowing_mass_scale_reports_zeta(self, capsys, tmp_path,
+                                                 command):
+        # a_max is finite, but beta/zeta is not: every bond mass read inf
+        cfg_dict = creep_config()
+        cfg_dict["model"]["v"]["value"] = 6.0
+        cfg_dict["model"]["kernel"].update(zeta=1e-310, a_max=5.0)
+        cfg = write_config(tmp_path / "run.json", cfg_dict)
+        code, _, err = run(capsys, command, "--config", cfg,
+                           "--out", str(tmp_path / "run.csv"))
+        assert code == 2
+        assert err.startswith("config error: model.kernel.zeta: beta/zeta")
+        assert not (tmp_path / "run.csv").exists()
 
     @pytest.mark.parametrize("command", ["oracle", "mm", "converge"])
     @pytest.mark.parametrize("flag", [False, True], ids=["config", "--out"])

@@ -51,6 +51,17 @@ class TestExponential:
             cls(1.0, 1.0, a_max=math.inf)
         assert math.isfinite(cls(1.0, 1e-300).a_max)
 
+    @pytest.mark.parametrize("cls", [Exponential, TruncatedExponential])
+    def test_rejects_a_mass_scale_that_overflows(self, cls):
+        # with a finite a_max, beta/zeta = inf made every mass inf or NaN
+        for beta, zeta in ((1.0, 1e-310), (1e10, 1e-300)):
+            with pytest.raises(ValueError, match="beta/zeta"):
+                cls(beta, zeta, a_max=5.0)
+        k = cls(1.0, 1e-12, a_max=5.0)
+        assert k.mu_total() == pytest.approx(5.0, rel=1e-11)
+        assert k.cummass(1.0, math.inf) == pytest.approx(1.0, rel=1e-11)
+        assert cls(0.0, 1e-310, a_max=5.0).mu_total() == 0.0
+
     def test_flags(self):
         k = Exponential(1.0, 1.0)
         assert k.time_dependent is False

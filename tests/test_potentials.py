@@ -172,9 +172,12 @@ class TestPiecewiseLinearTable:
         assert same_bits(psi.subdiff_hi(u), hi)
         # exact oddness: the lower slope at -u is minus the upper one at u
         assert same_bits(psi.subdiff_lo(-u), -psi.subdiff_hi(u))
-        kinks, jumps, L = psi._kink_table
+        kinks, jumps = psi.kinks, psi.jumps
         assert psi.breakpoints == tuple(kinks)
-        assert np.all(jumps > 0.0) and L == slopes[-1] == psi.lipschitz_L
+        assert np.all(jumps > 0.0) and slopes[-1] == psi.lipschitz_L
+        # the right-half input, kept as given
+        assert same_bits(psi.breaks, np.asarray(breaks, float))
+        assert same_bits(psi.slopes, np.asarray(slopes, float))
         # the kinks are where lo and hi differ, among the knots
         at = np.concatenate((-np.asarray(breaks[::-1]), [0.0], breaks))
         lo_at, hi_at = half_line_subgradients(breaks, slopes, at)
@@ -195,8 +198,25 @@ class TestPiecewiseLinearTable:
         for name in ("value", "subdiff_lo", "subdiff_hi"):
             assert same_bits(getattr(abs_psi, name)(u), getattr(table, name)(u))
         assert abs_psi.breakpoints == table.breakpoints == (0.0,)
-        for a, b in zip(abs_psi._kink_table, table._kink_table):
-            assert same_bits(a, b)
+        for name in ("kinks", "jumps", "breaks", "slopes"):
+            assert same_bits(getattr(abs_psi, name), getattr(table, name))
+
+    def test_absolute_value_has_no_code_of_its_own(self):
+        own = {n for n, f in vars(AbsoluteValue).items() if callable(f)}
+        assert own == {"__init__", "__repr__"}
+        u = np.array([0.0, -0.0, 5e-324, -5e-324, 1.0, -1.0, math.inf,
+                      -math.inf, math.nan])
+        psi = AbsoluteValue()
+        assert same_bits(psi.subdiff_lo(u), np.where(u == 0, -1.0, np.sign(u)))
+        assert same_bits(psi.subdiff_hi(u), np.where(u == 0, 1.0, np.sign(u)))
+
+    def test_the_table_does_not_alias_the_input(self):
+        breaks, slopes = np.array([0.5, 1.5]), np.array([0.3, 1.0, 2.0])
+        psi = PiecewiseLinear(breaks, slopes)
+        breaks[:], slopes[:] = 9.0, 9.0
+        assert list(psi.breaks) == [0.5, 1.5]
+        assert list(psi.slopes) == [0.3, 1.0, 2.0]
+        assert list(psi.kinks) == [-1.5, -0.5, 0.0, 0.5, 1.5]
 
 
 class TestNonFiniteInput:
@@ -225,6 +245,22 @@ class TestNonFiniteInput:
             assert float(psi.value(math.inf)) == math.inf
         assert got[0] == got[1] == math.inf
         assert got[2] == psi.value(1.5) < math.inf
+
+    def test_zero_potential_is_zero_at_infinity(self):
+        psi = PiecewiseLinear((), (0.0,))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = psi.value(np.array([-math.inf, math.inf, math.nan, 2.0]))
+            assert float(psi.value(math.inf)) == 0.0
+        assert list(got[[0, 1, 3]]) == [0.0, 0.0, 0.0] and math.isnan(got[2])
+
+    def test_mollified_value_is_nan_at_nan(self):
+        psi = mollify(AbsoluteValue(), 0.2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = psi.value(np.array([math.nan, 1.5]))
+            assert math.isnan(float(psi.value(math.nan)))
+        assert math.isnan(got[0]) and got[1] == psi.value(1.5)
 
 
 class TestConvexityContract:

@@ -64,7 +64,7 @@ def minimize_step_full_sort(e):
     z = float(e.previous)
     if e.subgrad_lo(z) <= 0.0 <= e.subgrad_hi(z):
         return z
-    kinks, jumps, L = e.psi._kink_table
+    kinks, jumps, L = e.psi.kinks, e.psi.jumps, e.psi.lipschitz_L
     points = (e.anchors[:, None] + e.eps * kinks).ravel()
     order = np.argsort(points)
     p = points[order]
@@ -229,7 +229,7 @@ class TestStructuredStep:
         v = lambda t: 1.5 * math.sin(20.0 * t)
         cfg = SolverConfig(eps=0.5, T=0.4, dt=2e-3)
         traj = solve_mm(psi, kernel, v, ConstantPast(0.0), cfg)
-        kinks = psi._kink_table[0]
+        kinks = psi.kinks
         # a step up takes one g_hi pass at the previous node z; a step down
         # or a stuck step adds one g_lo pass there. A pass whose stretches
         # (z - anchors)/eps all lie at or beyond the outermost kink on its
@@ -267,7 +267,7 @@ class Plain(Potential):
         self.psi = psi
         self.breakpoints = psi.breakpoints
         self.lipschitz_L = psi.lipschitz_L
-        self._kink_table = psi._kink_table
+        self.kinks, self.jumps = psi.kinks, psi.jumps
 
     def value(self, u):
         return self.psi.value(u)
@@ -290,7 +290,7 @@ def rolling_energies(draw):
                             min_size=m, max_size=m))
     anchors = draw(st.lists(coords, min_size=m, max_size=m))
     eps = draw(st.sampled_from([0.5, 1.0]))
-    kinks = psi._kink_table[0]
+    kinks = psi.kinks
     gap = draw(st.one_of(st.just(0.0), st.floats(0.0, 0.5)))
     side = draw(st.sampled_from(["above", "below", "anywhere"]))
     if side == "above" and m:
@@ -328,7 +328,7 @@ class TestRollingStep:
         assert w == pytest.approx(minimize_step_bisect(plain), abs=1e-10)
         assert_certified(plain, w, 1e-12)
         u = (e.previous - e.anchors) / e.eps
-        kinks = e.psi._kink_table[0]
+        kinks = e.psi.kinks
         if w > e.previous and np.all(u >= kinks[-1]):
             assert passes == []
         if w < e.previous and np.all(u <= kinks[0]):

@@ -378,12 +378,15 @@ class TestModulatedWeights:
         assert k.evals == evals
 
         class Uncached(Memory):
-            def window(self, t, nodes, end, lo=0, hi=None):
+            def weights(self, t):
                 self._last = (None, None)
-                return super().window(t, nodes, end, lo, hi)
+                return super().weights(t)
 
         monkeypatch.setattr(solver_smooth, "Memory", Uncached)
-        np.testing.assert_array_equal(got, self.solve(scheme, modulated_kernel()))
+        fresh = modulated_kernel(CountingTabulated)
+        np.testing.assert_array_equal(got, self.solve(scheme, fresh))
+        # uncached, every force call evaluates the kernel
+        assert fresh.evals == 1000 * (2 if scheme == "heun" else 1)
 
 
 class TestValidation:
