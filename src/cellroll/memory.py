@@ -79,6 +79,10 @@ class Memory:
         if kernel.modulation is None:
             self._static = self._quad * kernel.eval(self.ages[::-1], math.inf)
         self._last = (None, None)  # (t, all weights at t) of a modulated kernel
+        # a_J is in a window iff the support passes this key: a_J < support,
+        # or support >= a_max
+        self._older, self._last_key = self.ages[:-1], min(
+            self.ages[-1], math.nextafter(kernel.a_max, -math.inf))
         self._totals = {}  # lo -> ((age count, t or None), sum of the weights)
 
     def buffer(self, past, n_steps: int) -> np.ndarray:
@@ -108,14 +112,21 @@ class Memory:
         size = m = self.ages.size
         if self.kernel.time_dependent:
             support = self.kernel.support(t)
-            if support < self.kernel.a_max:
-                m = int(np.searchsorted(self.ages, support, side="left"))
+            if support <= self._last_key:  # else every age is in
+                m = self._age_count(support)
         w = self.weights(t)[size - m: size - lo]
         key = (m, None if self._static is not None else t)
         total = self._totals.get(lo)
         if total is None or total[0] != key:
             total = self._totals[lo] = (key, float(w.sum()))
         return w, total[1], nodes[end - w.size: end]
+
+    def _age_count(self, support):
+        """Ages in a window at kernel support ``support`` (a number or an
+        array): every a_j < support, and all J + 1 once support reaches
+        a_max."""
+        return (np.searchsorted(self._older, support, side="left")
+                + (support > self._last_key))
 
     def windows(self, times, hi):
         """Age counts m and weight totals (arrays) of the windows at
@@ -131,8 +142,7 @@ class Memory:
         m = np.minimum(hi, size)
         if self.kernel.time_dependent:
             support = np.array([self.kernel.support(t) for t in times])
-            cut = np.searchsorted(self.ages, support, side="left")
-            m = np.where(support < self.kernel.a_max, np.minimum(m, cut), m)
+            m = np.minimum(m, self._age_count(support))
         if self._static is None:
             return m, np.full(m.size, None)
         youngest = self._static[size - int(m.max(initial=0)):][::-1]

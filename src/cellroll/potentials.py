@@ -124,11 +124,11 @@ class PiecewiseLinear(Potential):
     Parameters
     ----------
     breaks:
-        Strictly increasing positive kink positions b_1 < ... < b_N.
+        Strictly increasing positive finite kink positions b_1 < ... < b_N.
     slopes:
-        N + 1 slopes, nondecreasing with slopes[0] >= 0; slopes[i] applies on
-        (b_i, b_{i+1}) with b_0 = 0. The left half follows by evenness, which
-        adds a kink at 0 whenever slopes[0] > 0.
+        N + 1 finite slopes, nondecreasing with slopes[0] >= 0; slopes[i]
+        applies on (b_i, b_{i+1}) with b_0 = 0. The left half follows by
+        evenness, which adds a kink at 0 whenever slopes[0] > 0.
 
     ``breaks`` and ``slopes`` keep copies of this input, and the full-line
     kink table is ``kinks`` k with slope jumps ``jumps`` ds > 0, so
@@ -144,6 +144,8 @@ class PiecewiseLinear(Potential):
         hs = self.slopes = np.array(slopes, dtype=float)
         if hb.ndim != 1 or hs.ndim != 1 or hs.size != hb.size + 1:
             raise ValueError("need len(slopes) == len(breaks) + 1")
+        if not (np.all(np.isfinite(hb)) and np.all(np.isfinite(hs))):
+            raise ValueError("breaks and slopes must be finite")
         if hb.size and (np.any(hb <= 0) or np.any(np.diff(hb) <= 0)):
             raise ValueError("breaks must be strictly increasing and positive")
         if hs[0] < 0 or np.any(np.diff(hs) < 0):

@@ -96,6 +96,33 @@ class TestCsv:
         with pytest.raises(ValueError):
             report.to_csv(tmp_path / "demo.csv")
 
+    def test_non_numeric_columns_are_rejected(self, tmp_path):
+        path = tmp_path / "traj.csv"
+        with pytest.raises(TypeError, match="real numbers"):
+            write_trajectory_csv(path, ["0.5"], [0.0], [0.0])
+        assert not path.exists()
+
+    @pytest.mark.parametrize("precision", [2.7, 17.0, True, False, 0, 18, 20,
+                                           -1, "3", None])
+    @pytest.mark.parametrize("api", ["write_trajectory_csv", "Trajectory",
+                                     "StudyReport"])
+    def test_precision_must_be_an_int_in_1_to_17(self, tmp_path, api,
+                                                 precision):
+        path = tmp_path / "out.csv"
+        write = {
+            "write_trajectory_csv": lambda p: write_trajectory_csv(
+                path, [0.0], [1.0], [0.5], p),
+            "Trajectory": lambda p: Trajectory(0.5, [0.0, 1.0]).to_csv(path, p),
+            "StudyReport": lambda p: StudyReport(
+                "demo", ("param", "metric"), [(1.0, 2.0)], "none",
+                True).to_csv(path, p),
+        }[api]
+        with pytest.raises(ValueError, match="precision"):
+            write(precision)
+        assert not path.exists()
+        write(np.int64(5))  # a numpy integer is an int
+        assert path.exists()
+
 
 def assert_per_row_format(path, names, rows, precision):
     """The file holds the header, then ``line % tuple(row)`` row by row."""
@@ -109,7 +136,8 @@ def assert_per_row_format(path, names, rows, precision):
 
 
 SPECIAL = (0.0, -0.0, math.nan, math.inf, -math.inf)
-ROW_COUNTS = (1, 1023, 1024, 1025, 2049)  # around the 1024-row block
+# around the 1024-row block, and no rows at all
+ROW_COUNTS = (0, 1, 1023, 1024, 1025, 2049)
 
 
 def wide_floats(rng, size, head):
@@ -121,6 +149,42 @@ def wide_floats(rng, size, head):
     head = head[:size]
     x[:len(head)] = head
     return x
+
+
+def exact_range_floats(rng, size):
+    """Values the writer formats without ``%`` (1e-10 <= |x| < 1e17), of
+    either sign: log-uniform magnitudes, short decimals, integers, and
+    dyadic fractions m / 2^j, whose decimal digits end in 5."""
+    kind = rng.integers(0, 4, size)
+    mag = 10.0 ** rng.uniform(-10.0, 17.0, size)
+    decimals = np.round(mag * 1e4) / 10.0 ** rng.integers(0, 14, size)
+    ints = rng.integers(1, 10 ** 17, size).astype(float)
+    dyadic = rng.integers(1, 2 ** 30, size) * 2.0 ** rng.integers(-40, 20, size)
+    x = np.choose(kind, [mag, decimals, ints, dyadic])
+    x[(x < 1e-10) | (x >= 1e17)] = 1.5
+    return x * rng.choice([-1.0, 1.0], size)
+
+
+def edge_values(precision):
+    """Hand-picked values at ``precision``: exact ties, carries to the next
+    power of ten, 10^k and its neighbours, the ends of the range the writer
+    formats without ``%``, and the special values."""
+    P = precision
+    powers = 10.0 ** np.arange(-12, 19)
+    # P + 1 digits ending in 5: an exact tie, which half-even sends to the
+    # even neighbour, while below 2^53, and next to one above it
+    ties = [0.5, 1.5, 2.5, 12.5, 0.125, 0.375, 1.0625,
+            float(2 * 10 ** P + 5), float(10 ** P + 5) / 10 ** P]
+    carries = [9.5, 99.95, 0.9999999999999999, 999.5, 0.09995,
+               9.999999999999999e16, 1.0 - 2.0 ** -53, 10.0 ** P - 0.5,
+               float(10 ** (P + 1) - 5) * 10.0 ** -P]
+    edges = [1e-10, np.nextafter(1e-10, 0.0), np.nextafter(1e-10, 1.0),
+             1e-11, np.nextafter(1e-11, 1.0), 1e17, np.nextafter(1e17, 0.0),
+             1e18, np.nextafter(1e18, 0.0), 5e-324, 1.7976931348623157e308,
+             2.0 ** 53, 2.0 ** 53 + 2.0, 2.0 ** 60]
+    x = np.concatenate([powers, np.nextafter(powers, 0.0),
+                        np.nextafter(powers, np.inf), ties, carries, edges])
+    return np.concatenate([x, -x, SPECIAL])
 
 
 class TestBlockWriter:
@@ -135,6 +199,34 @@ class TestBlockWriter:
         write_trajectory_csv(path, t, z, zdot, precision)
         assert_per_row_format(path, ("t", "z", "zdot"), zip(t, z, zdot),
                               precision)
+
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(precision=st.integers(1, 17), n=st.sampled_from(ROW_COUNTS),
+           seed=st.integers(0, 2**32 - 1))
+    def test_exact_range_matches_per_row_format(self, tmp_path_factory,
+                                                precision, n, seed):
+        rng = np.random.default_rng(seed)
+        t, z, zdot = exact_range_floats(rng, 3 * n).reshape(n, 3).T
+        path = tmp_path_factory.mktemp("csv") / "traj.csv"
+        write_trajectory_csv(path, t, z, zdot, precision)
+        assert_per_row_format(path, ("t", "z", "zdot"), zip(t, z, zdot),
+                              precision)
+
+    @pytest.mark.parametrize("precision", range(1, 18))
+    def test_edge_values_match_per_row_format(self, tmp_path, precision):
+        x = edge_values(precision)
+        path = tmp_path / "edges.csv"
+        write_trajectory_csv(path, x, x[::-1], -x, precision)
+        assert_per_row_format(path, ("t", "z", "zdot"), zip(x, x[::-1], -x),
+                              precision)
+
+    def test_no_rows_gives_the_header_only(self, tmp_path):
+        path = tmp_path / "traj.csv"
+        write_trajectory_csv(path, [], [], [])
+        assert path.read_bytes() == b"t,z,zdot\n"
+        report = StudyReport("demo", ("param", "metric"), [], "none", True)
+        report.to_csv(path)
+        assert path.read_bytes() == b"param,metric\n"
 
     @settings(max_examples=20, derandomize=True, deadline=None)
     @given(precision=st.integers(1, 17), n=st.sampled_from(ROW_COUNTS),

@@ -94,6 +94,22 @@ def test_age_cutoff_kernel_gets_the_cut_static_weights():
     np.testing.assert_array_equal(weights(memory, k.a_max), static)
 
 
+@pytest.mark.parametrize("a_max", [2.0, 2.0 - 2e-11, 2.0 + 1e-12, 1.9])
+def test_the_window_stops_before_the_first_age_at_the_support(a_max):
+    # 2 - 2e-11 puts the last age a_J = 2 just past a_max
+    k = AgeCutTabulated([0.0, 1.0, 2.5], [1.0, 0.5, 0.1], a_max=a_max)
+    memory = Memory(k, 1.0, 0.25, "rectangle")
+    ages = memory.ages
+    supports = np.unique(np.concatenate([
+        ages, np.nextafter(ages, -np.inf), np.nextafter(ages, np.inf),
+        [a_max, np.nextafter(a_max, 0.0), 0.1, 1.3]]))
+    supports = supports[supports >= 0.0]
+    want = [ages.size if t >= a_max else int(np.sum(ages < t)) for t in supports]
+    assert [weights(memory, t).size for t in supports] == want
+    sizes, _ = memory.windows(supports, np.full(supports.size, 100))
+    assert list(sizes) == want
+
+
 def test_sum_follows_the_age_count():
     # the cached sum per lo is renewed when the window grows
     memory = Memory(TruncatedExponential(1.0, 1.0), 1.0, 0.25, "rectangle")

@@ -101,6 +101,18 @@ class TestCatalogValues:
         with pytest.raises(ValueError):
             PiecewiseLinear([1.0], [2.0, 1.0])
 
+    @pytest.mark.parametrize("breaks, slopes", [
+        ([1.0], [math.nan, 1.0]),      # no kinks, and value(0.5) is nan
+        ([1.0], [0.5, math.nan]),
+        ([math.nan], [0.5, 1.0]),      # breakpoints (nan, 0, nan)
+        ([math.inf], [0.5, 1.0]),      # a kink at +-inf
+        ([1.0], [0.5, math.inf]),
+        ([1.0, math.inf], [0.5, 1.0, 2.0]),
+    ])
+    def test_piecewise_linear_rejects_non_finite_input(self, breaks, slopes):
+        with pytest.raises(ValueError, match="finite"):
+            PiecewiseLinear(breaks, slopes)
+
     def test_eval_helpers(self):
         # a scalar evaluation agrees with the vectorized one, kinks included
         u = np.array([-2.5, -1.0, 0.0, 0.3, 1.5])
