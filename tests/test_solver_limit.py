@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from cellroll import solver_limit
 from cellroll.errors import NumericalError
 from cellroll.history import ConstantPast
 from cellroll.kernels import Exponential, Tabulated, TruncatedExponential
@@ -17,6 +18,14 @@ from cellroll.solver_limit import (_force_selections, integrate_limit,
                                    limit_velocity)
 
 TOL = 1e-12  # limit_velocity's tolerance
+
+
+@pytest.fixture(autouse=True)
+def fresh_memos():
+    """Start every test with empty quadrature and root memos, so that the
+    counting tests do not depend on which tests ran before them."""
+    solver_limit._shared_force.cache_clear()
+    solver_limit._limit_root.cache_clear()
 
 
 def residual(psi, kernel, w, v, t=math.inf):
@@ -149,8 +158,14 @@ class TestLimitVelocity:
 
     @pytest.mark.parametrize("psi", [AbsoluteValue(), Quadratic()])
     def test_nan_drive_raises(self, psi):
-        with pytest.raises(NumericalError):
-            limit_velocity(psi, Exponential(1.0, 1.0), math.nan)
+        # on every call: the root memo keeps no error
+        k = Exponential(1.0, 1.0)
+        for v in (math.nan, math.nan, 1.0, math.nan):
+            if math.isnan(v):
+                with pytest.raises(NumericalError):
+                    limit_velocity(psi, k, v)
+            else:
+                limit_velocity(psi, k, v)
 
     def test_piecewise_linear_flat_band(self):
         # slopes start at 0: no stall band, w + F(w) strictly increasing
@@ -260,13 +275,32 @@ def force_evaluations(psi, kernel):
     return psi.calls
 
 
+class CountingTruncated(CountingExponential, TruncatedExponential):
+    pass
+
+
 class TestWork:
-    def test_simpson_grid_built_once_per_equation(self):
-        k = CountingExponential(1.0, 1.0)
-        limit_velocity(Quadratic(), k, 1.3)
+    def test_quadrature_built_once_per_kernel_and_time(self):
+        # a static kernel's rho does not depend on t: one Simpson grid per
+        # (psi, kernel) serves every step of the run
+        psi, k = Tether(0.8), CountingExponential(1.0, 1.0)
+        limit_velocity(psi, k, 1.3)
         assert k.evals == 1
-        integrate_limit(Tether(0.8), k, lambda t: 1.0 + t, 0.0, 0.1, 0.01)
-        assert k.evals == 1 + 11
+        integrate_limit(psi, k, lambda t: 1.0 + t, 0.0, 0.1, 0.01)
+        assert k.evals == 1
+        # a truncated kernel changes with t: one grid per step with t > 0
+        # (at t = 0 no bond exists and there is nothing to weight)
+        kt = CountingTruncated(1.0, 1.0)
+        integrate_limit(psi, kt, lambda t: 1.0 + t, 0.0, 0.1, 0.01)
+        assert kt.evals == 10
+
+    def test_constant_drive_solves_one_equation(self):
+        psi, k = CountingQuadratic(), CountingExponential(1.0, 1.0)
+        w = limit_velocity(psi, k, 1.0)
+        one = force_evaluations(psi, k)
+        traj = integrate_limit(psi, k, 1.0, 0.0, 1.0, 0.01)
+        assert force_evaluations(psi, k) == one
+        np.testing.assert_allclose(traj.zdot(), w, rtol=0.0, atol=1e-12)
 
     @pytest.mark.parametrize("make_psi", [
         CountingQuadratic, lambda: CountingTether(0.8),
@@ -295,6 +329,26 @@ class TestWork:
             limit_velocity(psi, k, v)
             assert force_evaluations(psi, k) <= 20, v
 
+    @pytest.mark.parametrize("v", [0.6696156487442364, -1.0161777886233097])
+    def test_mollified_band_edge_does_not_stall(self, v):
+        # regula falsi alone stalls where the smoothed kink makes g nearly a
+        # step; ITP used all 44 probes of its budget on these two drives
+        psi, k = CountingMollified(AbsoluteValue(), 0.2), CountingExponential(1.0, 1.0)
+        w = limit_velocity(psi, k, v)
+        assert force_evaluations(psi, k) <= 20
+        assert abs(w - limit_velocity_bisect(psi, k, v)) <= 1e-11
+
+    @pytest.mark.parametrize("kernel", [Exponential(1.0, 1.0),
+                                        Exponential(1.3, 0.7)])
+    def test_affine_map_takes_at_most_five_evaluations(self, kernel):
+        # quadratic psi makes g affine: the centre, the far end, the
+        # regula-falsi point and one probe tol/2 past it
+        for v in list(np.linspace(-4.0, 4.0, 33)) + [1e3, -1e3]:
+            psi = CountingQuadratic()
+            w = limit_velocity(psi, kernel, v)
+            assert psi.calls <= 5, v
+            assert abs(w - limit_velocity_bisect(Quadratic(), kernel, v)) <= 1e-11
+
     def test_flat_branch_costs_only_the_centre_probe(self):
         # stall band |v| <= beta/zeta, up to its edge at beta = 3: the probe
         # at w = 0 settles it, and the one cummass call is the total mass
@@ -314,6 +368,37 @@ class TestWork:
         w = limit_velocity(psi, k, v)
         assert 0.0 < w / v < 1.0
         assert_certified(psi, k, v, math.inf, w, 4.0 * np.spacing(abs(w)))
+
+
+class TestMemo:
+    """The memos return what a fresh solve returns, bit for bit, and never
+    keep an error."""
+
+    def test_interleaved_calls_match_fresh_solves(self):
+        kernels = [(Exponential(1.0, 1.0), (math.inf, 0.5, 3.0)),
+                   (TruncatedExponential(1.3, 0.7), (0.0, 0.5, 3.0, 3))]
+        potentials = [Quadratic(), mollify(AbsoluteValue(), 0.2),
+                      AbsoluteValue()]
+        drives = [1.3, 1.3, -0.4, 1.3, 0.0, -0.0, 0.0, 2.5, -2.5, 2.5]
+        calls = [(psi, k, v, t) for k, times in kernels for t in times
+                 for psi in potentials for v in drives]
+        calls += calls[::-3] + calls[1::7]
+        got = [limit_velocity(*c) for c in calls]
+        for c, w in zip(calls, got):
+            solver_limit._shared_force.cache_clear()
+            solver_limit._limit_root.cache_clear()
+            assert w.hex() == limit_velocity(*c).hex(), c
+
+    @pytest.mark.parametrize("psi", [Quadratic(), AbsoluteValue()])
+    def test_modulated_kernel_at_infinity_raises_every_time(self, psi):
+        a = np.linspace(0.0, 8.0, 201)
+        k = Tabulated(a, np.exp(-a), modulation=lambda t: 1.0 + 0.5 * math.sin(t))
+        for t in (math.inf, 2.0, math.inf, 2.0, math.inf):
+            if math.isinf(t):
+                with pytest.raises(ValueError):
+                    limit_velocity(psi, k, 1.5, t)
+            else:
+                limit_velocity(psi, k, 1.5, t)
 
 
 class TestMinimizer:

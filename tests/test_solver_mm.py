@@ -432,6 +432,23 @@ class TestSmoothStep:
         assert used <= psi.calls + 3
         assert_certified(e, w, 1e-11)
 
+    @pytest.mark.parametrize("kernel", [Exponential(1.0, 1.0),
+                                        TruncatedExponential(1.3, 0.7)])
+    def test_quadratic_steps_average_at_most_five_probes(self, kernel):
+        # g is affine in w for quadratic psi: the centre, the far end, the
+        # regula-falsi point and one probe tol/2 past it
+        probes, roots = [], []
+
+        def counted(g, *rest):
+            roots.append(rest)
+            return _increasing_root(lambda w: probes.append(w) or g(w), *rest)
+
+        cfg = SolverConfig(eps=0.5, T=2.0, dt=1e-2)
+        with mock.patch.object(solver_mm, "_increasing_root", counted):
+            solve_mm(Quadratic(), kernel, 1.5, ConstantPast(0.0), cfg)
+        assert len(roots) == 200
+        assert len(probes) <= 5 * len(roots)
+
 
 class TestSolveMM:
     def fig_config(self, T=0.3):
