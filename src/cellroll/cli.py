@@ -51,14 +51,23 @@ __all__ = ["main"]
 
 
 def _oracle(kernel, z0, v_inf, solver):
-    """The closed-form trajectory on the solver's grid, as a CSV writer."""
-    t = np.arange(step_count(solver.T, solver.dt) + 1) * solver.dt
+    """The closed-form trajectory on the solver's grid, as a CSV writer.
+
+    Only the time grid is built here; the writer evaluates z and zdot, which
+    are elementwise in t, one block of times at a time, so memory holds the
+    grid plus one block and the bytes equal those of the whole-grid arrays.
+    """
+    t = np.arange(step_count(solver.T, solver.dt) + 1, dtype=float)
+    t *= solver.dt
     if abs(v_inf) <= kernel.mu_total():
         profile = plastic_trajectory(v_inf, kernel, z0)
-        z, zdot = profile.z(t), profile.zdot(t)
+        z, zdot = profile.z, profile.zdot
     else:
-        z = kinematic_trajectory(v_inf, kernel, z0, t)
-        zdot = kinematic_velocity(v_inf, kernel, t)
+        def z(tb):
+            return kinematic_trajectory(v_inf, kernel, z0, tb)
+
+        def zdot(tb):
+            return kinematic_velocity(v_inf, kernel, tb)
     return lambda path, precision: write_trajectory_csv(path, t, z, zdot,
                                                         precision)
 

@@ -8,7 +8,9 @@ prefix before t = 0 is filled from the prescribed z_p; a finished
 Every CSV value is the text of ``"%.{P}g" % x``, byte for byte, for P in
 1..17. The writer makes that text for a block of rows at a time from the
 exact binary value with numpy integer arithmetic, and hands to ``%`` only
-zero, inf, nan and magnitudes outside about [1e-10, 1e18).
+zero, inf, nan and magnitudes outside about [1e-10, 1e18). A column may
+also be a function of the time column, which the writer calls on one block
+of times at a time: a closed-form trajectory is then never held whole.
 """
 from __future__ import annotations
 
@@ -124,6 +126,9 @@ class Trajectory:
 
 
 def write_trajectory_csv(path, t, z, zdot, precision: int = 17):
+    """Write ``t,z,zdot`` rows. ``z`` and ``zdot`` are arrays of ``t``'s
+    length, or functions that map a block of ``t`` to that block's values
+    (see ``_write_csv``), so a closed form is made one block at a time."""
     _write_csv(path, ("t", "z", "zdot"), (t, z, zdot), precision)
 
 
@@ -136,36 +141,59 @@ def _write_csv(path, names, columns, precision: int):
     """A header line, then one line per row with every value as %.{precision}g.
 
     ``columns`` holds one 1-d sequence of real numbers (bool, int or float)
-    per name, all of one length; unequal lengths raise ``ValueError``, and
-    ``precision`` must be an int in [1, 17]. A bool or an int is written as
-    the float it converts to. Lines end in "\\n" on every platform. Rows go
-    ``_BLOCK_ROWS`` at a time through ``_BlockText``, one ``write`` per
-    block.
+    per name, all of the first one's length; any column after the first may
+    instead be a function, called once per block with the first column's
+    slice for that block and returning the block's values. A column of the
+    wrong shape raises ``ValueError``, one not of real numbers ``TypeError``,
+    both naming the column; a function is checked on each block it returns,
+    and is never called when there are no rows. ``precision`` must be an int
+    in [1, 17]. A bool or an int is written as the float it converts to.
+    Lines end in "\\n" on every platform. Rows go ``_BLOCK_ROWS`` at a time
+    through ``_BlockText``, one ``write`` per block; the file is opened
+    after the first block's columns are made.
     """
     if (isinstance(precision, (bool, np.bool_))
             or not isinstance(precision, (int, np.integer))
             or not 1 <= precision <= 17):
         raise ValueError(f"precision must be an int in [1, 17], got {precision!r}")
-    cols = [np.asarray(c) for c in columns]
-    n = cols[0].size
-    if any(c.shape != (n,) for c in cols):
-        raise ValueError("CSV columns must be 1-d and of equal length, got "
-                         f"shapes {[c.shape for c in cols]}")
-    if any(c.dtype.kind not in "biuf" for c in cols):
-        raise TypeError("CSV columns must hold real numbers, got dtypes "
-                        f"{[c.dtype.str for c in cols]}")
+    first = np.asarray(columns[0])
+    n = first.size
+    cols = [_checked(names[0], first, n)]
+    cols += [c if callable(c) else _checked(name, c, n)
+             for name, c in zip(names[1:], columns[1:])]
     rows = min(_BLOCK_ROWS, n)
+
+    def block(start):
+        stop = min(start + rows, n)
+        return [_checked(names[j], c(first[start:stop]), stop - start)
+                if callable(c) else c[start:stop] for j, c in enumerate(cols)]
+
+    parts = block(0) if rows else None
     with open(path, "wb") as fh:
         fh.write((",".join(names) + "\n").encode())
         if rows == 0:
             return
         text = _BlockText(int(precision), len(cols), rows)
-        block = np.empty((rows, len(cols)))
+        values = np.empty((rows, len(cols)))
         for start in range(0, n, rows):
+            if start:
+                parts = block(start)
             m = min(rows, n - start)
-            for j, c in enumerate(cols):
-                block[:m, j] = c[start:start + m]
-            fh.write(text(block[:m].ravel()))
+            for j, part in enumerate(parts):
+                values[:m, j] = part
+            fh.write(text(values[:m].ravel()))
+
+
+def _checked(name, column, n):
+    """``column`` as an array of n real numbers; else an error naming it."""
+    c = np.asarray(column)
+    if c.shape != (n,):
+        raise ValueError(f"CSV columns must be 1-d and of equal length: "
+                         f"{name!r} has shape {c.shape}, not ({n},)")
+    if c.dtype.kind not in "biuf":
+        raise TypeError(f"CSV columns must hold real numbers: {name!r} has "
+                        f"dtype {c.dtype.str}")
+    return c
 
 
 # %.{P}g text without the float formatter. A double x = M 2^(E - 1075), M

@@ -8,7 +8,9 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -16,8 +18,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cellroll import cli
 from cellroll.cli import main
-from cellroll.oracles import gamma_abs
+from cellroll.history import write_trajectory_csv
+from cellroll.kernels import TruncatedExponential
+from cellroll.oracles import (gamma_abs, kinematic_trajectory,
+                              kinematic_velocity, plastic_trajectory)
 
 
 def run(capsys, *argv):
@@ -271,6 +277,55 @@ class TestTrajectoryCommands:
         code, _, err = run(capsys, "oracle", "--config", cfg)
         assert code == 2
         assert "model.v.kind" in err
+
+    @pytest.mark.parametrize("precision", [1, 6, 17])
+    @pytest.mark.parametrize("beta, zeta, v", [
+        (1.0, 1.0, 1.5), (1.0, 1.0, 0.5), (1.3, 0.7, -0.8), (1.0, 1.0, 0.0),
+    ], ids=["kinematic", "plastic", "plastic-backward", "at-rest"])
+    def test_oracle_writes_the_whole_grid_closed_form(self, capsys, tmp_path,
+                                                      beta, zeta, v,
+                                                      precision):
+        # the command makes z and zdot one writer block at a time; 3001
+        # rows span three blocks, and the plastic ones stop inside the first
+        cfg_dict = creep_config()
+        cfg_dict["model"]["kernel"].update(beta=beta, zeta=zeta)
+        cfg_dict["model"]["v"]["value"] = v
+        cfg_dict["solver"]["T"] = 3.0
+        cfg_dict["output"] = {"precision": precision}
+        cfg = write_config(tmp_path / "run.json", cfg_dict)
+        out_csv = tmp_path / "oracle.csv"
+        assert run(capsys, "oracle", "--config", cfg,
+                   "--out", str(out_csv))[0] == 0
+        kernel, z0 = TruncatedExponential(beta, zeta), -0.001
+        t = np.arange(3001) * 1e-3
+        if abs(v) <= kernel.mu_total():
+            profile = plastic_trajectory(v, kernel, z0)
+            z, zdot = profile.z(t), profile.zdot(t)
+        else:
+            z = kinematic_trajectory(v, kernel, z0, t)
+            zdot = kinematic_velocity(v, kernel, t)
+        whole = tmp_path / "whole.csv"
+        write_trajectory_csv(whole, t, z, zdot, precision)
+        assert out_csv.read_bytes() == whole.read_bytes()
+
+    @pytest.mark.parametrize("T", [200.0, 800.0])
+    @pytest.mark.parametrize("v", [1.5, 0.5], ids=["kinematic", "plastic"])
+    def test_oracle_holds_the_time_grid_plus_one_block(self, tmp_path, v, T):
+        kernel = TruncatedExponential(1.0, 1.0)
+        # a first small run builds the writer's cached tables, which live
+        # as long as the module, not the run
+        cli._oracle(kernel, 0.0, v, SimpleNamespace(T=2.0, dt=1e-3))(
+            tmp_path / "warm.csv", 17)
+        tracemalloc.start()
+        try:
+            cli._oracle(kernel, 0.0, v, SimpleNamespace(T=T, dt=1e-3))(
+                tmp_path / "oracle.csv", 17)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        grid = 8 * (round(T / 1e-3) + 1)  # the float64 time grid
+        # about 1.0 MB per block; whole-grid z and zdot took 6.4 to 32 MB
+        assert peak - grid < 1.5e6
 
 
 class TestFailureExits:

@@ -1,14 +1,15 @@
 """Past data, the trajectory grid, and CSV output."""
+import itertools
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cellroll.experiments import StudyReport
-from cellroll.history import (ConstantPast, LinearPast, TabulatedPast,
-                              Trajectory, write_trajectory_csv)
+from cellroll.history import (_BLOCK_ROWS, ConstantPast, LinearPast,
+                              TabulatedPast, Trajectory, write_trajectory_csv)
 
 
 class TestPastData:
@@ -86,9 +87,13 @@ class TestCsv:
 
     def test_unequal_columns_are_rejected(self, tmp_path):
         path = tmp_path / "traj.csv"
-        with pytest.raises(ValueError, match="equal length"):
-            write_trajectory_csv(path, [0.0, 1.0], [0.0], [0.0])
-        assert not path.exists()
+        message = "equal length: 'z' has shape (1,), not (2,)"
+        # an array, or a function returning it for the block: one message
+        for z in ([0.0], lambda t: [0.0]):
+            with pytest.raises(ValueError) as info:
+                write_trajectory_csv(path, [0.0, 1.0], z, [0.0, 0.0])
+            assert str(info.value).endswith(message)
+            assert not path.exists()
 
     def test_study_row_of_the_wrong_width_is_rejected(self, tmp_path):
         report = StudyReport("demo", ("param", "metric"), [(1.0, 2.0, 3.0)],
@@ -101,6 +106,12 @@ class TestCsv:
         with pytest.raises(TypeError, match="real numbers"):
             write_trajectory_csv(path, ["0.5"], [0.0], [0.0])
         assert not path.exists()
+        message = "real numbers: 'zdot' has dtype <U3"
+        for zdot in (["0.5"], lambda t: ["0.5"]):
+            with pytest.raises(TypeError) as info:
+                write_trajectory_csv(path, [0.5], [0.0], zdot)
+            assert str(info.value).endswith(message)
+            assert not path.exists()
 
     @pytest.mark.parametrize("precision", [2.7, 17.0, True, False, 0, 18, 20,
                                            -1, "3", None])
@@ -187,18 +198,56 @@ def edge_values(precision):
     return np.concatenate([x, -x, SPECIAL])
 
 
+def block_function(t, values):
+    """``values`` as a function column over ``t``: each call must get the
+    next block of ``t``, bit for bit, and returns that block's values.
+    ``calls`` counts the calls."""
+    bits = t.view(np.uint64)
+
+    def column(block):
+        start = column.rows
+        m = min(_BLOCK_ROWS, t.size - start)
+        assert np.array_equal(block.view(np.uint64), bits[start:start + m])
+        column.rows += m
+        column.calls += 1
+        return values[start:start + m]
+
+    column.rows = column.calls = 0
+    return column
+
+
+def function_column_examples(test):
+    """Hypothesis examples with function columns at every row count, at the
+    shortest, a middle and the longest precision."""
+    for seed, (precision, n) in enumerate(itertools.product((1, 6, 17),
+                                                            ROW_COUNTS)):
+        test = example(precision=precision, n=n, seed=seed, head=[],
+                       functions=True)(test)
+    return test
+
+
 class TestBlockWriter:
     @settings(max_examples=40, derandomize=True, deadline=None)
     @given(precision=st.integers(1, 17), n=st.sampled_from(ROW_COUNTS),
-           seed=st.integers(0, 2**32 - 1), head=st.lists(st.floats(), max_size=6))
+           seed=st.integers(0, 2**32 - 1), head=st.lists(st.floats(), max_size=6),
+           functions=st.booleans())
+    @function_column_examples
     def test_trajectory_matches_per_row_format(self, tmp_path_factory,
-                                               precision, n, seed, head):
+                                               precision, n, seed, head,
+                                               functions):
         rng = np.random.default_rng(seed)
         t, z, zdot = wide_floats(rng, 3 * n, head).reshape(n, 3).T
-        path = tmp_path_factory.mktemp("csv") / "traj.csv"
+        folder = tmp_path_factory.mktemp("csv")
+        path = folder / "traj.csv"
         write_trajectory_csv(path, t, z, zdot, precision)
         assert_per_row_format(path, ("t", "z", "zdot"), zip(t, z, zdot),
                               precision)
+        if functions:  # z and zdot made per block give the same bytes
+            columns = block_function(t, z), block_function(t, zdot)
+            write_trajectory_csv(folder / "blocks.csv", t, *columns, precision)
+            assert (folder / "blocks.csv").read_bytes() == path.read_bytes()
+            for c in columns:
+                assert (c.rows, c.calls) == (n, -(-n // _BLOCK_ROWS))
 
     @settings(max_examples=40, derandomize=True, deadline=None)
     @given(precision=st.integers(1, 17), n=st.sampled_from(ROW_COUNTS),
@@ -223,6 +272,13 @@ class TestBlockWriter:
     def test_no_rows_gives_the_header_only(self, tmp_path):
         path = tmp_path / "traj.csv"
         write_trajectory_csv(path, [], [], [])
+        assert path.read_bytes() == b"t,z,zdot\n"
+        path.unlink()
+
+        def never(t):
+            raise AssertionError("a function column called with no rows")
+
+        write_trajectory_csv(path, np.empty(0), never, never)
         assert path.read_bytes() == b"t,z,zdot\n"
         report = StudyReport("demo", ("param", "metric"), [], "none", True)
         report.to_csv(path)
