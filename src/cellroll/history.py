@@ -203,7 +203,8 @@ def _checked(name, column, n):
 # floor is exact iff M has no set bit below the shift, as 5^s is odd. From
 # the 18 digits and that bit, rounding half to even to P digits is exact
 # decimal arithmetic, so the text equals CPython's correctly rounded one.
-# Zero, inf, nan and magnitudes out of range go through one `%` per block.
+# Zero is "0" with its sign; inf, nan and magnitudes out of range go through
+# one `%` per block.
 
 _LO32 = 0xFFFFFFFF
 _MAX_S = 27
@@ -358,6 +359,11 @@ class _BlockText:
         text[:, -1] = self.sep[:n]
         keep[:, 0] = np.signbit(x)
         rest = np.flatnonzero(~exact)
+        if rest.size:
+            # a zero reads as 1 (digits 10^(P-1), X 0): its one digit is 0
+            zero = x[rest] == 0
+            text[rest[zero], self.digit_cols.start] = ord("0")
+            rest = rest[~zero]
         if rest.size:  # by `%`, each padded with NULs up to the separator
             W = text.shape[1]
             lines = (self.fmt + "\n") * rest.size % tuple(x[rest].tolist())

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 from cellroll.experiments import StudyReport
 from cellroll.history import (_BLOCK_ROWS, ConstantPast, LinearPast,
-                              TabulatedPast, Trajectory, write_trajectory_csv)
+                              TabulatedPast, Trajectory, _BlockText,
+                              write_trajectory_csv)
 
 
 class TestPastData:
@@ -268,6 +269,20 @@ class TestBlockWriter:
         write_trajectory_csv(path, x, x[::-1], -x, precision)
         assert_per_row_format(path, ("t", "z", "zdot"), zip(x, x[::-1], -x),
                               precision)
+        # a column of zeros and one of negative zeros next to the edges
+        zero, negative = np.zeros_like(x), np.full_like(x, -0.0)
+        write_trajectory_csv(path, x, zero, negative, precision)
+        assert_per_row_format(path, ("t", "z", "zdot"), zip(x, zero, negative),
+                              precision)
+
+    @pytest.mark.parametrize("precision", range(1, 18))
+    def test_zeros_never_reach_percent_format(self, precision):
+        t = np.linspace(0.5, 2.0, 7)
+        values = np.column_stack([t, np.zeros(7), np.full(7, -0.0)]).ravel()
+        text = _BlockText(precision, 3, 7)
+        text.fmt = None  # `%` formatting would fail on it
+        want = "".join(f"%.{precision}g,0,-0\n" % v for v in t)
+        assert text(values).tobytes().decode() == want
 
     def test_no_rows_gives_the_header_only(self, tmp_path):
         path = tmp_path / "traj.csv"

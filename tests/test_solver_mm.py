@@ -497,6 +497,26 @@ class TestSolveMM:
         ratios = np.array(gaps[:-1]) / np.array(gaps[1:])
         assert np.all((1.7 < ratios) & (ratios < 2.4))
 
+    @pytest.mark.parametrize("psi", [
+        mollify(AbsoluteValue(), 0.5), Tether(0.5),
+        mollify(PiecewiseLinear([1.0], [0.3, 2.0]), 0.5)],
+        ids=["mollified-abs", "tether", "mollified-piecewise"])
+    @pytest.mark.parametrize("v", [1.5, lambda t: 2.0 * math.sin(4.0 * t)],
+                             ids=["constant", "sine"])
+    def test_matches_smooth_solver_on_smooth_psi(self, psi, v):
+        # no bond predates t = 0 and eps = 1, so both solvers model the
+        # same problem; implicit and explicit Euler part at first order
+        k = TruncatedExponential(1.0, 1.0)
+        gaps = []
+        for dt in (2e-2, 1e-2, 5e-3):
+            cfg = SolverConfig(eps=1.0, T=2.0, dt=dt)
+            zm = solve_mm(psi, k, v, ConstantPast(0.0), cfg).values
+            zs = solve_smooth(psi, k, v, ConstantPast(0.0), cfg).values
+            gaps.append(np.max(np.abs(zm - zs)))
+        assert gaps[-1] < 2e-2
+        ratios = np.array(gaps[:-1]) / np.array(gaps[1:])
+        assert np.all((1.8 <= ratios) & (ratios <= 2.2))
+
     def test_untruncated_kernel_self_truncates(self):
         # anchors exist only for computed nodes, so before age a_max both
         # kernels see the identical memory

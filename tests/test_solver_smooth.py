@@ -139,16 +139,33 @@ class TestSchemes:
 
     @pytest.mark.parametrize("scheme, calls", [("euler", 100), ("heun", 101)])
     def test_one_drive_call_per_time(self, scheme, calls):
-        seen = []
+        # per age (Tether) and on the running sum (Quadratic)
+        for psi in (Tether(0.5), Quadratic()):
+            seen = []
 
-        def drive(t):
-            seen.append(t)
-            return 1.0 + 0.5 * math.sin(t)
+            def drive(t):
+                seen.append(t)
+                return 1.0 + 0.5 * math.sin(t)
 
-        cfg = SolverConfig(eps=1.0, T=1.0, dt=1e-2, scheme=scheme)
-        solve_smooth(Tether(0.5), Exponential(1.0, 1.0), drive,
-                     ConstantPast(0.0), cfg)
-        assert seen == [n * 1e-2 for n in range(calls)]
+            cfg = SolverConfig(eps=1.0, T=1.0, dt=1e-2, scheme=scheme)
+            solve_smooth(psi, Exponential(1.0, 1.0), drive, ConstantPast(0.0),
+                         cfg)
+            assert seen == [n * 1e-2 for n in range(calls)]
+
+    @pytest.mark.parametrize("psi", [Tether(0.5), Quadratic()],
+                             ids=["per-age", "running"])
+    @pytest.mark.parametrize("scheme", ["euler", "heun"])
+    def test_drive_return_type_leaves_the_nodes(self, psi, scheme):
+        # nodes are stored through a memoryview, which takes each of these
+        def solve(kind):
+            cfg = SolverConfig(eps=0.5, T=1.0, dt=1e-2, scheme=scheme)
+            return solve_smooth(psi, Exponential(1.0, 1.0),
+                                lambda t: kind(1 if t < 0.5 else -2),
+                                LinearPast(1.0, 0.5), cfg).values
+
+        ref = solve(float)
+        for kind in (int, np.float64, np.array):
+            np.testing.assert_array_equal(solve(kind), ref)
 
 
 KERNELS = {"exponential": lambda: Exponential(1.0, 1.0),
