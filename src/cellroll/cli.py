@@ -37,7 +37,7 @@ from . import config as cfgmod
 from .errors import ConfigError, NumericalError
 from .experiments import (convergence_study, longtime_study,
                           velocity_force_sweep)
-from .history import write_trajectory_csv
+from .history import _Grid, write_trajectory_csv
 from .kernels import Exponential
 from .memory import _MAX_NODES, step_count
 from .oracles import (kinematic_trajectory, kinematic_velocity,
@@ -53,12 +53,11 @@ __all__ = ["main"]
 def _oracle(kernel, z0, v_inf, solver):
     """The closed-form trajectory on the solver's grid, as a CSV writer.
 
-    Only the time grid is built here; the writer evaluates z and zdot, which
-    are elementwise in t, one block of times at a time, so memory holds the
-    grid plus one block and the bytes equal those of the whole-grid arrays.
+    Nothing is built here: the writer makes the time grid and evaluates z
+    and zdot, which are elementwise in t, one block of times at a time, so
+    memory holds one block and the bytes equal those of whole-grid arrays.
     """
-    t = np.arange(step_count(solver.T, solver.dt) + 1, dtype=float)
-    t *= solver.dt
+    t = _Grid(step_count(solver.T, solver.dt) + 1, solver.dt)
     if abs(v_inf) <= kernel.mu_total():
         profile = plastic_trajectory(v_inf, kernel, z0)
         z, zdot = profile.z, profile.zdot

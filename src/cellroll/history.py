@@ -8,9 +8,10 @@ prefix before t = 0 is filled from the prescribed z_p; a finished
 Every CSV value is the text of ``"%.{P}g" % x``, byte for byte, for P in
 1..17. The writer makes that text for a block of rows at a time from the
 exact binary value with numpy integer arithmetic, and hands to ``%`` only
-zero, inf, nan and magnitudes outside about [1e-10, 1e18). A column may
-also be a function of the time column, which the writer calls on one block
-of times at a time: a closed-form trajectory is then never held whole.
+zero, inf, nan and magnitudes outside about [1e-10, 1e18). The time
+column may be a uniform grid made per block, and any other column a
+function the writer calls on one block of times at a time: a trajectory
+write holds the solution (none, for a closed form) plus one block.
 """
 from __future__ import annotations
 
@@ -122,7 +123,31 @@ class Trajectory:
         return np.gradient(self.values, self.dt)
 
     def to_csv(self, path, precision: int = 17):
-        write_trajectory_csv(path, self.times, self.values, self.zdot(), precision)
+        """Write ``t,z,zdot`` rows, making t and zdot one block at a time."""
+        z, dt = self.values, self.dt
+        stop = 0
+
+        def zdot(t):  # the writer's blocks come in order
+            nonlocal stop
+            a, stop = stop, stop + t.size
+            lo = max(a - 1, 0)  # zdot() of the block and a node each side
+            return Trajectory(dt, z[lo:stop + 1]).zdot()[a - lo:stop - lo]
+
+        write_trajectory_csv(path, _Grid(z.size, dt), z, zdot, precision)
+
+
+class _Grid:
+    """The times i * dt, i < n, made per slice: ``grid[a:b]`` has the bits
+    of ``dt * np.arange(n)[a:b]``."""
+
+    def __init__(self, n, dt):
+        self.n, self.dt = n, dt
+
+    def __len__(self):
+        return self.n
+
+    def __getitem__(self, rows):
+        return np.arange(*rows.indices(self.n), dtype=float) * self.dt
 
 
 def write_trajectory_csv(path, t, z, zdot, precision: int = 17):
@@ -141,40 +166,42 @@ def _write_csv(path, names, columns, precision: int):
     """A header line, then one line per row with every value as %.{precision}g.
 
     ``columns`` holds one 1-d sequence of real numbers (bool, int or float)
-    per name, all of the first one's length; any column after the first may
-    instead be a function, called once per block with the first column's
-    slice for that block and returning the block's values. A column of the
-    wrong shape raises ``ValueError``, one not of real numbers ``TypeError``,
-    both naming the column; a function is checked on each block it returns,
-    and is never called when there are no rows. ``precision`` must be an int
-    in [1, 17]. A bool or an int is written as the float it converts to.
-    Lines end in "\\n" on every platform. Rows go ``_BLOCK_ROWS`` at a time
-    through ``_BlockText``, one ``write`` per block; the file is opened
-    after the first block's columns are made.
+    per name, all of the first one's length. The first may be a ``_Grid``,
+    sliced per block; any later one a function, called once per block, in
+    order, with the first column's slice and returning the block's values.
+    A column of the wrong shape raises ``ValueError``, one not of real
+    numbers ``TypeError``, both naming the column; a function is checked on
+    each block it returns, and is never called when there are no rows.
+    ``precision`` must be an int in [1, 17]. A bool or an int is written as
+    the float it converts to. Lines end in "\\n" on every platform. Rows go
+    ``_BLOCK_ROWS`` at a time through ``_BlockText``, one ``write`` per
+    block; the file is opened after the first block's columns are made.
     """
     if (isinstance(precision, (bool, np.bool_))
             or not isinstance(precision, (int, np.integer))
             or not 1 <= precision <= 17):
         raise ValueError(f"precision must be an int in [1, 17], got {precision!r}")
-    first = np.asarray(columns[0])
-    n = first.size
-    cols = [_checked(names[0], first, n)]
-    cols += [c if callable(c) else _checked(name, c, n)
-             for name, c in zip(names[1:], columns[1:])]
+    first = columns[0]
+    if not isinstance(first, _Grid):
+        first = _checked(names[0], first, np.size(first))
+    n = len(first)
+    cols = [c if callable(c) else _checked(name, c, n)
+            for name, c in zip(names[1:], columns[1:])]
     rows = min(_BLOCK_ROWS, n)
 
     def block(start):
         stop = min(start + rows, n)
-        return [_checked(names[j], c(first[start:stop]), stop - start)
-                if callable(c) else c[start:stop] for j, c in enumerate(cols)]
+        t = first[start:stop]
+        return [t] + [_checked(name, c(t), stop - start) if callable(c)
+                      else c[start:stop] for name, c in zip(names[1:], cols)]
 
     parts = block(0) if rows else None
     with open(path, "wb") as fh:
         fh.write((",".join(names) + "\n").encode())
         if rows == 0:
             return
-        text = _BlockText(int(precision), len(cols), rows)
-        values = np.empty((rows, len(cols)))
+        text = _BlockText(int(precision), len(names), rows)
+        values = np.empty((rows, len(names)))
         for start in range(0, n, rows):
             if start:
                 parts = block(start)

@@ -310,7 +310,7 @@ class TestTrajectoryCommands:
 
     @pytest.mark.parametrize("T", [200.0, 800.0])
     @pytest.mark.parametrize("v", [1.5, 0.5], ids=["kinematic", "plastic"])
-    def test_oracle_holds_the_time_grid_plus_one_block(self, tmp_path, v, T):
+    def test_oracle_holds_one_block(self, tmp_path, v, T):
         kernel = TruncatedExponential(1.0, 1.0)
         # a first small run builds the writer's cached tables, which live
         # as long as the module, not the run
@@ -323,9 +323,9 @@ class TestTrajectoryCommands:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        grid = 8 * (round(T / 1e-3) + 1)  # the float64 time grid
-        # about 1.0 MB per block; whole-grid z and zdot took 6.4 to 32 MB
-        assert peak - grid < 1.5e6
+        # about 1.0 MB per block; the whole time grid took 1.6 to 6.4 MB
+        # more, and whole-grid z and zdot 6.4 to 32 MB
+        assert peak < 1.5e6
 
 
 class TestFailureExits:

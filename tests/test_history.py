@@ -1,6 +1,7 @@
 """Past data, the trajectory grid, and CSV output."""
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,9 @@ from cellroll.experiments import StudyReport
 from cellroll.history import (_BLOCK_ROWS, ConstantPast, LinearPast,
                               TabulatedPast, Trajectory, _BlockText,
                               write_trajectory_csv)
+from cellroll.kernels import Exponential
+from cellroll.potentials import Quadratic
+from cellroll.solver_smooth import SolverConfig, solve_smooth
 
 
 class TestPastData:
@@ -59,6 +63,20 @@ class TestTrajectory:
     def test_dt_validation(self):
         with pytest.raises(ValueError):
             Trajectory(0.0, [0.0])
+
+    def test_to_csv_holds_one_block(self, tmp_path):
+        traj = Trajectory(1e-3, np.random.default_rng(0).random(10 ** 6))
+        # a first small write builds the writer's cached tables, which live
+        # as long as the module, not the write
+        Trajectory(1e-3, [0.0, 1.0]).to_csv(tmp_path / "warm.csv")
+        tracemalloc.start()
+        try:
+            traj.to_csv(tmp_path / "traj.csv")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # about 1.0 MB per block; whole times and zdot arrays took 24 MB
+        assert peak < 1.5e6
 
 
 class TestCsv:
@@ -227,7 +245,35 @@ def function_column_examples(test):
     return test
 
 
+def assert_to_csv_matches_whole_arrays(folder, traj, precision):
+    """``traj.to_csv`` writes the bytes of its whole ``times`` and
+    ``zdot()`` arrays."""
+    traj.to_csv(folder / "blocks.csv", precision)
+    write_trajectory_csv(folder / "whole.csv", traj.times, traj.values,
+                         traj.zdot(), precision)
+    assert (folder / "blocks.csv").read_bytes() == \
+        (folder / "whole.csv").read_bytes()
+
+
 class TestBlockWriter:
+    @pytest.mark.parametrize("precision", [1, 6, 17])
+    @pytest.mark.parametrize("n", [1, 2, 3, 1023, 1024, 1025, 2049])
+    def test_to_csv_matches_whole_arrays(self, tmp_path, n, precision):
+        rng = np.random.default_rng(n * 100 + precision)
+        # a random walk at scales 1e-8 .. 1e8, on a dt with no short decimal
+        z = np.cumsum(rng.standard_normal(n) * 10.0 ** rng.uniform(-8, 8, n))
+        assert_to_csv_matches_whole_arrays(tmp_path, Trajectory(
+            rng.uniform(1e-4, 1.0), z), precision)
+
+    @pytest.mark.parametrize("precision", [1, 6, 17])
+    def test_heun_solve_to_csv_matches_whole_arrays(self, tmp_path,
+                                                    precision):
+        traj = solve_smooth(Quadratic(), Exponential(1.0, 1.0),
+                            lambda t: np.sin(3.0 * t), LinearPast(1.0, 1.0),
+                            SolverConfig(T=20.48, dt=1e-2, scheme="heun"))
+        assert traj.values.size == 2049  # two whole blocks and one row
+        assert_to_csv_matches_whole_arrays(tmp_path, traj, precision)
+
     @settings(max_examples=40, derandomize=True, deadline=None)
     @given(precision=st.integers(1, 17), n=st.sampled_from(ROW_COUNTS),
            seed=st.integers(0, 2**32 - 1), head=st.lists(st.floats(), max_size=6),
