@@ -223,8 +223,10 @@ def main(argv=None) -> int:
         print(f"cannot write output: {exc}", file=sys.stderr)
         return 1
     except MemoryError as exc:
-        # the count checks only refuse sizes that no array can index
-        knob = "--sweep N" if args.command == "gamma" else "T/dt"
+        # the count checks only refuse sizes that no array can index; a
+        # delayed solver's buffer holds the steps and the ages
+        knob = {"gamma": "--sweep N", "limit": "T/dt", "oracle": "T/dt"}.get(
+            args.command, "T/dt (steps) or a_max*eps/dt (ages)")
         print(f"out of memory: {exc}; lower {knob}", file=sys.stderr)
         return 1
     except ValueError as exc:

@@ -19,7 +19,7 @@ from .errors import ConfigError
 from .experiments import _check_eps_list
 from .history import ConstantPast, LinearPast, TabulatedPast
 from .kernels import Exponential, Tabulated, TruncatedExponential
-from .memory import age_step, step_count
+from .memory import _age_grid, age_step, step_count
 from .potentials import (AbsoluteValue, PiecewiseLinear, Quadratic, Tether,
                          mollify)
 from .solver_smooth import SolverConfig, _reject_nonsmooth
@@ -279,16 +279,21 @@ def resolve_run(cfg, command):
         _checked("study.eps_list", _check_eps_list, run["eps_list"],
                  run["dt"])
         _checked("study.T", step_count, run["T"], run["dt"])
+        # the age step is widest at the smallest eps, the grid longest at
+        # the largest
         _checked("study.dt", age_step, kernel, run["eps_list"][-1], run["dt"])
+        _checked("study.eps_list", _age_grid, kernel, run["eps_list"][0],
+                 run["dt"])
     elif command == "longtime":
         for T in run["T_list"]:
             _checked("study.T_list", step_count, T, run["dt"])
         # the study runs at eps = 1
-        _checked("study.dt", age_step, kernel, 1.0, run["dt"])
+        _checked("study.dt", _age_grid, kernel, 1.0, run["dt"])
     else:
         _checked("solver.T", step_count, run.T, run.dt)
     if command in ("simulate", "mm"):
         _checked("solver.dt", age_step, kernel, run.eps, run.dt)
+        _checked("solver.eps", _age_grid, kernel, run.eps, run.dt)
     if command == "simulate":
         _checked("model.potential", _reject_nonsmooth, psi)
     if command == "oracle":

@@ -8,10 +8,12 @@ prefix before t = 0 is filled from the prescribed z_p; a finished
 Every CSV value is the text of ``"%.{P}g" % x``, byte for byte, for P in
 1..17. The writer makes that text for a block of rows at a time from the
 exact binary value with numpy integer arithmetic, and hands to ``%`` only
-zero, inf, nan and magnitudes outside about [1e-10, 1e18). The time
-column may be a uniform grid made per block, and any other column a
-function the writer calls on one block of times at a time: a trajectory
-write holds the solution (none, for a closed form) plus one block.
+zero, inf, nan and magnitudes outside about [1e-10, 1e18). Each block's
+text is compacted by setting unused characters to NUL and deleting them
+in one ``bytes.translate``, with no index array. The time column may be
+a uniform grid made per block, and any other column a function the
+writer calls on one block of times at a time: a trajectory write holds
+the solution (none, for a closed form) plus one block.
 """
 from __future__ import annotations
 
@@ -328,8 +330,10 @@ class _BlockText:
     sign, "0.000", the P digits with a "." after each, "e+XX", separator.
     The value's decimal exponent X and its count of significant digits pick
     a template row (the constant characters) and a mask row (the characters
-    it keeps); the sign and the separator are set per value. The masked
-    matrix is the block's text.
+    it keeps); the sign and the separator are set per value. The characters
+    it drops are set to NUL and deleted from the matrix's bytes in one
+    ``bytes.translate``, which needs no index array; a `%` row is padded
+    with NULs already. What is left is the block's text.
     """
 
     def __init__(self, precision: int, ncols: int, rows: int):
@@ -370,6 +374,13 @@ class _BlockText:
         self.masks = keep.reshape(29 * P, W)
         self.sep = np.full(ncols * rows, ord(","), np.uint8)
         self.sep[ncols - 1::ncols] = ord("\n")
+        # a block's temporaries (about 0.4 MB) come from the C heap, which
+        # glibc trims after every block, so the next one faults them back
+        # in; freeing an mmap chunk larger than its threshold raises the
+        # threshold to that size. One freed, never-touched MB keeps them
+        # on warm pages (on glibc, 15 195 -> under 300 minor faults over
+        # 200 001 rows); another allocator just makes one allocation
+        np.empty(1 << 20, np.uint8)
         self.text = np.empty((ncols * rows, W), np.uint8)
         self.keep = np.empty((ncols * rows, W), bool)
 
@@ -396,8 +407,10 @@ class _BlockText:
             lines = (self.fmt + "\n") * rest.size % tuple(x[rest].tolist())
             padded = np.array(lines.encode().split(b"\n")[:-1], f"S{W - 1}")
             text[rest, :-1] = padded.view(np.uint8).reshape(rest.size, W - 1)
-            keep[rest, :-1] = text[rest, :-1] != 0
-        return np.compress(keep.ravel(), text.ravel())
+            keep[rest, :-1] = True
+        # zero the dropped characters and delete every NUL: no index array
+        np.multiply(text, keep, out=text)
+        return np.frombuffer(text.tobytes().translate(None, b"\0"), np.uint8)
 
 
 def _digit_chars(digits, chars, zeros):

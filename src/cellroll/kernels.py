@@ -39,7 +39,11 @@ class Kernel:
         return self.modulation is not None
 
     def support(self, t) -> float:
-        """Upper age limit of rho(., t); quadratures stop here."""
+        """Upper age limit of rho(., t); quadratures stop here.
+
+        It never decreases in t, so a run to time T reads no age beyond
+        ``support(T)``: ``Memory`` stores the ages below it and no more.
+        """
         return self.a_max
 
     def eval(self, a, t):

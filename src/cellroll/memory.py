@@ -5,10 +5,14 @@ a_j = j * da, j = 0..J, with da = dt/eps, so the delayed position
 z(t_n - eps*a_j) is the node value Z^{n-j} and needs no interpolation.
 J = floor(a_max / da): no age lies beyond the kernel's truncation horizon.
 
-Both delayed solvers keep their nodes in one buffer, B[J + n] = Z^n, with
-the prescribed past z_p on B[:J + 1]. ``Memory`` stores the weights
-q_j rho(a_j, t) of one quadrature rule oldest age first, so a window of ages
-gives weights and anchors as two forward slices: a memory sum is one dot.
+A run to time T stores only the ages its windows can read: those below
+the kernel's support at T (all J + 1 once that reaches a_max), as the
+support never shrinks. So with bonds no older than t, a short run holds
+about T/da ages, not a_max/da. Both delayed solvers keep their nodes in one
+buffer, B[K - 1 + n] = Z^n for K stored ages, with the prescribed past z_p
+on B[:K]. ``Memory`` stores the weights q_j rho(a_j, t) of one quadrature
+rule oldest age first, so a window of ages gives weights and anchors as two
+forward slices: a memory sum is one dot.
 """
 from __future__ import annotations
 
@@ -37,6 +41,17 @@ def step_count(T: float, dt: float) -> int:
     return n
 
 
+def _age_grid(kernel: Kernel, eps: float, dt: float) -> tuple[float, int]:
+    """The age step da and J = floor(a_max / da), the index of the oldest
+    age inside the support; checked before any array exists."""
+    da = age_step(kernel, eps, dt)
+    ages = kernel.a_max / da if da > 0.0 else math.inf
+    if not ages + 1.0 < _MAX_NODES:
+        raise ValueError(f"a_max*eps/dt = {ages:.6g} ages exceed what an "
+                         "array can index")
+    return da, int(math.floor(ages + 1e-9))
+
+
 def age_step(kernel: Kernel, eps: float, dt: float) -> float:
     """The age step dt/eps tied to the time step; at most the age support."""
     da = dt / eps
@@ -63,42 +78,65 @@ class Memory:
     age cutoff), the window at time t stops before the first age
     a_j >= support(t). So a bond exactly t old is dropped here, although
     ``Kernel.eval`` counts it (a <= t).
+
+    Windows are asked for at times t <= ``horizon``. The grid stops where
+    the window at the horizon does, so it holds the ages a_0 .. a_{K-1}
+    below ``support(horizon)``, K >= 1, or all J + 1 when that window holds
+    them all; a time-independent support keeps them all. Every window, and
+    every weight it reads, is the full grid's bit for bit: the trapezoid
+    halves the oldest stored age only when the grid reaches a_J.
     """
 
-    def __init__(self, kernel: Kernel, eps: float, dt: float, rule: str):
-        da = age_step(kernel, eps, dt)
-        J = int(math.floor(kernel.a_max / da + 1e-9))
-        self.kernel = kernel
-        self.dt = dt
-        self.ages = da * np.arange(J + 1)
-        # the rule is symmetric in j, so it reads the same oldest first
-        self._quad = np.full(J + 1, da)
-        if rule == "trapezoid":
-            self._quad[0] = self._quad[-1] = 0.5 * da
-        self._static = None
-        if kernel.modulation is None:
-            self._static = self._quad * kernel.eval(self.ages[::-1], math.inf)
-        self._last = (None, None)  # (t, all weights at t) of a modulated kernel
+    def __init__(self, kernel: Kernel, eps: float, dt: float, rule: str,
+                 horizon: float = math.inf):
+        da, J = _age_grid(kernel, eps, dt)
         # a_J is in a window iff the support passes this key: a_J < support,
         # or support >= a_max
-        self._older, self._last_key = self.ages[:-1], min(
-            self.ages[-1], math.nextafter(kernel.a_max, -math.inf))
+        key = min(da * J, math.nextafter(kernel.a_max, -math.inf))
+        support = kernel.support(horizon)
+        size = J + 1 if support > key else max(_ages_below(support, da), 1)
+        self.kernel = kernel
+        self.dt = dt
+        self.ages = da * np.arange(size)
+        # below the full grid no window reaches the key, so every count is
+        # the ages under the support
+        self._older, self._last_key = ((self.ages[:-1], key) if size > J
+                                       else (self.ages, math.inf))
+        # the ages the rule halves, oldest first: the trapezoid's two ends,
+        # the oldest only where the grid reaches a_J
+        self._da, self._halved = da, ()
+        if rule == "trapezoid":
+            self._halved = (0, -1) if size > J else (-1,)
+        self._static = None
+        if kernel.modulation is None:
+            self._static = self._weighted(math.inf)
+        self._last = (None, None)  # (t, all weights at t) of a modulated kernel
         self._totals = {}  # lo -> ((age count, t or None), sum of the weights)
 
+    def _weighted(self, t):
+        """q_j rho(a_j, t) for the stored ages, oldest first, in a new array
+        (what ``kernel.eval`` returns is never written)."""
+        rho = self.kernel.eval(self.ages[::-1], t)
+        w = self._da * rho
+        for j in self._halved:
+            w[j] = (0.5 * self._da) * rho[j]
+        return w
+
     def buffer(self, past, n_steps: int) -> np.ndarray:
-        """Node buffer B with B[J + n] = Z^n and z_p(n dt) on B[:J + 1]."""
-        J = self.ages.size - 1
-        B = np.empty(J + n_steps + 1)
-        B[:J + 1] = past.eval((np.arange(J + 1) - J) * self.dt)
+        """Node buffer B with B[K - 1 + n] = Z^n and z_p(n dt) on B[:K]."""
+        K = self.ages.size
+        B = np.empty(K + n_steps)
+        B[:K] = past.eval((np.arange(K) - (K - 1)) * self.dt)
         return B
 
     def weights(self, t: float) -> np.ndarray:
-        """q_j rho(a_j, t) for all J + 1 ages, oldest first: one shared array
-        for a kernel without modulation, else one evaluation per new t."""
+        """q_j rho(a_j, t) for the stored ages, oldest first: one shared
+        array for a kernel without modulation, else one evaluation per new
+        t."""
         if self._static is not None:
             return self._static
         if self._last[0] != t:
-            self._last = (t, self._quad * self.kernel.eval(self.ages[::-1], t))
+            self._last = (t, self._weighted(t))
         return self._last[1]
 
     def window(self, t: float, nodes, end: int, lo: int = 0):
@@ -107,7 +145,8 @@ class Memory:
         Both arrays run oldest age first: the weights are one contiguous
         slice of ``weights(t)`` and the anchors the forward slice of
         ``nodes`` ending just before index ``end``, so age a_lo pairs with
-        ``nodes[end - 1]``. The age count m is J + 1, cut by ``support(t)``.
+        ``nodes[end - 1]``. The age count m is the stored K, cut by
+        ``support(t)``.
         """
         size = m = self.ages.size
         if self.kernel.time_dependent:
@@ -123,8 +162,8 @@ class Memory:
 
     def _age_count(self, support):
         """Ages in a window at kernel support ``support`` (a number or an
-        array): every a_j < support, and all J + 1 once support reaches
-        a_max."""
+        array) up to the horizon's: every a_j < support, and all J + 1 once
+        support reaches a_max."""
         return (np.searchsorted(self._older, support, side="left")
                 + (support > self._last_key))
 
@@ -148,3 +187,15 @@ class Memory:
         youngest = self._static[size - int(m.max(initial=0)):][::-1]
         totals = np.concatenate(([0.0], np.cumsum(youngest)))
         return m, totals[m]
+
+
+def _ages_below(support: float, da: float) -> int:
+    """How many ages j * da lie below ``support``, by their float values."""
+    if not support > 0.0:
+        return 0
+    n = math.ceil(support / da)
+    while n and da * (n - 1) >= support:
+        n -= 1
+    while da * n < support:
+        n += 1
+    return n

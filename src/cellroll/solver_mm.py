@@ -295,7 +295,7 @@ def solve_mm(psi: Potential, kernel: Kernel, v, past: PastData,
     _reject_unbounded(psi)
     eps, dt = float(cfg.eps), float(cfg.dt)
     n_steps = step_count(cfg.T, dt)
-    memory = Memory(kernel, eps, dt, "rectangle")
+    memory = Memory(kernel, eps, dt, "rectangle", n_steps * dt)
     J = memory.ages.size - 1
     drive = as_drive(v)
     B = memory.buffer(past, n_steps)  # B[J + n] = Z^n
@@ -316,6 +316,6 @@ def step_energy(psi: Potential, kernel: Kernel, v, traj: Trajectory,
     """
     if n < 1:
         raise ValueError("steps are numbered from 1")
-    memory = Memory(kernel, traj.eps, traj.dt, "rectangle")
+    memory = Memory(kernel, traj.eps, traj.dt, "rectangle", n * traj.dt)
     return next(_steps(psi, memory, as_drive(v), traj.values, 0, n, n,
                        traj.dt, traj.eps))

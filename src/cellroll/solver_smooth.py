@@ -137,7 +137,7 @@ def solve_smooth(psi: Potential, kernel: Kernel, v, past: PastData,
     _reject_nonsmooth(psi)
     eps, dt = float(cfg.eps), float(cfg.dt)
     n_steps = step_count(cfg.T, dt)
-    memory = Memory(kernel, eps, dt, "trapezoid")
+    memory = Memory(kernel, eps, dt, "trapezoid", n_steps * dt)
     J = memory.ages.size - 1
     drive = as_drive(v)
     # B[J + n] = Z^n, so z(t_n - eps a_j) = B[J + n - j]

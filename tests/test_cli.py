@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cellroll import cli
+from cellroll import cli, memory
 from cellroll.cli import main
 from cellroll.history import write_trajectory_csv
 from cellroll.kernels import TruncatedExponential
@@ -374,6 +374,9 @@ class TestFailureExits:
         ("oracle", {"T": 1e308}, "abs", "solver.T"),
         ("simulate", {"T": 2.0, "dt": 1e-300}, "quadratic", "solver.T"),
         ("limit", {"T": 2.0, "dt": 1e-300}, "quadratic", "solver.T"),
+        # a_max*eps/dt = 4e22 ages, more than any array indexes
+        ("simulate", {"eps": 1e20, "dt": 1e-3}, "quadratic", "solver.eps"),
+        ("mm", {"eps": 1e20, "dt": 1e-3}, "abs", "solver.eps"),
     ])
     def test_solver_precondition_reports_dotted_path(
             self, capsys, tmp_path, command, solver, potential, field):
@@ -556,6 +559,39 @@ class TestFailureExits:
         cfg = write_config(tmp_path / "run.json", quad_config(T=1e10, dt=1e-3))
         code, _, err = run(capsys, command, "--config", cfg)
         assert code == 1
+        assert err == ("out of memory: Unable to allocate 72.8 TiB; lower T/dt "
+                       "(steps) or a_max*eps/dt (ages)\n")
+
+    @pytest.mark.parametrize("command", ["simulate", "mm"])
+    def test_age_grid_out_of_memory_names_the_age_count(
+            self, capsys, tmp_path, monkeypatch, command):
+        # 40/1e-12 ages pass the config; the grid is refused in the stub
+        # before anything of that size is requested
+        def no_memory(kernel, eps, dt):
+            da, J = age_grid(kernel, eps, dt)
+            assert J == 4 * 10**13
+            raise MemoryError("Unable to allocate 291. TiB")
+
+        age_grid = memory._age_grid
+        monkeypatch.setattr(memory, "_age_grid", no_memory)
+        cfg = write_config(tmp_path / "run.json", quad_config(eps=1e9, dt=1e-3))
+        code, _, err = run(capsys, command, "--config", cfg)
+        assert code == 1
+        assert err == ("out of memory: Unable to allocate 291. TiB; lower T/dt "
+                       "(steps) or a_max*eps/dt (ages)\n")
+
+    @pytest.mark.parametrize("command", ["limit", "oracle"])
+    def test_solvers_without_ages_name_only_the_steps(
+            self, capsys, tmp_path, monkeypatch, command):
+        def no_memory(*args):
+            raise MemoryError("Unable to allocate 72.8 TiB")
+
+        monkeypatch.setattr("cellroll.cli.integrate_limit", no_memory)
+        monkeypatch.setattr("cellroll.cli._oracle", no_memory)
+        cfg_dict = creep_config() if command == "oracle" else quad_config()
+        cfg = write_config(tmp_path / "run.json", cfg_dict)
+        code, _, err = run(capsys, command, "--config", cfg)
+        assert code == 1
         assert err == "out of memory: Unable to allocate 72.8 TiB; lower T/dt\n"
 
     def test_sweep_out_of_memory_names_the_sweep_size(self, capsys,
@@ -636,6 +672,29 @@ class TestStudyCommands:
         code, _, err = run(capsys, "converge", "--config", cfg)
         assert code == 2
         assert err.startswith("config error: study.T:")
+
+    def test_converge_age_count_beyond_any_array_reports_eps_list(
+            self, capsys, tmp_path):
+        # the largest eps sets the longest age grid: 40e20/1e-3 ages
+        cfg_dict = quad_config()
+        del cfg_dict["solver"]
+        cfg_dict["model"]["potential"] = {"kind": "abs"}
+        cfg_dict["study"] = {"eps_list": [1e20, 0.1], "T": 0.5, "dt": 1e-3}
+        cfg = write_config(tmp_path / "conv.json", cfg_dict)
+        code, _, err = run(capsys, "converge", "--config", cfg)
+        assert code == 2
+        assert err.startswith("config error: study.eps_list: a_max*eps/dt")
+
+    def test_longtime_age_count_beyond_any_array_reports_study_dt(
+            self, capsys, tmp_path):
+        # 100 steps, but at eps = 1 a grid of 40/1e-19 ages
+        cfg_dict = quad_config()
+        del cfg_dict["solver"]
+        cfg_dict["study"] = {"T_list": [1e-17], "dt": 1e-19}
+        cfg = write_config(tmp_path / "lt.json", cfg_dict)
+        code, _, err = run(capsys, "longtime", "--config", cfg)
+        assert code == 2
+        assert err.startswith("config error: study.dt: a_max*eps/dt")
 
     def test_longtime_passes(self, capsys, tmp_path):
         cfg_dict = quad_config()

@@ -12,7 +12,8 @@ from cellroll.experiments import StudyReport
 from cellroll.history import (_BLOCK_ROWS, ConstantPast, LinearPast,
                               TabulatedPast, Trajectory, _BlockText,
                               write_trajectory_csv)
-from cellroll.kernels import Exponential
+from cellroll.kernels import Exponential, TruncatedExponential
+from cellroll.oracles import kinematic_trajectory, kinematic_velocity
 from cellroll.potentials import Quadratic
 from cellroll.solver_smooth import SolverConfig, solve_smooth
 
@@ -329,6 +330,25 @@ class TestBlockWriter:
         text.fmt = None  # `%` formatting would fail on it
         want = "".join(f"%.{precision}g,0,-0\n" % v for v in t)
         assert text(values).tobytes().decode() == want
+
+    def test_block_text_needs_no_index_array(self):
+        # one block of the oracle's rows; selecting the kept characters by
+        # an index array (np.compress) took 8 bytes per character for it
+        kernel = TruncatedExponential(1.0, 1.0)
+        t = np.arange(_BLOCK_ROWS, dtype=float) * 1e-3
+        values = np.column_stack([t, kinematic_trajectory(1.5, kernel, 0.0, t),
+                                  kinematic_velocity(1.5, kernel, t)]).ravel()
+        text = _BlockText(17, 3, _BLOCK_ROWS)
+        want = text(values)  # builds the cached tables first
+        tracemalloc.start()
+        try:
+            got = text(values)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got.dtype == np.uint8
+        np.testing.assert_array_equal(got, want)
+        assert peak < 8 * got.size
 
     def test_no_rows_gives_the_header_only(self, tmp_path):
         path = tmp_path / "traj.csv"

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cellroll.history import LinearPast
 from cellroll.kernels import Exponential, Tabulated, TruncatedExponential
@@ -182,3 +184,87 @@ def test_step_count_rejects_a_count_no_buffer_holds(T, dt):
     # T/dt is inf, or 2e300 nodes: refused before anything is allocated
     with pytest.raises(ValueError, match="can index"):
         step_count(T, dt)
+
+
+# kernels whose support is an age cut (the grid stops at the horizon's
+# window), with the a_max edge cases above, and two that keep every age
+HORIZON_KERNELS = [
+    TruncatedExponential(1.0, 1.0), TruncatedExponential(1.0, 1.0, a_max=2.0),
+    *[AgeCutTabulated([0.0, 1.0, 2.5], [1.0, 0.5, 0.1], a_max=a_max)
+      for a_max in (2.0, 2.0 - 2e-11, 2.0 + 1e-12, 1.9)],
+    Exponential(1.0, 1.0, a_max=1.0), modulated()]
+
+
+@pytest.mark.parametrize("kernel", HORIZON_KERNELS + [
+    Tabulated([0.0, 1.0], [1.0, 0.5])], ids=repr)
+def test_support_never_decreases(kernel):
+    t = np.linspace(0.0, 3.0 * kernel.a_max, 301)
+    t = np.sort(np.concatenate([t, np.nextafter(t, -np.inf),
+                                np.nextafter(t, np.inf), [kernel.a_max]]))
+    supports = [kernel.support(x) for x in t[t >= 0.0]] + [kernel.support(math.inf)]
+    assert all(b >= a for a, b in zip(supports, supports[1:]))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(kernel=st.sampled_from(HORIZON_KERNELS),
+       eps=st.sampled_from([0.5, 1.0, 2.0]),
+       rule=st.sampled_from(["trapezoid", "rectangle"]),
+       steps=st.integers(1, 12), nudge=st.sampled_from([-1, 0, 1]))
+def test_horizon_grid_gives_the_full_grid_windows(kernel, eps, rule, steps,
+                                                   nudge):
+    dt = 0.25
+    horizon = steps * dt
+    if nudge:
+        horizon = math.nextafter(horizon, nudge * math.inf)
+    full = Memory(kernel, eps, dt, rule)
+    part = Memory(kernel, eps, dt, rule, horizon)
+    size, K = full.ages.size, part.ages.size
+    # the youngest ages, up to where the window at the horizon stops
+    np.testing.assert_array_equal(part.ages, full.ages[:K])
+    reach = weights(full, horizon).size
+    if kernel.support(horizon) < kernel.a_max:
+        assert K == max(reach, 1)
+    else:
+        assert K == size == reach
+    # the same past and computed nodes in both buffers
+    past = LinearPast(0.7, -0.2)
+    Bf, Bp = full.buffer(past, steps), part.buffer(past, steps)
+    np.testing.assert_array_equal(Bp[:K], Bf[size - K:size])
+    Bf[size:] = Bp[K:] = np.random.default_rng(steps).random(steps)
+    times = [n * dt for n in range(steps + 1) if n * dt <= horizon]
+    cuts = np.concatenate([full.ages, np.nextafter(full.ages, -np.inf),
+                           [horizon, math.nextafter(horizon, 0.0)]])
+    times += [float(c) for c in cuts if 0.0 <= c <= horizon]
+    for t in times:
+        n = min(int(t / dt), steps)
+        for lo in (0, 1):
+            wf, total_f, anchors_f = full.window(t, Bf, size + n - lo, lo)
+            wp, total_p, anchors_p = part.window(t, Bp, K + n - lo, lo)
+            np.testing.assert_array_equal(wp, wf)
+            assert total_p == total_f
+            np.testing.assert_array_equal(anchors_p, anchors_f)
+            m = wf.size + lo
+            np.testing.assert_array_equal(part.weights(t)[K - m:],
+                                          full.weights(t)[size - m:])
+    times = np.array(times)
+    for hi in (np.minimum(np.round(times / dt), steps).astype(int),
+               np.full(times.size, 100)):
+        sizes_f, totals_f = full.windows(times, hi)
+        sizes_p, totals_p = part.windows(times, hi)
+        np.testing.assert_array_equal(sizes_p, sizes_f)
+        assert list(totals_p) == list(totals_f)
+
+
+@settings(max_examples=500, derandomize=True, deadline=None)
+@given(dt=st.floats(1e-3, 1.0), k=st.integers(0, 200),
+       ulps=st.integers(-2, 2))
+def test_horizon_grid_counts_the_ages_below_the_support(dt, k, ulps):
+    # horizons at and next to the ages' float values, where support / da
+    # can round to the wrong side of an integer
+    kernel = TruncatedExponential(1.0, 1.0, a_max=dt * (k + 10))
+    horizon = dt * k
+    for _ in range(abs(ulps)):
+        horizon = math.nextafter(horizon, ulps * math.inf)
+    ages = Memory(kernel, 1.0, dt, "rectangle").ages
+    part = Memory(kernel, 1.0, dt, "rectangle", horizon)
+    assert part.ages.size == max(int(np.sum(ages < horizon)), 1)

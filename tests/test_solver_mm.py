@@ -1,5 +1,6 @@
 """Minimizing movements: per-step minimizer, plastic stopping, certificates."""
 import math
+import tracemalloc
 from dataclasses import replace
 from unittest import mock
 
@@ -463,6 +464,19 @@ class TestSolveMM:
         assert np.max(np.abs(traj.values - ref)) < 5e-4
         assert traj.values[-1] - traj.values[0] == pytest.approx(
             0.1 - 0.9 * LN_10_9, abs=5e-4)
+
+    def test_age_grid_stops_at_the_horizon(self):
+        # no bond is older than T = 1.5, so the run stores 15 000 of the
+        # 400 001 ages to a_max = 40 at dt = 1e-4; the full grid took 18.5 MB
+        cfg = SolverConfig(eps=1.0, T=1.5, dt=1e-4)
+        tracemalloc.start()
+        try:
+            solve_mm(AbsoluteValue(), TruncatedExponential(1.0, 1.0), 1.5,
+                     ConstantPast(0.0), cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
 
     def test_stopped_phase_is_flat(self):
         dt = 1e-3
