@@ -8,12 +8,14 @@ prefix before t = 0 is filled from the prescribed z_p; a finished
 Every CSV value is the text of ``"%.{P}g" % x``, byte for byte, for P in
 1..17. The writer makes that text for a block of rows at a time from the
 exact binary value with numpy integer arithmetic, and hands to ``%`` only
-zero, inf, nan and magnitudes outside about [1e-10, 1e18). Each block's
-text is compacted by setting unused characters to NUL and deleting them
-in one ``bytes.translate``, with no index array. The time column may be
-a uniform grid made per block, and any other column a function the
-writer calls on one block of times at a time: a trajectory write holds
-the solution (none, for a closed form) plus one block.
+zero, inf, nan and magnitudes outside about [1e-10, 1e18). Every step
+writes into work arrays made once per write, so a block allocates nothing
+large. A value's text comes from a pre-masked template row, whose unused
+characters are NUL, plus its digits; the NULs are deleted in one
+``bytearray.translate``, with no index array. The time column may be a
+uniform grid made per block, and any other column a function the writer
+calls on one block of times at a time: a trajectory write holds the
+solution (none, for a closed form) plus one block.
 """
 from __future__ import annotations
 
@@ -159,9 +161,12 @@ def write_trajectory_csv(path, t, z, zdot, precision: int = 17):
     _write_csv(path, ("t", "z", "zdot"), (t, z, zdot), precision)
 
 
-# rows per block: one block's text matrix and temporaries take a few
-# hundred kB, so memory stays flat however long the file
-_BLOCK_ROWS = 1024
+# rows per block. A block's numpy calls, most of the writer's time, do not
+# grow with its length, but its working set does: about 111 bytes per value
+# at precision 17 (0.68 MB for 2048 rows of three columns), which is less
+# than 1024 rows took before the writer reused its work arrays (0.73 MB).
+# Memory stays flat however long the file.
+_BLOCK_ROWS = 2048
 
 
 def _write_csv(path, names, columns, precision: int):
@@ -176,8 +181,8 @@ def _write_csv(path, names, columns, precision: int):
     each block it returns, and is never called when there are no rows.
     ``precision`` must be an int in [1, 17]. A bool or an int is written as
     the float it converts to. Lines end in "\\n" on every platform. Rows go
-    ``_BLOCK_ROWS`` at a time through ``_BlockText``, one ``write`` per
-    block; the file is opened after the first block's columns are made.
+    ``_BLOCK_ROWS`` at a time through ``_BlockText``, one ``writelines``
+    per block; the file is opened after the first block's columns are made.
     """
     if (isinstance(precision, (bool, np.bool_))
             or not isinstance(precision, (int, np.integer))
@@ -210,7 +215,7 @@ def _write_csv(path, names, columns, precision: int):
             m = min(rows, n - start)
             for j, part in enumerate(parts):
                 values[:m, j] = part
-            fh.write(text(values[:m].ravel()))
+            fh.writelines(text(values[:m].ravel()))
 
 
 def _checked(name, column, n):
@@ -226,119 +231,212 @@ def _checked(name, column, n):
 
 
 # %.{P}g text without the float formatter. A double x = M 2^(E - 1075), M
-# < 2^53, has s = 17 - floor(log10 |x|) and 18 leading digits floor(|x| 10^s)
-# = floor(M 5^s 2^(E - 1075 + s)): a 128-bit integer product, exact while
-# 5^s < 2^63, that is for s in [0, 27] (about 1e-10 <= |x| < 1e18). The
-# floor is exact iff M has no set bit below the shift, as 5^s is odd. From
-# the 18 digits and that bit, rounding half to even to P digits is exact
-# decimal arithmetic, so the text equals CPython's correctly rounded one.
-# Zero is "0" with its sign; inf, nan and magnitudes out of range go through
-# one `%` per block.
+# < 2^53, has the decade estimate d = floor(log10 |x|) + 10, s = 27 - d and
+# 18 leading digits floor(|x| 10^s) = floor(M 5^s 2^(E - 1075 + s)): a
+# 128-bit integer product, exact while 5^s < 2^63, that is for d in [0, 27]
+# (about 1e-10 <= |x| < 1e18). The floor is exact iff M has no set bit
+# below the shift, as 5^s is odd. From the 18 digits and that bit, rounding
+# half to even to P digits is exact decimal arithmetic, so the text equals
+# CPython's correctly rounded one. Zero is "0" with its sign; inf, nan and
+# magnitudes out of range go through one `%` per block. Every step writes
+# into work arrays that the block's `_BlockText` owns.
 
 _LO32 = 0xFFFFFFFF
-_MAX_S = 27
+_MAX_D = 27
+# 1e-11 <= |x| < 1e18, read on the bits of |x| (nan lies above): no uint64
+# below overflows
+_EXACT_LO = int(np.float64(1e-11).view(np.uint64))
+_EXACT_SPAN = int(np.float64(1e18).view(np.uint64)) - _EXACT_LO
 
 
 @functools.cache
 def _digit_tables():
-    """Text of every 4-digit chunk "0000".."9999" as one uint32 each, its
-    count of trailing zeros (4 for "0000"), and the high and low 32-bit limbs
-    of 5^s for s in [0, 27]."""
-    # built without array arithmetic, and everything below runs in uint64:
-    # each numpy loop run for the first time maps more of numpy's code into
-    # memory
+    """The digits 0..9 of every 4-digit chunk "0000".."9999" as four bytes
+    (one uint32 each); for each place j in 0..4 of a chunk in a 20-digit
+    number, the number's trailing zeros if that chunk is its last nonzero
+    one (255 for a zero chunk, so the least over the chunks counts them);
+    and the high and low 32-bit limbs of 5^(27 - d) for d in [0, 27]."""
+    # built without array arithmetic: each numpy loop run for the first time
+    # maps more of numpy's code into memory
     pairs = np.frombuffer(bytes(itertools.chain.from_iterable(
-        itertools.product(b"0123456789", repeat=2))), np.uint16)
-    chars = np.empty((100, 100, 2), np.uint16)
-    chars[..., 0], chars[..., 1] = pairs[:, None], pairs
-    zeros = np.zeros(10_000, np.uint64)
-    for k in (1, 2, 3):
-        zeros[::10 ** k] = k
-    zeros[0] = 4
-    pow5 = [5 ** s for s in range(_MAX_S + 1)]
+        itertools.product(range(10), repeat=2))), np.uint16)
+    digits = np.empty((100, 100, 2), np.uint16)
+    digits[..., 0], digits[..., 1] = pairs[:, None], pairs
+    zeros = np.empty((5, 10_000), np.uint8)
+    for j in range(5):
+        for k in range(4):
+            zeros[j, ::10 ** k] = 4 * (4 - j) + k
+        zeros[j, 0] = 255
+    pow5 = [5 ** (_MAX_D - d) for d in range(_MAX_D + 1)]
     limbs = (np.array([p >> 32 for p in pow5], np.uint64),
              np.array([p & _LO32 for p in pow5], np.uint64))
-    return chars.view(np.uint32).ravel(), zeros, limbs
+    return digits.view(np.uint32).ravel(), zeros, limbs
 
 
-def _scaled(M, E, s, pow5):
-    """floor(M 2^(E - 1075) 10^s) from 32-bit limbs, and whether that floor
-    is exact."""
-    f1, f0 = pow5[0][s], pow5[1][s]
-    m1, m0 = M >> 32, M & _LO32
-    lo = m0 * f0
-    mid = m0 * f1
-    mid += m1 * f0
-    mid += lo >> 32
-    hi = m1 * f1
-    hi += mid >> 32
-    lo &= _LO32
-    lo |= mid << 32
-    # shift the 128-bit product right by 1075 - E - s, or left by its negative
-    E = E + s
-    top = np.maximum(E, 1075)
-    r = top - E
-    left = 64 - r  # a shift by 64 gives 0
-    hi <<= left
-    hi |= lo >> r
-    hi <<= top - 1075
-    return hi, (M << left) == 0
+def _scaled(q, d, pow5, t):
+    """In place, floor(M 2^(E - 1075) 10^s) times 2, plus 1 if that floor
+    is not exact, for s = 27 - d: ``q`` holds the bits of positive normal
+    doubles M 2^(E - 1075) on entry and the result on return. ``d`` (uint64
+    in [0, 27]) and ``t`` (four uint64 arrays of q's length) are
+    overwritten."""
+    Es, f0, f1, m0 = t
+    np.right_shift(q, 52, out=Es)
+    np.subtract(Es, d, out=Es)  # E + s - 27
+    np.bitwise_and(q, 2 ** 52 - 1, out=q)
+    np.bitwise_or(q, 2 ** 52, out=q)  # M
+    np.take(pow5[1], d.view(np.intp), out=f0, mode="clip")
+    np.take(pow5[0], d.view(np.intp), out=f1, mode="clip")
+    lo = d
+    # the 128-bit product of M and 5^s from 32-bit limbs: (q, lo)
+    np.bitwise_and(q, _LO32, out=m0)
+    np.right_shift(q, 32, out=q)
+    np.multiply(m0, f0, out=lo)
+    mid = f0
+    np.multiply(mid, q, out=mid)
+    np.multiply(m0, f1, out=m0)
+    np.add(mid, m0, out=mid)
+    np.right_shift(lo, 32, out=m0)
+    np.add(mid, m0, out=mid)
+    np.multiply(q, f1, out=q)
+    np.right_shift(mid, 32, out=m0)
+    np.add(q, m0, out=q)
+    np.bitwise_and(lo, _LO32, out=lo)
+    np.left_shift(mid, 32, out=mid)
+    np.bitwise_or(lo, mid, out=lo)
+    # shift it right by 1075 - E - s, or left by its negative
+    top, r, left = f0, f1, m0
+    np.maximum(Es, 1048, out=top)
+    np.subtract(top, Es, out=r)
+    np.subtract(64, r, out=left)  # a shift by 64 gives 0
+    np.left_shift(q, left, out=q)
+    # the bits shifted out, zero iff the floor is exact: 1 if they are not
+    np.left_shift(lo, left, out=left)
+    np.minimum(left, 1, out=left)
+    np.right_shift(lo, r, out=lo)
+    np.bitwise_or(q, lo, out=q)
+    np.subtract(top, 1048, out=top)
+    np.left_shift(q, top, out=q)
+    np.left_shift(q, 1, out=q)
+    np.bitwise_or(q, left, out=q)
 
 
-def _decimal(x, P: int, pow5):
-    """|x| rounded half to even to P significant digits: the digits as an
-    integer in [10^(P-1), 10^P), X + 10 for the decimal exponent X of the
-    rounded value, and whether both are exact. They are not for zero, inf,
-    nan and magnitudes out of range, which read as 1 (digits 10^(P-1), X 0).
+def _decimal(x, P: int, w, decade, flag):
+    """|x| rounded half to even to P significant digits: the digits, an
+    integer in [10^(P-1), 10^P), in ``w[1]``, X + 10 for the decimal
+    exponent X of the rounded value in ``decade`` (uint8), and the sorted
+    positions of zero, inf, nan and magnitudes out of range, which read as
+    1 (digits 10^(P-1), X 0). ``w`` (six uint64 arrays of x's length) and
+    ``flag`` (bool) are overwritten.
     """
-    a = np.abs(x)
-    exact = (a >= 1e-11) & (a < 1e18)  # no uint64 below overflows
-    a = np.where(exact, a, 1.0)
-    s = np.clip(17 - np.floor(np.log10(a)), 0, _MAX_S).astype(np.uint64)
-    # a = M 2^(E - 1075) from the bits of a normal double
-    bits = a.view(np.uint64)
-    M = (bits & (2 ** 52 - 1)) | 2 ** 52
-    E = bits >> 52
-    q, whole = _scaled(M, E, s, pow5)
+    pow5 = _digit_tables()[2]
+    q, d, f = w[0], w[1], w[2].view(float)
+    a = q.view(float)
+    np.abs(x, out=a)
+    np.subtract(q, _EXACT_LO, out=d)
+    rest = np.flatnonzero(np.greater_equal(d, _EXACT_SPAN, out=flag))
+    a[rest] = 1.0
+    np.log10(a, out=f)
+    np.floor(f, out=f)
+    np.add(f, 10, out=f)
+    np.clip(f, 0, _MAX_D, out=f)
+    d[...] = f
+    decade[...] = d
+    _scaled(q, d, pow5, w[2:])
     # log10 can miss floor(log10 |x|) by one next to a power of ten, and the
-    # clip moves s off it out of range: q then has 17 or 19 digits and is
+    # clip moves d off it out of range: q then has 17 or 19 digits and is
     # recomputed one decade over, never rescaled (that would round twice)
-    off = np.flatnonzero((q < 10 ** 17) | (q >= 10 ** 18))
+    np.subtract(q, 2 * 10 ** 17, out=w[2])
+    off = np.flatnonzero(np.greater_equal(w[2], 18 * 10 ** 17, out=flag))
     if off.size:
-        s_off = s[off] + (q[off] < 10 ** 17) - (q[off] >= 10 ** 18)
-        s[off] = np.minimum(s_off, _MAX_S)  # s = 0 - 1 wraps above it
-        q[off], whole[off] = _scaled(M[off], E[off], s[off], pow5)
-        exact[off] &= ((s_off <= _MAX_S) & (q[off] >= 10 ** 17)
-                       & (q[off] < 10 ** 18))
-    div = np.uint64(10 ** (18 - P))
-    digits = q // div
-    q -= digits * div  # the dropped digits
-    half = div // 2
-    digits += (q > half) | ((q == half) & ~(whole & (digits & 1 == 0)))
-    carry = digits == 10 ** P
-    digits[carry] = 10 ** (P - 1)
-    decade = 27 - s + carry
-    digits[~exact], decade[~exact] = 10 ** (P - 1), 10
-    return digits, decade, exact
+        q_off = q[off]
+        d_off = (decade[off].astype(np.uint64) + (q_off >= 2 * 10 ** 18)
+                 - (q_off < 2 * 10 ** 17))
+        bad = d_off > _MAX_D  # d = 0 - 1 wraps above it
+        np.minimum(d_off, _MAX_D, out=d_off)
+        q_off = np.abs(x[off]).view(np.uint64)
+        _scaled(q_off, d_off.copy(), pow5, np.empty((4, off.size), np.uint64))
+        bad |= q_off - 2 * 10 ** 17 >= 18 * 10 ** 17
+        q_off[bad], d_off[bad] = 2 * 10 ** 17, 10  # they read as 1
+        q[off], decade[off] = q_off, d_off
+        rest = np.union1d(rest, off[bad])
+    digits, t = w[1], w[2]
+    div = 2 * 10 ** (18 - P)
+    np.floor_divide(q, div, out=digits)
+    np.multiply(digits, div, out=t)
+    np.subtract(q, t, out=q)  # twice the dropped digits, plus 1 if inexact
+    # round up iff that is above div / 2, or equal to it and digits is odd
+    np.bitwise_and(digits, 1, out=t)
+    np.add(q, t, out=q)
+    np.subtract(div // 2, q, out=q)
+    np.right_shift(q, 63, out=q)
+    np.add(digits, q, out=digits)
+    carry = np.greater_equal(digits, 10 ** P, out=flag)
+    np.add(decade, carry.view(np.uint8), out=decade)
+    digits[np.flatnonzero(carry)] = 10 ** (P - 1)
+    return digits, rest
+
+
+def _digit_chars(digits, decade, P: int, w, chars, chunk, tz, z):
+    """The template key of each value, ``decade`` P plus its count of
+    trailing zeros, in ``w[0]``, and its digits as 20 bytes 0..9 in
+    ``chars``, left-padded with zeros, of which the last P are set.
+    ``digits`` is ``w[1]``; the first three rows of ``w``,
+    ``chunk`` (uint32) and ``tz`` and ``z`` (uint8) are overwritten."""
+    chars4, zeros, _ = _digit_tables()
+    rest, c = w[0], w[2]
+    low = (20 - P) // 4  # the chunks below it hold no digit of the P
+    for j in range(4, low - 1, -1):  # 4 digits at a time, from the right
+        if j > low:
+            np.floor_divide(digits, 10_000, out=rest)
+            np.multiply(rest, 10_000, out=c)
+            np.subtract(digits, c, out=c)
+            digits, rest = rest, digits
+        else:
+            c = digits
+        np.take(chars4, c.view(np.intp), out=chunk, mode="clip")
+        chars.view(np.uint32)[:, j] = chunk
+        np.take(zeros[j], c.view(np.intp), out=tz if j == 4 else z,
+                mode="clip")
+        if j < 4:
+            np.minimum(tz, z, out=tz)
+    key, t = w[0], w[2]
+    key[...] = decade
+    np.multiply(key, P, out=key)
+    t[...] = tz
+    np.add(key, t, out=key)
+    return key.view(np.intp)
 
 
 class _BlockText:
     """Text of a block of rows: ``self(x)``, for the block's values row by
-    row, gives the bytes of ``"%.{P}g" % v`` plus "," or "\\n" for each v.
+    row, gives the bytes of ``"%.{P}g" % v`` plus "," or "\\n" for each v,
+    as a list of byte strings to write in order.
 
     Every value is laid out in one row of a (values, 2P + 10) uint8 matrix:
     sign, "0.000", the P digits with a "." after each, "e+XX", separator.
-    The value's decimal exponent X and its count of significant digits pick
-    a template row (the constant characters) and a mask row (the characters
-    it keeps); the sign and the separator are set per value. The characters
-    it drops are set to NUL and deleted from the matrix's bytes in one
-    ``bytes.translate``, which needs no index array; a `%` row is padded
-    with NULs already. What is left is the block's text.
+    The value's decimal exponent X and its count of trailing zeros pick a
+    template row, which is pre-masked: a character the value does not use
+    is NUL in it. Its digit columns, taken apart as 20 bytes aligned with
+    the value's 20 digits, read "0" where the value keeps a digit and NUL
+    where it drops one; adding the digits 0..9 leaves a dropped digit NUL,
+    since only trailing zeros are dropped, so no mask is taken per value.
+    The sign and the newlines are set per block, and a `%` row is padded
+    with NULs. One ``bytearray.translate`` deletes every NUL, with no index
+    array and no copy of the matrix, and what is left is the text.
+
+    The digits of the whole block are made at once, in six uint64 and four
+    uint8 work arrays per value: ``_decimal`` and ``_digit_chars`` write
+    every step into them. The matrix, on a bytearray, holds half the
+    block's rows and is filled and translated twice, since ``translate``
+    makes its result at the size of the whole matrix before trimming it.
+    All of these are made once and reused by every block, so a block
+    allocates nothing larger than a few kB besides its text.
     """
 
     def __init__(self, precision: int, ncols: int, rows: int):
         P = self.P = precision
         self.fmt = f"%.{P}g"
+        self.ncols = ncols
         W = 2 * P + 10
         digit_cols, dot_cols, e_cols = (slice(6, 5 + 2 * P, 2),
                                         slice(7, 4 + 2 * P, 2),
@@ -349,15 +447,16 @@ class _BlockText:
         for k in range(P):
             first[k, :k + 1] = True
         # one key per decimal exponent X in [-10, 18] and count of
-        # significant digits nd in [1, P], at row (X + 10) P + nd - 1
+        # significant digits nd in [1, P], at row (X + 10) P + P - nd
         text = np.zeros((29, P, W), np.uint8)
         keep = np.zeros((29, P, W), bool)
-        text[..., 0] = ord("-")
         text[..., 1:6] = np.frombuffer(b"0.000", np.uint8)
+        text[..., digit_cols] = ord("0")
         text[..., dot_cols] = ord(".")
+        text[..., -1] = ord(",")
         keep[..., -1] = True
         for X in range(-10, 19):
-            t, k = text[X + 10], keep[X + 10]
+            t, k = text[X + 10], keep[X + 10, ::-1]
             t[:, e_cols] = np.frombuffer(b"e%+03d" % X, np.uint8)
             if not -4 <= X < P:  # d.ddde+XX
                 k[:, digit_cols] = first
@@ -369,34 +468,54 @@ class _BlockText:
             else:  # ddd.ddd: row r (r + 1 digits) keeps max(r + 1, X + 1)
                 k[:, digit_cols] = first[[max(r, X) for r in range(P)]]
                 k[X + 1:, 7 + 2 * X] = True
+        text[~keep] = 0
         self.digit_cols = digit_cols
         self.templates = text.reshape(29 * P, W)
-        self.masks = keep.reshape(29 * P, W)
-        self.sep = np.full(ncols * rows, ord(","), np.uint8)
-        self.sep[ncols - 1::ncols] = ord("\n")
-        # a block's temporaries (about 0.4 MB) come from the C heap, which
-        # glibc trims after every block, so the next one faults them back
-        # in; freeing an mmap chunk larger than its threshold raises the
-        # threshold to that size. One freed, never-touched MB keeps them
-        # on warm pages (on glibc, 15 195 -> under 300 minor faults over
-        # 200 001 rows); another allocator just makes one allocation
-        np.empty(1 << 20, np.uint8)
-        self.text = np.empty((ncols * rows, W), np.uint8)
-        self.keep = np.empty((ncols * rows, W), bool)
+        # the digit columns alone, right-aligned in 20 like the digits
+        self.digit_templates = np.zeros((29 * P, 20), np.uint8)
+        self.digit_templates[:, 20 - P:] = self.templates[:, digit_cols]
+        self.buf = bytearray(ncols * -(-rows // 2) * W)
+        self.text = np.frombuffer(self.buf, np.uint8).reshape(-1, W)
+        # six uint64 rows of a block's length: _decimal's work arrays, then
+        # _digit_chars' (rows 0-2), the key (row 0), one matrix's digit
+        # columns (from byte 8 per value on) and each value's 20 digits
+        # (bytes 28-48 per value)
+        self.work = np.empty((6, ncols * rows), np.uint64)
+        self.work8 = np.empty((4, ncols * rows), np.uint8)
 
     def __call__(self, x):
+        P, n, m = self.P, x.size, len(self.text)
+        w = self.work[:, :n]
+        raw = self.work.reshape(-1).view(np.uint8)
+        cap = self.work.shape[1]
+        chars = raw[28 * cap:28 * cap + 20 * n].reshape(n, 20)
+        decade, flag, tz, z = self.work8[:, :n]
+        digits, rest = _decimal(x, P, w, decade, flag.view(bool))
+        key = _digit_chars(digits, decade, P, w, chars,
+                           raw[24 * cap:24 * cap + 4 * n].view(np.uint32),
+                           tz, z)
+        # a contiguous output: numpy 2.4's signbit misplaces the values of a
+        # strided one
+        np.signbit(x, out=flag.view(bool))
+        np.multiply(flag, ord("-"), out=flag)
+        digit_text = raw[8 * cap:8 * cap + 20 * m].reshape(m, 20)
+        return [self._text(x[a:a + m], key[a:a + m], chars[a:a + m],
+                           flag[a:a + m],
+                           rest[(rest >= a) & (rest < a + m)] - a, digit_text)
+                for a in range(0, n, m)]
+
+    def _text(self, x, key, chars, sign, rest, digit_text):
+        """One matrix of the block's text, from its part of the block."""
         P, n = self.P, x.size
-        text, keep = self.text[:n], self.keep[:n]
-        chars, zeros, pow5 = _digit_tables()
-        digits, decade, exact = _decimal(x, P, pow5)
-        digits, tz = _digit_chars(digits, chars, zeros)
-        key = decade * P + (P - 1) - tz
+        text = self.text[:n]
+        self.text[n:] = 0  # a short part: no text past its rows
         np.take(self.templates, key, axis=0, out=text, mode="clip")
-        np.take(self.masks, key, axis=0, out=keep, mode="clip")
-        text[:, self.digit_cols] = digits[:, 20 - P:]
-        text[:, -1] = self.sep[:n]
-        keep[:, 0] = np.signbit(x)
-        rest = np.flatnonzero(~exact)
+        digit_text = digit_text[:n]
+        np.take(self.digit_templates, key, axis=0, out=digit_text, mode="clip")
+        np.add(digit_text, chars, out=digit_text)
+        text[:, self.digit_cols] = digit_text[:, 20 - P:]
+        text[:, 0] = sign
+        text[self.ncols - 1::self.ncols, -1] = ord("\n")
         if rest.size:
             # a zero reads as 1 (digits 10^(P-1), X 0): its one digit is 0
             zero = x[rest] == 0
@@ -407,22 +526,5 @@ class _BlockText:
             lines = (self.fmt + "\n") * rest.size % tuple(x[rest].tolist())
             padded = np.array(lines.encode().split(b"\n")[:-1], f"S{W - 1}")
             text[rest, :-1] = padded.view(np.uint8).reshape(rest.size, W - 1)
-            keep[rest, :-1] = True
-        # zero the dropped characters and delete every NUL: no index array
-        np.multiply(text, keep, out=text)
-        return np.frombuffer(text.tobytes().translate(None, b"\0"), np.uint8)
-
-
-def _digit_chars(digits, chars, zeros):
-    """Each integer in ``digits`` (uint64) as 20 ASCII digits, left-padded
-    with zeros, and its count of trailing zeros (up to 20)."""
-    chunks = np.empty((5, digits.size), np.uint64)  # 4 digits each
-    for j in (4, 3, 2, 1):
-        rest = digits // 10_000
-        chunks[j] = digits - rest * 10_000
-        digits = rest
-    chunks[0] = digits
-    tz = np.take(zeros, chunks[4])
-    for j in (3, 2, 1, 0):  # while every chunk after chunk j is "0000"
-        tz = np.where(tz == 4 * (4 - j), tz + np.take(zeros, chunks[j]), tz)
-    return np.take(chars, chunks.T).view(np.uint8), tz
+        # delete every NUL in the whole matrix: no index array, no copy
+        return self.buf.translate(None, b"\0")

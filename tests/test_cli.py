@@ -323,7 +323,7 @@ class TestTrajectoryCommands:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # about 1.0 MB per block; the whole time grid took 1.6 to 6.4 MB
+        # about 0.8 MB per block; the whole time grid took 1.6 to 6.4 MB
         # more, and whole-grid z and zdot 6.4 to 32 MB
         assert peak < 1.5e6
 

@@ -76,7 +76,7 @@ class TestTrajectory:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # about 1.0 MB per block; whole times and zdot arrays took 24 MB
+        # about 0.8 MB per block; whole times and zdot arrays took 24 MB
         assert peak < 1.5e6
 
 
@@ -167,8 +167,11 @@ def assert_per_row_format(path, names, rows, precision):
 
 
 SPECIAL = (0.0, -0.0, math.nan, math.inf, -math.inf)
-# around the 1024-row block, and no rows at all
-ROW_COUNTS = (0, 1, 1023, 1024, 1025, 2049)
+B = _BLOCK_ROWS
+# around a block and two, around the 1024 rows a block once held, and no
+# rows at all
+ROW_COUNTS = tuple(sorted({0, 1, 1023, 1024, 1025, 2049,
+                           B - 1, B, B + 1, 2 * B + 1}))
 
 
 def wide_floats(rng, size, head):
@@ -258,7 +261,8 @@ def assert_to_csv_matches_whole_arrays(folder, traj, precision):
 
 class TestBlockWriter:
     @pytest.mark.parametrize("precision", [1, 6, 17])
-    @pytest.mark.parametrize("n", [1, 2, 3, 1023, 1024, 1025, 2049])
+    @pytest.mark.parametrize("n", sorted({1, 2, 3, 1023, 1024, 1025, 2049,
+                                          B - 1, B, B + 1, 2 * B + 1}))
     def test_to_csv_matches_whole_arrays(self, tmp_path, n, precision):
         rng = np.random.default_rng(n * 100 + precision)
         # a random walk at scales 1e-8 .. 1e8, on a dt with no short decimal
@@ -271,8 +275,9 @@ class TestBlockWriter:
                                                     precision):
         traj = solve_smooth(Quadratic(), Exponential(1.0, 1.0),
                             lambda t: np.sin(3.0 * t), LinearPast(1.0, 1.0),
-                            SolverConfig(T=20.48, dt=1e-2, scheme="heun"))
-        assert traj.values.size == 2049  # two whole blocks and one row
+                            SolverConfig(T=2 * B * 1e-2, dt=1e-2,
+                                         scheme="heun"))
+        assert traj.values.size == 2 * B + 1  # two whole blocks and one row
         assert_to_csv_matches_whole_arrays(tmp_path, traj, precision)
 
     @settings(max_examples=40, derandomize=True, deadline=None)
@@ -329,7 +334,7 @@ class TestBlockWriter:
         text = _BlockText(precision, 3, 7)
         text.fmt = None  # `%` formatting would fail on it
         want = "".join(f"%.{precision}g,0,-0\n" % v for v in t)
-        assert text(values).tobytes().decode() == want
+        assert b"".join(text(values)).decode() == want
 
     def test_block_text_needs_no_index_array(self):
         # one block of the oracle's rows; selecting the kept characters by
@@ -339,16 +344,60 @@ class TestBlockWriter:
         values = np.column_stack([t, kinematic_trajectory(1.5, kernel, 0.0, t),
                                   kinematic_velocity(1.5, kernel, t)]).ravel()
         text = _BlockText(17, 3, _BLOCK_ROWS)
-        want = text(values)  # builds the cached tables first
+        want = b"".join(text(values))  # builds the cached tables first
         tracemalloc.start()
         try:
             got = text(values)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert got.dtype == np.uint8
-        np.testing.assert_array_equal(got, want)
-        assert peak < 8 * got.size
+        got = b"".join(got)
+        assert got == want
+        assert peak < 8 * len(got)
+
+    def test_block_working_set_per_value(self):
+        # building the writer's block text and making one full block of the
+        # oracle's rows at precision 17: 684 032 bytes for 2048 rows (111
+        # per value; numpy 2.4, Python 3.11). Before the work arrays were
+        # reused, one call on 1024 rows peaked at 728 262 bytes with its
+        # block text built (237 per value). A longer block must not buy its
+        # speed with more memory than that.
+        kernel = TruncatedExponential(1.0, 1.0)
+        t = np.arange(_BLOCK_ROWS, dtype=float) * 1e-3
+        values = np.column_stack([t, kinematic_trajectory(1.5, kernel, 0.0, t),
+                                  kinematic_velocity(1.5, kernel, t)]).ravel()
+        _BlockText(17, 3, 1)(values[:3])  # builds the cached tables first
+        tracemalloc.start()
+        try:
+            text = _BlockText(17, 3, _BLOCK_ROWS)
+            text(values)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 728_262, f"{peak / values.size:.1f} bytes per value"
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(precision=st.integers(1, 17), rows=st.integers(1, 40),
+           seed=st.integers(0, 2**32 - 1), data=st.data())
+    def test_reused_block_text_matches_a_fresh_one(self, precision, rows,
+                                                   seed, data):
+        # every work array is reused: nothing of one block may show in the
+        # text of the next
+        rng = np.random.default_rng(seed)
+        short = data.draw(st.integers(1, max(rows - 1, 1)), label="short")
+        edges = np.array([0.0, -0.0, math.inf, -math.inf, math.nan, 1e-300,
+                          1e300, -1e-300, -1e300])
+        blocks = [exact_range_floats(rng, 3 * rows),
+                  wide_floats(rng, 3 * short, []),
+                  np.resize(edges, 3 * rows),
+                  exact_range_floats(rng, 3 * rows)]
+        text = _BlockText(precision, 3, rows)
+        for x in blocks:
+            got = b"".join(text(x))
+            assert got == b"".join(_BlockText(precision, 3, rows)(x))
+            want = "".join(f"%.{precision}g" % v + ",,\n"[i % 3]
+                           for i, v in enumerate(x))
+            assert got.decode() == want
 
     def test_no_rows_gives_the_header_only(self, tmp_path):
         path = tmp_path / "traj.csv"
