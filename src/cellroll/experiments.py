@@ -60,9 +60,11 @@ def _dispatch_solver(psi: Potential):
 
 
 def _check_eps_list(eps_list, dt):
+    if not eps_list:
+        raise ValueError("eps_list must be nonempty")
     if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
         raise ValueError("eps_list must be strictly decreasing")
-    if eps_list and dt >= min(eps_list):
+    if dt >= min(eps_list):
         raise ValueError("dt must be well below the smallest eps")
 
 
@@ -170,6 +172,8 @@ def longtime_study(psi: Potential, kernel: Kernel, v, past: PastData,
 def velocity_force_sweep(kernel: Kernel, v_grid) -> StudyReport:
     """Asymptotic velocity for psi = |u| against the closed-form law."""
     v_grid = sorted(float(v) for v in v_grid)
+    if not v_grid:
+        raise ValueError("v_grid must be nonempty")
     psi = AbsoluteValue()
     mu_inf = kernel.mu_total()
 
@@ -179,7 +183,7 @@ def velocity_force_sweep(kernel: Kernel, v_grid) -> StudyReport:
         return (v, g, g_ref, abs(g - g_ref))
 
     rows = [point(v) for v in v_grid]
-    worst = max((r[3] for r in rows), default=0.0)
+    worst = max(r[3] for r in rows)
     criterion = "max |gamma - gamma_abs| <= 1e-06 across the v grid"
     return StudyReport("velocity_force", ("param", "gamma", "gamma_abs", "diff"),
                        rows, criterion, bool(worst <= 1e-6))

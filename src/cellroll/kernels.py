@@ -23,7 +23,9 @@ class Kernel:
     A kind supplies its profile ``_rho`` and the profile's mass ``_mass(x)``
     on [0, x] for x <= ``a_max``. This class cuts them at ``support(t)``,
     the oldest age carrying bonds at time t, and applies the optional time
-    ``modulation``.
+    ``modulation``: below the support, rho(a, t) = modulation(t) *
+    ``profile(a)``. ``Memory`` reads ``profile`` once per run and applies
+    the support cut and the modulation to its windows itself.
 
     ``time_dependent`` is True when rho(a, t) genuinely varies with t: a
     modulated kernel, or a kind whose ``support(t)`` cuts ages (the
@@ -50,6 +52,11 @@ class Kernel:
         """rho(a, t)."""
         a = np.asarray(a, dtype=float)
         return self._modulated(np.where(a <= self.support(t), self._rho(a), 0.0), t)
+
+    def profile(self, a):
+        """rho(a, inf) without the modulation: ``_rho`` cut at ``a_max``."""
+        a = np.asarray(a, dtype=float)
+        return np.where(a <= self.a_max, self._rho(a), 0.0)
 
     def cummass(self, x, t):
         """int_0^x rho(a, t) da."""

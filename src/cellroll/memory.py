@@ -10,9 +10,10 @@ the kernel's support at T (all J + 1 once that reaches a_max), as the
 support never shrinks. So with bonds no older than t, a short run holds
 about T/da ages, not a_max/da. Both delayed solvers keep their nodes in one
 buffer, B[K - 1 + n] = Z^n for K stored ages, with the prescribed past z_p
-on B[:K]. ``Memory`` stores the weights q_j rho(a_j, t) of one quadrature
-rule oldest age first, so a window of ages gives weights and anchors as two
-forward slices: a memory sum is one dot.
+on B[:K]. ``Memory`` reads the kernel's profile once and stores the weights
+q_j rho(a_j) of one quadrature rule oldest age first, so a window of ages
+gives weights and anchors as two forward slices: a memory sum is one dot,
+times the window's modulation scale.
 """
 from __future__ import annotations
 
@@ -68,12 +69,13 @@ def as_drive(v):
 
 
 class Memory:
-    """Tied age grid, node buffer and per-step memory windows for one kernel.
+    """Tied age grid, node buffer and memory windows for one kernel.
 
-    ``rule`` is "trapezoid" (end weights da/2) or "rectangle" (every weight
-    da). A kernel without a time ``modulation`` gets its weights q_j rho(a_j)
-    once; a modulated kernel is evaluated once per time t, so a Heun
-    corrector and the next predictor share one evaluation. When
+    ``weights`` holds q_j rho(a_j) for the stored ages, oldest first: the
+    kernel's ``profile`` read once, times the rule's q_j, which is da, or
+    da/2 at the trapezoid's two ends ("trapezoid"; "rectangle" halves
+    none). The kernel's time dependence enters a window in two ways. A
+    modulated kernel scales every weight by ``modulation(t)``. When
     ``support(t)`` is below ``a_max`` (a kernel whose time dependence is an
     age cutoff), the window at time t stops before the first age
     a_j >= support(t). So a bond exactly t old is dropped here, although
@@ -102,25 +104,12 @@ class Memory:
         # the ages under the support
         self._older, self._last_key = ((self.ages[:-1], key) if size > J
                                        else (self.ages, math.inf))
-        # the ages the rule halves, oldest first: the trapezoid's two ends,
-        # the oldest only where the grid reaches a_J
-        self._da, self._halved = da, ()
+        profile = kernel.profile(self.ages[::-1])
+        self.weights = da * profile
         if rule == "trapezoid":
-            self._halved = (0, -1) if size > J else (-1,)
-        self._static = None
-        if kernel.modulation is None:
-            self._static = self._weighted(math.inf)
-        self._last = (None, None)  # (t, all weights at t) of a modulated kernel
-        self._totals = {}  # lo -> ((age count, t or None), sum of the weights)
-
-    def _weighted(self, t):
-        """q_j rho(a_j, t) for the stored ages, oldest first, in a new array
-        (what ``kernel.eval`` returns is never written)."""
-        rho = self.kernel.eval(self.ages[::-1], t)
-        w = self._da * rho
-        for j in self._halved:
-            w[j] = (0.5 * self._da) * rho[j]
-        return w
+            # the two ends, the oldest only where the grid reaches a_J
+            for j in (0, -1) if size > J else (-1,):
+                self.weights[j] = (0.5 * da) * profile[j]
 
     def buffer(self, past, n_steps: int) -> np.ndarray:
         """Node buffer B with B[K - 1 + n] = Z^n and z_p(n dt) on B[:K]."""
@@ -129,64 +118,31 @@ class Memory:
         B[:K] = past.eval((np.arange(K) - (K - 1)) * self.dt)
         return B
 
-    def weights(self, t: float) -> np.ndarray:
-        """q_j rho(a_j, t) for the stored ages, oldest first: one shared
-        array for a kernel without modulation, else one evaluation per new
-        t."""
-        if self._static is not None:
-            return self._static
-        if self._last[0] != t:
-            self._last = (t, self._weighted(t))
-        return self._last[1]
-
-    def window(self, t: float, nodes, end: int, lo: int = 0):
-        """Ages a_lo .. a_{m-1} at time t: weights, their sum, and anchors.
-
-        Both arrays run oldest age first: the weights are one contiguous
-        slice of ``weights(t)`` and the anchors the forward slice of
-        ``nodes`` ending just before index ``end``, so age a_lo pairs with
-        ``nodes[end - 1]``. The age count m is the stored K, cut by
-        ``support(t)``.
-        """
-        size = m = self.ages.size
-        if self.kernel.time_dependent:
-            support = self.kernel.support(t)
-            if support <= self._last_key:  # else every age is in
-                m = self._age_count(support)
-        w = self.weights(t)[size - m: size - lo]
-        key = (m, None if self._static is not None else t)
-        total = self._totals.get(lo)
-        if total is None or total[0] != key:
-            total = self._totals[lo] = (key, float(w.sum()))
-        return w, total[1], nodes[end - w.size: end]
-
-    def _age_count(self, support):
-        """Ages in a window at kernel support ``support`` (a number or an
-        array) up to the horizon's: every a_j < support, and all J + 1 once
-        support reaches a_max."""
-        return (np.searchsorted(self._older, support, side="left")
-                + (support > self._last_key))
-
     def windows(self, times, hi):
-        """Age counts m and weight totals (arrays) of the windows at
-        ``times`` with counts capped by ``hi``: window i holds the last m[i]
-        of ``weights(times[i])``, for any kernel.
+        """Age counts m, weight totals and scales (arrays) of the windows at
+        ``times``, with counts capped by ``hi`` (a number or an array).
 
-        The support cut is applied to all times at once. Without modulation,
-        every total is read off one cumulative sum of the weights, youngest
-        age first, so none comes from a subtraction; a modulated kernel's
-        totals are None, as its weights change with t.
+        Window i holds the last m[i] of ``weights`` times scale[i], which is
+        ``modulation(times[i])``, or 1 for a kernel without modulation. The
+        support cut is applied to all times at once, and every total is read
+        off one cumulative sum of the weights, youngest age first, times its
+        scale: none comes from a subtraction.
         """
         size = self.ages.size
-        m = np.minimum(hi, size)
+        m = np.minimum(np.broadcast_to(hi, len(times)), size)
         if self.kernel.time_dependent:
+            # every a_j < support, and all J + 1 once support reaches a_max
             support = np.array([self.kernel.support(t) for t in times])
-            m = np.minimum(m, self._age_count(support))
-        if self._static is None:
-            return m, np.full(m.size, None)
-        youngest = self._static[size - int(m.max(initial=0)):][::-1]
-        totals = np.concatenate(([0.0], np.cumsum(youngest)))
-        return m, totals[m]
+            m = np.minimum(m, np.searchsorted(self._older, support)
+                           + (support > self._last_key))
+        youngest = self.weights[size - int(m.max(initial=0)):][::-1]
+        totals = np.concatenate(([0.0], np.cumsum(youngest)))[m]
+        modulation = self.kernel.modulation
+        if modulation is None:
+            return m, totals, np.ones(m.size)
+        scales = np.array([modulation(t) for t in np.asarray(times).tolist()],
+                          dtype=float)
+        return m, totals * scales, scales
 
 
 def _ages_below(support: float, da: float) -> int:

@@ -11,6 +11,7 @@ constant.
 """
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -245,14 +246,9 @@ class _BumpTables:
         return out + np.where(t > 1.0, t - 1.0, 0.0)
 
 
-_tables_cache = None
-
-
+@functools.cache
 def _tables() -> _BumpTables:
-    global _tables_cache
-    if _tables_cache is None:
-        _tables_cache = _BumpTables()
-    return _tables_cache
+    return _BumpTables()
 
 
 class Mollified(Potential):

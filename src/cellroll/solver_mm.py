@@ -12,8 +12,8 @@ it exactly. For any other psi the probe brackets the root, and the ITP
 search that also solves the limit law closes the bracket.
 
 A rolling step costs O(1). Each step carries its window's weight total Q;
-every window's age count, and for a kernel without modulation its total,
-is computed for the whole run up front. The probe at the previous node sees
+every window's age count, total and modulation scale is computed for the
+whole run up front. The probe at the previous node sees
 the youngest stretch 0, so every stretch can lie past the outermost kink
 only when psi has no kink but 0 (abs); for such psi each step also carries
 its highest and lowest anchor, kept by two monotone deques (Lemire,
@@ -237,30 +237,33 @@ def _steps(psi: Potential, memory: Memory, drive, nodes, origin: int,
     Z^{n-m} .. Z^{n-1}, and is built when asked for, so Z^{n-1} must be in
     ``nodes`` by then.
 
-    Every step takes its age count m and weight total from one
+    Every step takes its age count m, weight total and scale from one
     ``Memory.windows`` call, and its weights as the last m of
-    ``Memory.weights`` at its time. The youngest anchor is Z^{n-1}, whose
-    stretch at the probe is 0, so only a psi with no kink but 0 can find
-    every stretch past its outermost kink there; only for such psi are the
-    extreme anchors kept, and any other psi gets the bounds +-inf.
+    ``Memory.weights``, times the scale only for a modulated kernel. The
+    youngest anchor is Z^{n-1}, whose stretch at the probe is 0, so only a
+    psi with no kink but 0 can find every stretch past its outermost kink
+    there; only for such psi are the extreme anchors kept, and any other psi
+    gets the bounds +-inf.
     """
     steps = np.arange(first, last + 1)
     # hi = n keeps the anchors at computed nodes, so bonds older than t_n
     # carry no force: the known gap to the prescribed past z_p
-    sizes, totals = memory.windows(steps * dt, steps)
+    sizes, totals, scales = memory.windows(steps * dt, steps)
     size, weights = memory.ages.size, memory.weights
+    modulated = memory.kernel.modulation is not None
     extrema = None
     if isinstance(psi, PiecewiseLinear) and set(psi.breakpoints) <= {0.0}:
         extrema = _SlidingExtrema(nodes, origin)
     top, bottom = math.inf, -math.inf
-    for n, m, total in zip(range(first, last + 1), map(int, sizes), totals):
-        t_n = n * dt
+    for n, m, total, scale in zip(range(first, last + 1), map(int, sizes),
+                                  totals, scales):
         end = origin + n
         if extrema is not None:
             top, bottom = extrema.slide(end - m, end)
-        yield StepEnergy(psi, float(nodes[end - 1]), dt, float(drive(t_n)),
-                         weights(t_n)[size - m:], nodes[end - m: end], eps,
-                         total, top, bottom)
+        w = weights[size - m:]
+        yield StepEnergy(psi, float(nodes[end - 1]), dt, float(drive(n * dt)),
+                         w * scale if modulated else w, nodes[end - m: end],
+                         eps, total, top, bottom)
 
 
 def _reject_unbounded(psi: Potential):
@@ -314,8 +317,8 @@ def step_energy(psi: Potential, kernel: Kernel, v, traj: Trajectory,
     Lets audits check energy descent and the variational inequality on a
     finished trajectory without rerunning the solve.
     """
-    if n < 1:
-        raise ValueError("steps are numbered from 1")
+    if not 1 <= n < traj.values.size:
+        raise ValueError(f"steps run from 1 to {traj.values.size - 1}")
     memory = Memory(kernel, traj.eps, traj.dt, "rectangle", n * traj.dt)
     return next(_steps(psi, memory, as_drive(v), traj.values, 0, n, n,
                        traj.dt, traj.eps))

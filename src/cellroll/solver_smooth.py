@@ -4,18 +4,21 @@ The age grid is tied to the time grid (da = dt/eps) so every delayed sample
 z(t - eps*a_j) is a stored node value: the memory term needs no interpolation
 and past-branch samples evaluate the prescribed history exactly.
 
-Each force reads one ``Memory`` window of the node buffer, oldest age first.
-For ``Quadratic`` psi (psi' the identity) the force is linear in the node
-values, z_n W - w.Z with W the total weight. On an ``Exponential`` kernel
-it then costs O(1) per step: a running sum of the stretches, seeded by one
-dot and advanced by the step ratio r = e^{-zeta da}, which agrees with the
-per-age sum to 1e-12 (4e-14 at most in the tests, over up to 50 memory
-lengths). On any other kernel it costs one dot over the J + 1 ages. Any
-other psi costs J + 1 evaluations of psi' per step. Both tests are on the
-exact type, so a subclass that redefines psi' or the profile takes the
-general path. The step loop reads and writes nodes through a memoryview of
-the buffer, so each step is Python-float arithmetic: IEEE +, -, *, / give
-the same bits as on float64 scalars, at a fraction of their cost.
+Each force reads one ``Memory`` window of the node buffer, oldest age first,
+with its modulation scale s from one ``Memory.windows`` call per run. For
+``Quadratic`` psi (psi' the identity) the force is s w.(z_n - Z) / eps. On
+an ``Exponential`` kernel it costs O(1) per step, with no run-wide array: a
+running sum of the stretches, seeded by one dot and advanced by the step
+ratio r = e^{-zeta da}, which agrees with the per-age sum to 1e-12 (4e-14 at
+most in the tests, over up to 50 memory lengths). On any other kernel it
+costs one subtraction and one dot over the J + 1 ages. Any other psi costs
+J + 1 evaluations of psi' per step. Both tests are on the exact type, so a
+subclass that redefines psi' or the profile takes the general path. Heun's
+corrector reads the window at t_{n+1} with the predictor written into the
+buffer as Z^{n+1}. The step loop reads and writes nodes through a
+memoryview of the buffer, so each step is Python-float arithmetic: IEEE +,
+-, *, / give the same bits as on float64 scalars, at a fraction of their
+cost.
 """
 from __future__ import annotations
 
@@ -86,25 +89,25 @@ def _running_force(memory: Memory, B, eps: float, r: float):
     t_n measured from z is
         W' (z - Z^{n-1}) + r D_{n-1}
             - w_J ((Z^{n-1} - Z^{n-J}) + r (Z^{n-1} - Z^{n-1-J})),
-    with W' the weight of ages 1..J. It is eps times the corrector's force
-    at z, and D_n at z = Z^n. Only node differences enter, so a constant
-    history stays put. Steps must be asked for in order. Nodes are read
-    through a memoryview of B, as Python floats.
+    with W' the weight of ages 1..J. It is eps times the force at z, and
+    D_n at z = Z^n; a ``trial`` z (Heun's predictor) leaves D_{n-1} in
+    place. Only node differences enter, so a constant history stays put.
+    Steps must be asked for in order. Nodes are read through a memoryview
+    of B, as Python floats.
     """
-    J, nodes = memory.ages.size - 1, memoryview(B)
-    w, total, anchors = memory.window(0.0, B, J + 1)
-    total_older = memory.window(0.0, B, J, 1)[1]
+    J, nodes, w = memory.ages.size - 1, memoryview(B), memory.weights
+    total, total_older = float(w.sum()), float(w[:-1].sum())
     w_old = float(w[0])
-    D, at = nodes[J] * total - float(np.dot(w, anchors)), 0
+    D, at = nodes[J] * total - float(np.dot(w, B[:J + 1])), 0
 
-    def force(n, z_n, lo):
+    def force(n, z_n, trial=False):
         nonlocal D, at
         if at == n:
             return D / eps
         z_prev = nodes[J + n - 1]
         d = (total_older * (z_n - z_prev) + r * D
              - w_old * ((z_prev - nodes[n]) + r * (z_prev - nodes[n - 1])))
-        if not lo:
+        if not trial:
             D, at = d, n
         return d / eps
 
@@ -144,24 +147,29 @@ def solve_smooth(psi: Potential, kernel: Kernel, v, past: PastData,
     B = memory.buffer(past, n_steps)
     nodes = memoryview(B)  # the same nodes, read as Python floats
     linear = type(psi) is Quadratic
-
-    def force(n, z_n, lo):
-        # ages j >= lo at time t_n = n dt, anchored at position z_n; the
-        # youngest of them, a_lo, pairs with Z^{n-lo}
-        w, total, anchors = memory.window(n * dt, B, J + n + 1 - lo, lo)
-        if w.size == 0:
-            return 0.0
-        if linear:
-            # psi'(u) = u: sum_j w_j (z_n - anchor_j) / eps
-            #           = (z_n W - w.anchors) / eps
-            return (z_n * total - float(np.dot(w, anchors))) / eps
-        return float(np.dot(w, psi.derivative((z_n - anchors) / eps)))
+    heun = cfg.scheme == "heun"
 
     if linear and type(kernel) is Exponential:
         # the step ratio r = e^{-zeta da} of the weights, da = dt/eps
         force = _running_force(memory, B, eps, math.exp(-kernel.zeta * (dt / eps)))
+    else:
+        # the windows at t_0 .. t_{n_steps - 1}, and t_{n_steps} for Heun
+        times = dt * np.arange(n_steps + heun)
+        sizes, _, scales = memory.windows(times, J + 1)
 
-    heun = cfg.scheme == "heun"
+        def force(n, z_n, trial=False):
+            # the window at t_n = n dt, anchored at Z^n = z_n: its youngest
+            # age a_0 pairs with Z^n, so a trial z_n must be in B already
+            m = int(sizes[n])
+            w = memory.weights[J + 1 - m:]
+            anchors = B[J + n + 1 - m: J + n + 1]
+            if linear:
+                # psi'(u) = u: one dot of the stretches, with no total W
+                # whose rounding z_n W - w.anchors would magnify
+                return float(scales[n]) * float(np.dot(w, z_n - anchors)) / eps
+            return float(scales[n]) * float(
+                np.dot(w, psi.derivative((z_n - anchors) / eps)))
+
     v_n = drive(0.0)
     # overflow shows up as a non-finite node, reported below as a blow-up
     with np.errstate(over="ignore", invalid="ignore"):
@@ -169,14 +177,15 @@ def solve_smooth(psi: Potential, kernel: Kernel, v, past: PastData,
             z_n = nodes[J + n]
             if n and not heun:
                 v_n = drive(n * dt)
-            rate = v_n - force(n, z_n, 0)
+            rate = v_n - force(n, z_n)
             z_next = z_n + dt * rate
             if heun:
-                # the age-0 term vanishes (zero stretch), so the corrector
-                # force at t_{n+1} only needs already-stored nodes; the next
-                # predictor reuses the drive at t_{n+1}
+                # the corrector reads the window at t_{n+1} anchored at the
+                # predictor, whose age-0 stretch is 0; the next predictor
+                # reuses the drive at t_{n+1}
+                nodes[J + n + 1] = z_next
                 v_n = drive((n + 1) * dt)
-                rate2 = v_n - force(n + 1, z_next, 1)
+                rate2 = v_n - force(n + 1, z_next, True)
                 z_next = z_n + 0.5 * dt * (rate + rate2)
             if not math.isfinite(z_next):
                 raise NumericalError(f"solution blew up at t = {(n + 1) * dt:.6g}")

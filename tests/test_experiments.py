@@ -90,6 +90,14 @@ class TestConvergenceStudy:
         with pytest.raises(ValueError, match="strictly decreasing"):
             convergence_study(psi, kernel, v, past, [0.2, 0.2], T=1.0, dt=1e-3)
 
+    @pytest.mark.parametrize("final_bound", [None, 1.0])
+    def test_rejects_an_empty_eps_list(self, final_bound):
+        # no point, no verdict: neither a vacuous PASS nor an IndexError
+        psi, kernel, v, past = smooth_instance()
+        with pytest.raises(ValueError, match="nonempty"):
+            convergence_study(psi, kernel, v, past, [], T=1.0, dt=1e-3,
+                              final_bound=final_bound)
+
     def test_rejects_dt_at_or_above_smallest_eps(self):
         psi, kernel, v, past = smooth_instance()
         with pytest.raises(ValueError, match="well below"):
@@ -146,6 +154,10 @@ class TestVelocityForceSweep:
         kernel = Exponential(1.0, 1.0)
         report = velocity_force_sweep(kernel, [1.5, -1.5, 0.0])
         assert [row[0] for row in report.rows] == [-1.5, 0.0, 1.5]
+
+    def test_rejects_an_empty_grid(self):
+        with pytest.raises(ValueError, match="nonempty"):
+            velocity_force_sweep(Exponential(1.0, 1.0), [])
 
 
 class TestStudyReport:

@@ -25,21 +25,18 @@ def modulated():
     return Tabulated(a, np.exp(-a), modulation=lambda t: 1.0 + 0.5 * math.sin(3.0 * t))
 
 
-def weights(memory, t, lo=0):
-    """The window's weights at time t over a node array of index positions."""
-    nodes = np.arange(memory.ages.size, dtype=float)
-    w, total, anchors = memory.window(t, nodes, nodes.size - lo, lo)
-    assert total == w.sum()
-    # oldest first: the anchor of the youngest age a_lo is the last node
-    np.testing.assert_array_equal(anchors, nodes[nodes.size - lo - w.size:
-                                                 nodes.size - lo])
-    return w
+def running_sums(w):
+    """0 and the sums of the last 1, 2, .. entries of w, youngest first."""
+    return np.concatenate(([0.0], np.cumsum(w[::-1])))
 
 
-def capped(memory, t, hi):
-    """The weights of the window ``windows`` gives at time t under cap hi."""
-    (m,), _ = memory.windows(np.array([t]), np.array([hi]))
-    return memory.weights(t)[memory.ages.size - m:]
+def window(memory, t, hi=10**6):
+    """The weights of the window at time t under cap hi, oldest first."""
+    (m,), (total,), (scale,) = memory.windows(np.array([t]), hi)
+    w = memory.weights[memory.ages.size - m:]
+    # the total is read off the running sum of the unscaled weights
+    assert total == running_sums(w)[-1] * scale
+    return w * scale
 
 
 def test_no_age_beyond_the_horizon():
@@ -49,25 +46,24 @@ def test_no_age_beyond_the_horizon():
         memory = Memory(k, 1.0, 1e-3, rule)
         assert memory.ages.size == 1001
         assert memory.ages[-1] <= k.a_max < memory.ages[-1] + 1e-3
-        assert weights(memory, 0.0).size == 1001
+        assert window(memory, 0.0).size == 1001
 
 
 def test_weights_run_oldest_first():
     k = Exponential(1.0, 1.0, a_max=1.0)
     memory = Memory(k, 2.0, 0.5, "rectangle")  # ages 0, 0.25, .., 1
     np.testing.assert_array_equal(
-        weights(memory, 0.0), 0.25 * k.eval(memory.ages[::-1], 0.0))
-    # lo drops the youngest ages, hi the oldest
-    np.testing.assert_array_equal(weights(memory, 0.0, lo=1),
-                                  weights(memory, 0.0)[:-1])
-    np.testing.assert_array_equal(capped(memory, 0.0, 2),
-                                  weights(memory, 0.0)[-2:])
+        window(memory, 0.0), 0.25 * k.eval(memory.ages[::-1], 0.0))
+    np.testing.assert_array_equal(window(memory, 0.0), memory.weights)
+    # hi drops the oldest ages
+    np.testing.assert_array_equal(window(memory, 0.0, hi=2),
+                                  memory.weights[-2:])
 
 
 def test_trapezoid_halves_only_the_end_weights():
     k = Exponential(1.0, 1.0, a_max=1.0)
-    trap = weights(Memory(k, 2.0, 0.5, "trapezoid"), 0.0)
-    rect = weights(Memory(k, 2.0, 0.5, "rectangle"), 0.0)
+    trap = window(Memory(k, 2.0, 0.5, "trapezoid"), 0.0)
+    rect = window(Memory(k, 2.0, 0.5, "rectangle"), 0.0)
     assert list(trap / rect) == [0.5, 1.0, 1.0, 1.0, 0.5]
 
 
@@ -75,25 +71,22 @@ def test_truncated_weights_drop_the_bond_as_old_as_t():
     k = TruncatedExponential(1.0, 1.0)
     memory = Memory(k, 1.0, 0.25, "rectangle")
     assert k.eval(0.5, 0.5) > 0.0
-    assert weights(memory, 0.5).size == 2  # ages 0 and 0.25
-    assert capped(memory, 0.5, 1).size == 1
-    assert capped(memory, 0.5, 5).size == 2
-    assert weights(memory, 0.5, lo=1).size == 1
-    assert weights(memory, 0.0).size == 0
-    assert weights(memory, 0.0, lo=1).size == 0
+    assert window(memory, 0.5).size == 2  # ages 0 and 0.25
+    assert window(memory, 0.5, hi=1).size == 1
+    assert window(memory, 0.5, hi=5).size == 2
+    assert window(memory, 0.0).size == 0
 
 
 def test_age_cutoff_kernel_gets_the_cut_static_weights():
     a, v = [0.0, 0.5, 1.0, 2.0], [1.0, 0.8, 0.5, 0.1]
     k = AgeCutTabulated(a, v)
     memory = Memory(k, 1.0, 0.25, "trapezoid")
-    static = weights(Memory(Tabulated(a, v), 1.0, 0.25, "trapezoid"), 0.0)
+    static = window(Memory(Tabulated(a, v), 1.0, 0.25, "trapezoid"), 0.0)
     t = memory.ages[3]
     assert k.eval(t, t) > 0.0
-    np.testing.assert_array_equal(weights(memory, t), static[-3:])
-    np.testing.assert_array_equal(capped(memory, t, 2), static[-2:])
-    np.testing.assert_array_equal(weights(memory, t, lo=1), static[-3:-1])
-    np.testing.assert_array_equal(weights(memory, k.a_max), static)
+    np.testing.assert_array_equal(window(memory, t), static[-3:])
+    np.testing.assert_array_equal(window(memory, t, hi=2), static[-2:])
+    np.testing.assert_array_equal(window(memory, k.a_max), static)
 
 
 @pytest.mark.parametrize("a_max", [2.0, 2.0 - 2e-11, 2.0 + 1e-12, 1.9])
@@ -107,29 +100,19 @@ def test_the_window_stops_before_the_first_age_at_the_support(a_max):
         [a_max, np.nextafter(a_max, 0.0), 0.1, 1.3]]))
     supports = supports[supports >= 0.0]
     want = [ages.size if t >= a_max else int(np.sum(ages < t)) for t in supports]
-    assert [weights(memory, t).size for t in supports] == want
-    sizes, _ = memory.windows(supports, np.full(supports.size, 100))
+    assert [window(memory, t).size for t in supports] == want
+    sizes, _, _ = memory.windows(supports, 100)
     assert list(sizes) == want
 
 
 def test_sum_follows_the_age_count():
-    # the cached sum per lo is renewed when the window grows
+    # a window that grows and shrinks again gets the total of its own ages
     memory = Memory(TruncatedExponential(1.0, 1.0), 1.0, 0.25, "rectangle")
-    for t in (0.5, 1.0, 0.5):
-        weights(memory, t, lo=1)
-
-
-def check_windows(memory, times, hi):
-    """``windows`` plus ``weights(t)`` against the window at each time: the
-    same weights, the youngest min(hi, m) of them."""
-    sizes, totals = memory.windows(times, hi)
-    assert len(sizes) == len(totals) == times.size
-    size = memory.ages.size
-    for t, cap, m in zip(times, hi, sizes):
-        full = weights(memory, t)
-        np.testing.assert_array_equal(memory.weights(t)[size - m:],
-                                      full[full.size - min(cap, full.size):])
-    return sizes, totals
+    sizes, totals, _ = memory.windows(np.array([0.5, 1.0, 0.5]), 100)
+    assert list(sizes) == [2, 4, 2]
+    sums = running_sums(memory.weights)
+    assert list(totals) == [sums[2], sums[4], sums[2]]
+    assert sums[4] > sums[2] > 0.0
 
 
 STEPS = np.arange(1, 17)
@@ -141,34 +124,43 @@ STEPS = np.arange(1, 17)
     ids=["exponential", "truncated", "age-cut-tabulated"])
 @pytest.mark.parametrize("eps", [1.0, 0.5, 2.0])
 def test_static_windows_match_the_window(kernel, eps):
+    # the window at t: da rho(a_j, t) over the ages a_j < support(t), or
+    # all once support(t) reaches a_max, the youngest hi of them
     memory = Memory(kernel, eps, 0.25, "rectangle")
-    static = memory.weights(0.0)
-    youngest_first = np.concatenate(([0.0], np.cumsum(static[::-1])))
+    ages, da = memory.ages, memory.ages[1]
     for hi in (STEPS, np.full(STEPS.size, 100)):
-        sizes, totals = check_windows(memory, 0.25 * STEPS, hi)
-        for t, m, total in zip(0.25 * STEPS, sizes, totals):
-            # one array at every time
-            assert memory.weights(t) is static
-            assert total == pytest.approx(static[static.size - m:].sum(),
-                                          rel=1e-15)
+        sizes, totals, scales = memory.windows(0.25 * STEPS, hi)
+        assert len(sizes) == len(totals) == len(scales) == STEPS.size
+        assert list(scales) == [1.0] * STEPS.size
+        for t, cap, m in zip(0.25 * STEPS, hi, sizes):
+            support = kernel.support(t)
+            inside = ages[(ages < support) | (support >= kernel.a_max)]
+            want = da * kernel.eval(inside[::-1], t)
+            np.testing.assert_array_equal(
+                memory.weights[ages.size - m:],
+                want[want.size - min(cap, want.size):])
         # every total is read off one running sum, none is a difference
-        np.testing.assert_array_equal(totals, youngest_first[sizes])
+        np.testing.assert_array_equal(totals,
+                                      running_sums(memory.weights)[sizes])
 
 
 @pytest.mark.parametrize("eps", [1.0, 0.5, 2.0])
 def test_modulated_windows_match_the_window(eps):
     kernel = modulated()
     memory = Memory(kernel, eps, 0.25, "rectangle")
-    da = memory.ages[1]
+    da, size = memory.ages[1], memory.ages.size
+    sums = running_sums(memory.weights)
     for hi in (STEPS, np.full(STEPS.size, 100)):
-        _, totals = check_windows(memory, 0.25 * STEPS, hi)
-        # the weights change with t, so no total is carried
-        assert list(totals) == [None] * STEPS.size
+        sizes, totals, scales = memory.windows(0.25 * STEPS, hi)
+        assert list(sizes) == list(np.minimum(hi, size))
+        assert list(scales) == [kernel.modulation(t) for t in 0.25 * STEPS]
+        # the static weights' running sums, scaled
+        np.testing.assert_array_equal(totals, sums[sizes] * scales)
     for t in (0.25, 1.5, 0.25):
-        w = memory.weights(t)
-        np.testing.assert_array_equal(w, da * kernel.eval(memory.ages[::-1], t))
-        # evaluated once per time
-        assert memory.weights(t) is w
+        (_,), _, (scale,) = memory.windows(np.array([t]), size)
+        np.testing.assert_allclose(memory.weights * scale,
+                                   da * kernel.eval(memory.ages[::-1], t),
+                                   rtol=1e-15, atol=0.0)
 
 
 def test_buffer_holds_the_past_before_the_first_node():
@@ -221,11 +213,13 @@ def test_horizon_grid_gives_the_full_grid_windows(kernel, eps, rule, steps,
     size, K = full.ages.size, part.ages.size
     # the youngest ages, up to where the window at the horizon stops
     np.testing.assert_array_equal(part.ages, full.ages[:K])
-    reach = weights(full, horizon).size
+    reach = window(full, horizon).size
     if kernel.support(horizon) < kernel.a_max:
         assert K == max(reach, 1)
     else:
         assert K == size == reach
+    # the youngest weights, the oldest halved only where the grid ends at a_J
+    np.testing.assert_array_equal(part.weights, full.weights[size - K:])
     # the same past and computed nodes in both buffers
     past = LinearPast(0.7, -0.2)
     Bf, Bp = full.buffer(past, steps), part.buffer(past, steps)
@@ -235,24 +229,18 @@ def test_horizon_grid_gives_the_full_grid_windows(kernel, eps, rule, steps,
     cuts = np.concatenate([full.ages, np.nextafter(full.ages, -np.inf),
                            [horizon, math.nextafter(horizon, 0.0)]])
     times += [float(c) for c in cuts if 0.0 <= c <= horizon]
-    for t in times:
-        n = min(int(t / dt), steps)
-        for lo in (0, 1):
-            wf, total_f, anchors_f = full.window(t, Bf, size + n - lo, lo)
-            wp, total_p, anchors_p = part.window(t, Bp, K + n - lo, lo)
-            np.testing.assert_array_equal(wp, wf)
-            assert total_p == total_f
-            np.testing.assert_array_equal(anchors_p, anchors_f)
-            m = wf.size + lo
-            np.testing.assert_array_equal(part.weights(t)[K - m:],
-                                          full.weights(t)[size - m:])
     times = np.array(times)
-    for hi in (np.minimum(np.round(times / dt), steps).astype(int),
-               np.full(times.size, 100)):
-        sizes_f, totals_f = full.windows(times, hi)
-        sizes_p, totals_p = part.windows(times, hi)
+    ends = np.minimum(np.round(times / dt), steps).astype(int)
+    for hi in (ends, np.full(times.size, 100)):
+        sizes_f, totals_f, scales_f = full.windows(times, hi)
+        sizes_p, totals_p, scales_p = part.windows(times, hi)
         np.testing.assert_array_equal(sizes_p, sizes_f)
-        assert list(totals_p) == list(totals_f)
+        np.testing.assert_array_equal(totals_p, totals_f)
+        np.testing.assert_array_equal(scales_p, scales_f)
+        # each window's anchors end at its step's node
+        for n, m in zip(ends, sizes_f):
+            np.testing.assert_array_equal(Bp[K + n - m: K + n],
+                                          Bf[size + n - m: size + n])
 
 
 @settings(max_examples=500, derandomize=True, deadline=None)

@@ -380,6 +380,21 @@ class TestRollingStep:
                 assert (e.anchor_max, e.anchor_min) == (math.inf, -math.inf)
             assert minimize_step(e) == traj.values[n]
 
+    def test_modulated_steps_scale_the_static_weights(self):
+        times = []
+
+        class Uncounted(Tabulated):
+            def eval(self, a, t):
+                raise AssertionError("rho(a, t) evaluated")
+
+        a = np.linspace(0.0, 2.0, 21)
+        kernel = Uncounted(a, np.exp(-a),
+                           modulation=lambda t: times.append(t) or 1.0 + t)
+        solve_mm(AbsoluteValue(), kernel, 1.0, ConstantPast(0.0),
+                 SolverConfig(T=0.1, dt=1e-2))
+        # one modulation per step time t_1 .. t_10, and the profile read once
+        assert times == [n * 1e-2 for n in range(1, 11)]
+
 
 class TestPathSelection:
     """The kink sweep runs for AbsoluteValue, PiecewiseLinear and their
@@ -684,6 +699,17 @@ class TestCertificates:
         traj, k, v = self.run()
         with pytest.raises(ValueError):
             step_energy(AbsoluteValue(), k, v, traj, 0)
+
+    @pytest.mark.parametrize("n", [0, 11, 12])
+    def test_step_energy_takes_only_the_steps_solved(self, n):
+        k = TruncatedExponential(1.0, 1.0)
+        traj = solve_mm(AbsoluteValue(), k, 1.0, ConstantPast(0.0),
+                        SolverConfig(T=0.1, dt=1e-2))
+        assert traj.values.size == 11
+        with pytest.raises(ValueError, match="from 1 to 10"):
+            step_energy(AbsoluteValue(), k, 1.0, traj, n)
+        e = step_energy(AbsoluteValue(), k, 1.0, traj, 10)
+        assert minimize_step(e) == traj.values[10]
 
     def test_step_energy_reproduces_solver_minimizer(self):
         traj, k, v = self.run()
