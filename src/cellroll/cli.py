@@ -21,11 +21,18 @@ resolved configuration; feeding a manifest back through ``--config``
 reproduces the run bit for bit. Bad input, an unreadable config file or a
 missing output directory included, exits 2 with the dotted path of the
 offending field (or the flag); a numerical failure, a grid too large for
-memory, an output write that fails, or an internal error, exits 1.
+memory, an output write that fails, or an internal error, exits 1; an
+internal error is one ``internal error:`` line, never a traceback.
+
+Importing this module freezes the heap built so far (``gc.freeze()``), so
+the collections at interpreter shutdown skip numpy's and cellroll's
+import-time objects; ``import cellroll`` alone freezes nothing, and
+neither does :func:`main`.
 """
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import os
@@ -46,6 +53,11 @@ from .potentials import AbsoluteValue, Quadratic, Tether
 from .solver_limit import integrate_limit, limit_velocity
 from .solver_mm import solve_mm
 from .solver_smooth import solve_smooth
+
+# Frozen, the start-up heap (numpy's above all) is skipped by every later
+# collection, the full ones at interpreter shutdown included. At module
+# level, not in main(): once per process, never once per in-process call.
+gc.freeze()
 
 __all__ = ["main"]
 
@@ -232,6 +244,10 @@ def main(argv=None) -> int:
     except ValueError as exc:
         # bad input is rejected as a ConfigError before any solve starts
         print(f"internal error: {exc}", file=sys.stderr)
+        return 1
+    except Exception as exc:
+        # a bug, not bad input: one line, never a traceback
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 
 

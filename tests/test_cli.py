@@ -1,4 +1,5 @@
 """Command-line interface: exit codes, CSV outputs, manifest round-trips."""
+import gc
 import io
 import json
 import math
@@ -9,6 +10,7 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
+import weakref
 from contextlib import redirect_stderr, redirect_stdout
 from types import SimpleNamespace
 from unittest import mock
@@ -30,6 +32,14 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def python(*argv):
+    """Run a fresh interpreter on the checkout's ``src``, stdio buffered."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    return subprocess.run([sys.executable, *argv], capture_output=True,
+                          text=True, env=dict(env, PYTHONPATH=src))
 
 
 def write_config(path, cfg):
@@ -546,6 +556,28 @@ class TestFailureExits:
         assert code == 1
         assert err == "internal error: boom\n"
 
+    @pytest.mark.parametrize("error", [IndexError, TypeError,
+                                       ZeroDivisionError])
+    def test_any_internal_error_exits_one_in_one_line(self, capsys, tmp_path,
+                                                      monkeypatch, error):
+        def broken(*args):
+            raise error("boom")
+
+        monkeypatch.setattr("cellroll.cli.solve_smooth", broken)
+        cfg = write_config(tmp_path / "run.json", quad_config())
+        code, _, err = run(capsys, "simulate", "--config", cfg)
+        assert code == 1
+        assert err == f"internal error: {error.__name__}: boom\n"
+
+    def test_keyboard_interrupt_is_not_caught(self, tmp_path, monkeypatch):
+        def interrupted(*args):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr("cellroll.cli.solve_smooth", interrupted)
+        cfg = write_config(tmp_path / "run.json", quad_config())
+        with pytest.raises(KeyboardInterrupt):
+            main(["simulate", "--config", cfg])
+
     @pytest.mark.parametrize("command", ["simulate", "mm"])
     def test_node_buffer_out_of_memory_exits_one(self, capsys, tmp_path,
                                                  monkeypatch, command):
@@ -836,9 +868,66 @@ def test_console_script_is_installed():
 
 
 def test_module_entry_point():
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run([sys.executable, "-m", "cellroll", "gamma", "--mu", "1",
-                           "--v", "1.5"], capture_output=True, text=True, env=env)
+    proc = python("-m", "cellroll", "gamma", "--mu", "1", "--v", "1.5")
     assert proc.returncode == 0
     assert proc.stdout.strip() == "0.5"
+
+
+def test_module_run_writes_every_output(tmp_path):
+    # a whole process, exit included: nothing may be lost after main returns
+    cfg = write_config(tmp_path / "run.json", creep_config())
+    out_csv = tmp_path / "oracle.csv"
+    proc = python("-m", "cellroll", "oracle", "--config", cfg,
+                  "--out", str(out_csv))
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        0, f"wrote {out_csv}\n", "")
+    solver = creep_config()["solver"]
+    rows = round(solver["T"] / solver["dt"]) + 1
+    text = out_csv.read_text()
+    assert text.count("\n") == 1 + rows  # the header, then one per row
+    assert text.endswith("\n")
+    manifest = tmp_path / "oracle.manifest.json"
+    json.loads(manifest.read_text())
+    again = tmp_path / "again.csv"
+    assert python("-m", "cellroll", "oracle", "--config", str(manifest),
+                  "--out", str(again)).returncode == 0
+    assert again.read_bytes() == out_csv.read_bytes()
+
+
+class TestHeapFreeze:
+    """Importing the CLI module freezes the start-up heap, once per process."""
+
+    def test_only_the_cli_import_freezes(self):
+        proc = python("-c", "import gc, cellroll; n = gc.get_freeze_count(); "
+                            "import cellroll.cli; "
+                            "print(n, gc.get_freeze_count())")
+        assert proc.returncode == 0, proc.stderr
+        library, cli_module = map(int, proc.stdout.split())
+        assert library == 0 and cli_module > 0
+
+    def test_main_freezes_nothing(self, capsys, tmp_path):
+        cfg = write_config(tmp_path / "run.json", quad_config())
+        frozen = gc.get_freeze_count()
+        for _ in range(2):
+            assert run(capsys, "simulate", "--config", cfg,
+                       "--out", str(tmp_path / "run.csv"))[0] == 0
+        # a frozen object that dies leaves the count; none may join it
+        assert gc.get_freeze_count() <= frozen
+
+    def test_cycles_around_a_run_are_collected(self, capsys, tmp_path):
+        class Node:
+            pass
+
+        def cycle():
+            node = Node()
+            node.self = node
+            return node
+
+        cfg = write_config(tmp_path / "run.json", quad_config())
+        before = cycle()
+        assert run(capsys, "simulate", "--config", cfg,
+                   "--out", str(tmp_path / "run.csv"))[0] == 0
+        refs = [weakref.ref(before), weakref.ref(cycle())]
+        del before
+        gc.collect()
+        assert [ref() for ref in refs] == [None, None]

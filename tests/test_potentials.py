@@ -16,6 +16,7 @@ from scipy.integrate import quad
 from cellroll.errors import BreakpointCollisionError
 from cellroll.potentials import (AbsoluteValue, Mollified, PiecewiseLinear,
                                  Potential, Quadratic, Tether, mollify)
+from strategies import even_convex_piecewise_linear
 
 BUMP_NORM = quad(lambda y: math.exp(-1.0 / (1.0 - y * y)), -1, 1,
                  points=[0.0], limit=200)[0]
@@ -275,6 +276,18 @@ class TestNonFiniteInput:
         assert math.isnan(got[0]) and got[1] == psi.value(1.5)
 
 
+@st.composite
+def random_convex(draw):
+    """A random even convex PiecewiseLinear, or its mollification."""
+    psi = draw(even_convex_piecewise_linear())
+    if draw(st.booleans()):
+        psi = mollify(psi, draw(st.floats(0.01, 1.0)))
+    return psi
+
+
+coords = st.floats(-5.0, 5.0)
+
+
 class TestConvexityContract:
     def test_even_nonnegative_zero_at_origin(self):
         rng = np.random.default_rng(11)
@@ -299,6 +312,21 @@ class TestConvexityContract:
             hi = psi.subdiff_hi(u[:-1])
             lo = psi.subdiff_lo(u[1:])
             assert np.all(hi <= lo + 1e-12)
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(psi=random_convex(),
+           pairs=st.lists(st.tuples(coords, coords), min_size=1, max_size=30))
+    def test_random_midpoint_convexity(self, psi, pairs):
+        a, b = np.array(pairs).T
+        ends = 0.5 * (psi.value(a) + psi.value(b))
+        assert np.all(psi.value(0.5 * (a + b)) <= ends + 1e-12 * (1.0 + ends))
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(psi=random_convex(), u=st.lists(coords, min_size=2, max_size=40))
+    def test_random_subdifferential_monotone(self, psi, u):
+        u = np.unique(u)  # strictly increasing: at a kink hi(u) > lo(u)
+        assert np.all(psi.subdiff_lo(u) <= psi.subdiff_hi(u))
+        assert np.all(psi.subdiff_hi(u[:-1]) <= psi.subdiff_lo(u[1:]) + 1e-12)
 
     def test_subdiff_lo_never_exceeds_hi(self):
         u = np.linspace(-4, 4, 401)

@@ -20,6 +20,7 @@ from cellroll.solver_limit import _increasing_root
 from cellroll.solver_mm import (StepEnergy, minimize_step, solve_mm,
                                 step_energy)
 from cellroll.solver_smooth import SolverConfig, solve_smooth
+from strategies import even_convex_piecewise_linear
 
 LN_10_9 = math.log(10.0 / 9.0)
 
@@ -626,11 +627,7 @@ def lipschitz_potentials(draw):
     """AbsoluteValue, or an even convex PiecewiseLinear with 1-3 breaks."""
     if draw(st.booleans()):
         return AbsoluteValue()
-    breaks = sorted(draw(st.sets(st.floats(0.05, 2.0), min_size=1,
-                                 max_size=3)))
-    steps = draw(st.lists(st.floats(0.0, 2.0), min_size=len(breaks) + 1,
-                          max_size=len(breaks) + 1))
-    return PiecewiseLinear(breaks, np.cumsum(steps) + 0.1)
+    return draw(even_convex_piecewise_linear())
 
 
 class TestVelocityBound:
@@ -676,6 +673,21 @@ class TestCertificates:
         traj, k, v = self.run()
         for n in range(1, traj.values.size):
             e = step_energy(AbsoluteValue(), k, v, traj, n)
+            assert e.value(traj.values[n]) <= e.value(traj.values[n - 1]) + 1e-14
+
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(psi=even_convex_piecewise_linear(), truncated=st.booleans(),
+           bias=st.floats(-3.0, 3.0), amp=st.floats(0.0, 3.0),
+           omega=st.floats(0.5, 30.0), slope=st.floats(-2.0, 2.0),
+           eps=st.sampled_from([0.1, 0.5, 1.0]))
+    def test_energy_descends_along_random_trajectories(
+            self, psi, truncated, bias, amp, omega, slope, eps):
+        kernel = (TruncatedExponential if truncated else Exponential)(1.0, 1.0)
+        v = lambda t: bias + amp * math.sin(omega * t)
+        traj = solve_mm(psi, kernel, v, LinearPast(slope, 0.0),
+                        SolverConfig(eps=eps, T=0.3, dt=1e-2))
+        for n in range(1, traj.values.size):
+            e = step_energy(psi, kernel, v, traj, n)
             assert e.value(traj.values[n]) <= e.value(traj.values[n - 1]) + 1e-14
 
     def test_variational_inequality(self):
