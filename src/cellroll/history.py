@@ -11,11 +11,11 @@ exact binary value with numpy integer arithmetic, and hands to ``%`` only
 zero, inf, nan and magnitudes outside about [1e-10, 1e18). Every step
 writes into work arrays made once per write, so a block allocates nothing
 large. A value's text comes from a pre-masked template row, whose unused
-characters are NUL, plus its digits; the NULs are deleted in one
-``bytearray.translate``, with no index array. The time column may be a
-uniform grid made per block, and any other column a function the writer
-calls on one block of times at a time: a trajectory write holds the
-solution (none, for a closed form) plus one block.
+characters are NUL, plus its digits; the NULs of a quarter block at a
+time are deleted by ``bytes.translate``, with no index array. The time
+column may be a uniform grid made per block, and any other column a
+function the writer calls on one block of times at a time: a trajectory
+write holds the solution (none, for a closed form) plus one block.
 """
 from __future__ import annotations
 
@@ -162,10 +162,11 @@ def write_trajectory_csv(path, t, z, zdot, precision: int = 17):
 
 
 # rows per block. A block's numpy calls, most of the writer's time, do not
-# grow with its length, but its working set does: about 111 bytes per value
-# at precision 17 (0.68 MB for 2048 rows of three columns), which is less
-# than 1024 rows took before the writer reused its work arrays (0.73 MB).
-# Memory stays flat however long the file.
+# grow with its length, but its working set does: about 105 bytes per value
+# at precision 17 (0.64 MB for 2048 rows of three columns, its text made as
+# bytes a quarter block at a time), which is less than 1024 rows took before
+# the writer reused its work arrays (0.73 MB). Memory stays flat however
+# long the file.
 _BLOCK_ROWS = 2048
 
 
@@ -284,8 +285,8 @@ def _scaled(q, d, pow5, t):
     np.subtract(Es, d, out=Es)  # E + s - 27
     np.bitwise_and(q, 2 ** 52 - 1, out=q)
     np.bitwise_or(q, 2 ** 52, out=q)  # M
-    np.take(pow5[1], d.view(np.intp), out=f0, mode="clip")
-    np.take(pow5[0], d.view(np.intp), out=f1, mode="clip")
+    pow5[1].take(d.view(np.intp), out=f0, mode="clip")
+    pow5[0].take(d.view(np.intp), out=f1, mode="clip")
     lo = d
     # the 128-bit product of M and 5^s from 32-bit limbs: (q, lo)
     np.bitwise_and(q, _LO32, out=m0)
@@ -393,10 +394,10 @@ def _digit_chars(digits, decade, P: int, w, chars, chunk, tz, z):
             digits, rest = rest, digits
         else:
             c = digits
-        np.take(chars4, c.view(np.intp), out=chunk, mode="clip")
+        chars4.take(c.view(np.intp), out=chunk, mode="clip")
         chars.view(np.uint32)[:, j] = chunk
-        np.take(zeros[j], c.view(np.intp), out=tz if j == 4 else z,
-                mode="clip")
+        zeros[j].take(c.view(np.intp), out=tz if j == 4 else z,
+                      mode="clip")
         if j < 4:
             np.minimum(tz, z, out=tz)
     key, t = w[0], w[2]
@@ -421,16 +422,20 @@ class _BlockText:
     where it drops one; adding the digits 0..9 leaves a dropped digit NUL,
     since only trailing zeros are dropped, so no mask is taken per value.
     The sign and the newlines are set per block, and a `%` row is padded
-    with NULs. One ``bytearray.translate`` deletes every NUL, with no index
-    array and no copy of the matrix, and what is left is the text.
+    with NULs. ``bytes.translate`` on a copy of the matrix deletes every
+    NUL, with no index array, and what is left is the text.
 
     The digits of the whole block are made at once, in six uint64 and four
     uint8 work arrays per value: ``_decimal`` and ``_digit_chars`` write
-    every step into them. The matrix, on a bytearray, holds half the
-    block's rows and is filled and translated twice, since ``translate``
-    makes its result at the size of the whole matrix before trimming it.
-    All of these are made once and reused by every block, so a block
-    allocates nothing larger than a few kB besides its text.
+    every step into them. The matrix, on a bytearray, holds a quarter of
+    the block's rows and is filled, copied to bytes and translated four
+    times. ``bytes.translate`` deletes the NULs faster than
+    ``bytearray.translate``, but both make their result at the size of the
+    whole input before trimming it, so the smaller matrix pays for the
+    copy. Its row count is a multiple of the row width ``ncols``, so every
+    part ends on a row. All of these are made once and reused by every
+    block, so a block allocates nothing larger than a few kB besides its
+    text.
     """
 
     def __init__(self, precision: int, ncols: int, rows: int):
@@ -474,7 +479,7 @@ class _BlockText:
         # the digit columns alone, right-aligned in 20 like the digits
         self.digit_templates = np.zeros((29 * P, 20), np.uint8)
         self.digit_templates[:, 20 - P:] = self.templates[:, digit_cols]
-        self.buf = bytearray(ncols * -(-rows // 2) * W)
+        self.buf = bytearray(ncols * -(-rows // 4) * W)
         self.text = np.frombuffer(self.buf, np.uint8).reshape(-1, W)
         # six uint64 rows of a block's length: _decimal's work arrays, then
         # _digit_chars' (rows 0-2), the key (row 0), one matrix's digit
@@ -509,9 +514,9 @@ class _BlockText:
         P, n = self.P, x.size
         text = self.text[:n]
         self.text[n:] = 0  # a short part: no text past its rows
-        np.take(self.templates, key, axis=0, out=text, mode="clip")
+        self.templates.take(key, axis=0, out=text, mode="clip")
         digit_text = digit_text[:n]
-        np.take(self.digit_templates, key, axis=0, out=digit_text, mode="clip")
+        self.digit_templates.take(key, axis=0, out=digit_text, mode="clip")
         np.add(digit_text, chars, out=digit_text)
         text[:, self.digit_cols] = digit_text[:, 20 - P:]
         text[:, 0] = sign
@@ -526,5 +531,6 @@ class _BlockText:
             lines = (self.fmt + "\n") * rest.size % tuple(x[rest].tolist())
             padded = np.array(lines.encode().split(b"\n")[:-1], f"S{W - 1}")
             text[rest, :-1] = padded.view(np.uint8).reshape(rest.size, W - 1)
-        # delete every NUL in the whole matrix: no index array, no copy
-        return self.buf.translate(None, b"\0")
+        # delete every NUL in the whole matrix, with no index array; bytes
+        # translate faster than a bytearray does, by more than the copy costs
+        return bytes(self.buf).translate(None, b"\0")

@@ -357,11 +357,11 @@ class TestBlockWriter:
 
     def test_block_working_set_per_value(self):
         # building the writer's block text and making one full block of the
-        # oracle's rows at precision 17: 684 032 bytes for 2048 rows (111
-        # per value; numpy 2.4, Python 3.11). Before the work arrays were
-        # reused, one call on 1024 rows peaked at 728 262 bytes with its
-        # block text built (237 per value). A longer block must not buy its
-        # speed with more memory than that.
+        # oracle's rows at precision 17: 642 906 bytes for 2048 rows (105
+        # per value; numpy 2.4, Python 3.11), with the text matrix a quarter
+        # of the block and copied to bytes to be translated. With half a
+        # block translated as a bytearray it peaked at 684 032 bytes; the
+        # faster translate must not buy its speed with more memory than that.
         kernel = TruncatedExponential(1.0, 1.0)
         t = np.arange(_BLOCK_ROWS, dtype=float) * 1e-3
         values = np.column_stack([t, kinematic_trajectory(1.5, kernel, 0.0, t),
@@ -374,28 +374,31 @@ class TestBlockWriter:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 728_262, f"{peak / values.size:.1f} bytes per value"
+        assert peak <= 684_032, f"{peak / values.size:.1f} bytes per value"
 
+    @pytest.mark.parametrize("ncols", [1, 2, 3, 4, 5])
     @settings(max_examples=60, derandomize=True, deadline=None)
     @given(precision=st.integers(1, 17), rows=st.integers(1, 40),
            seed=st.integers(0, 2**32 - 1), data=st.data())
-    def test_reused_block_text_matches_a_fresh_one(self, precision, rows,
-                                                   seed, data):
+    def test_reused_block_text_matches_a_fresh_one(self, ncols, precision,
+                                                   rows, seed, data):
         # every work array is reused: nothing of one block may show in the
-        # text of the next
+        # text of the next; and the text matrix, a quarter of the block, must
+        # end each part on a row boundary whatever the width
         rng = np.random.default_rng(seed)
         short = data.draw(st.integers(1, max(rows - 1, 1)), label="short")
         edges = np.array([0.0, -0.0, math.inf, -math.inf, math.nan, 1e-300,
                           1e300, -1e-300, -1e300])
-        blocks = [exact_range_floats(rng, 3 * rows),
-                  wide_floats(rng, 3 * short, []),
-                  np.resize(edges, 3 * rows),
-                  exact_range_floats(rng, 3 * rows)]
-        text = _BlockText(precision, 3, rows)
+        blocks = [exact_range_floats(rng, ncols * rows),
+                  wide_floats(rng, ncols * short, []),
+                  np.resize(edges, ncols * rows),
+                  exact_range_floats(rng, ncols * rows)]
+        seps = "," * (ncols - 1) + "\n"
+        text = _BlockText(precision, ncols, rows)
         for x in blocks:
             got = b"".join(text(x))
-            assert got == b"".join(_BlockText(precision, 3, rows)(x))
-            want = "".join(f"%.{precision}g" % v + ",,\n"[i % 3]
+            assert got == b"".join(_BlockText(precision, ncols, rows)(x))
+            want = "".join(f"%.{precision}g" % v + seps[i % ncols]
                            for i, v in enumerate(x))
             assert got.decode() == want
 

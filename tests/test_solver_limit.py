@@ -16,6 +16,7 @@ from cellroll.potentials import (AbsoluteValue, Mollified, PiecewiseLinear,
                                  Quadratic, Tether, mollify)
 from cellroll.solver_limit import (_force_selections, integrate_limit,
                                    limit_velocity)
+from strategies import convex_piecewise_linear
 
 TOL = 1e-12  # limit_velocity's tolerance
 
@@ -188,14 +189,7 @@ def potentials(draw):
         return mollify(AbsoluteValue(), draw(st.floats(0.05, 0.5)))
     if kind == "abs":
         return AbsoluteValue()
-    breaks = sorted(draw(st.sets(st.floats(0.05, 2.0), max_size=3)))
-    # slopes[0] = 0 drops the kink at the origin, and with it the flat branch
-    steps = draw(st.lists(st.one_of(st.just(0.0), st.floats(0.0, 1.5)),
-                          min_size=len(breaks) + 1, max_size=len(breaks) + 1))
-    slopes = np.cumsum(steps)
-    if slopes[-1] == 0.0:
-        slopes[-1] = 1.0
-    return PiecewiseLinear(breaks, slopes)
+    return convex_piecewise_linear(draw)
 
 
 @st.composite

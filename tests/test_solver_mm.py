@@ -20,7 +20,7 @@ from cellroll.solver_limit import _increasing_root
 from cellroll.solver_mm import (StepEnergy, minimize_step, solve_mm,
                                 step_energy)
 from cellroll.solver_smooth import SolverConfig, solve_smooth
-from strategies import even_convex_piecewise_linear
+from strategies import convex_piecewise_linear, even_convex_piecewise_linear
 
 LN_10_9 = math.log(10.0 / 9.0)
 
@@ -160,13 +160,7 @@ coords = st.one_of(st.sampled_from(POOL), st.floats(-1.0, 1.0))
 def piecewise_linear(draw):
     if draw(st.booleans()):
         return AbsoluteValue()
-    breaks = sorted(draw(st.sets(st.floats(0.05, 2.0), max_size=3)))
-    steps = draw(st.lists(st.one_of(st.just(0.0), st.floats(0.0, 1.5)),
-                          min_size=len(breaks) + 1, max_size=len(breaks) + 1))
-    slopes = np.cumsum(steps)
-    if slopes[-1] == 0.0:
-        slopes[-1] = 1.0
-    return PiecewiseLinear(breaks, slopes)
+    return convex_piecewise_linear(draw)
 
 
 @st.composite
