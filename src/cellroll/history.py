@@ -10,12 +10,14 @@ Every CSV value is the text of ``"%.{P}g" % x``, byte for byte, for P in
 exact binary value with numpy integer arithmetic, and hands to ``%`` only
 zero, inf, nan and magnitudes outside about [1e-10, 1e18). Every step
 writes into work arrays made once per write, so a block allocates nothing
-large. A value's text comes from a pre-masked template row, whose unused
-characters are NUL, plus its digits; the NULs of a quarter block at a
-time are deleted by ``bytes.translate``, with no index array. The time
-column may be a uniform grid made per block, and any other column a
-function the writer calls on one block of times at a time: a trajectory
-write holds the solution (none, for a closed form) plus one block.
+large. A value's text is a 32-byte row: a pre-masked template, whose
+unused characters are NUL, plus its digits, of which those after the dot
+column are moved one byte up. The NULs of a third of a block at a time
+are deleted by ``bytes.translate``, with no index array, and each third
+is written as it is made. The time column may be a uniform grid made per
+block, and any other column a function the writer calls on one block of
+times at a time: a trajectory write holds the solution (none, for a
+closed form) plus one block.
 """
 from __future__ import annotations
 
@@ -162,11 +164,12 @@ def write_trajectory_csv(path, t, z, zdot, precision: int = 17):
 
 
 # rows per block. A block's numpy calls, most of the writer's time, do not
-# grow with its length, but its working set does: about 105 bytes per value
-# at precision 17 (0.64 MB for 2048 rows of three columns, its text made as
-# bytes a quarter block at a time), which is less than 1024 rows took before
-# the writer reused its work arrays (0.73 MB). Memory stays flat however
-# long the file.
+# grow with its length, but its working set does: about 90 bytes per value
+# at precision 17 (0.55 MB for 2048 rows of three columns: 52 in the work
+# arrays, and the text made in 32-byte rows a third of a block at a time,
+# each third written before the next is made), which is less than 1024 rows
+# took before the writer reused its work arrays (0.73 MB). Memory stays
+# flat however long the file.
 _BLOCK_ROWS = 2048
 
 
@@ -183,7 +186,8 @@ def _write_csv(path, names, columns, precision: int):
     ``precision`` must be an int in [1, 17]. A bool or an int is written as
     the float it converts to. Lines end in "\\n" on every platform. Rows go
     ``_BLOCK_ROWS`` at a time through ``_BlockText``, one ``writelines``
-    per block; the file is opened after the first block's columns are made.
+    of its parts per block; the file is opened after the first block's
+    columns are made.
     """
     if (isinstance(precision, (bool, np.bool_))
             or not isinstance(precision, (int, np.integer))
@@ -377,30 +381,33 @@ def _decimal(x, P: int, w, decade, flag):
     return digits, rest
 
 
-def _digit_chars(digits, decade, P: int, w, chars, chunk, tz, z):
+def _digit_chars(digits, decade, P: int, w, chars, tmp, tz, z):
     """The template key of each value, ``decade`` P plus its count of
-    trailing zeros, in ``w[0]``, and its digits as 20 bytes 0..9 in
-    ``chars``, left-padded with zeros, of which the last P are set.
-    ``digits`` is ``w[1]``; the first three rows of ``w``,
-    ``chunk`` (uint32) and ``tz`` and ``z`` (uint8) are overwritten."""
+    trailing zeros, in ``w[0]``, and its digits as bytes 0..9 in the
+    32-byte rows of ``chars`` (uint32): of its 20 digits, left-padded with
+    zeros, the 4-digit chunk j goes to column 1 + j. Only the chunks that
+    hold one of the last P digits are written. ``digits`` is ``w[1]``;
+    ``w[0]``, ``w[1]``, ``tmp`` (uint64) and ``tz`` and ``z`` (uint8) are
+    overwritten."""
     chars4, zeros, _ = _digit_tables()
-    rest, c = w[0], w[2]
+    rest = w[0]
+    chunk = tmp.view(np.uint32)[:digits.size]
     low = (20 - P) // 4  # the chunks below it hold no digit of the P
     for j in range(4, low - 1, -1):  # 4 digits at a time, from the right
         if j > low:
             np.floor_divide(digits, 10_000, out=rest)
-            np.multiply(rest, 10_000, out=c)
-            np.subtract(digits, c, out=c)
-            digits, rest = rest, digits
+            np.multiply(rest, 10_000, out=tmp)
+            np.subtract(digits, tmp, out=digits)
+            c, digits, rest = digits, rest, digits
         else:
             c = digits
         chars4.take(c.view(np.intp), out=chunk, mode="clip")
-        chars.view(np.uint32)[:, j] = chunk
+        chars[:, 1 + j] = chunk
         zeros[j].take(c.view(np.intp), out=tz if j == 4 else z,
                       mode="clip")
         if j < 4:
             np.minimum(tz, z, out=tz)
-    key, t = w[0], w[2]
+    key, t = w[0], w[1]
     key[...] = decade
     np.multiply(key, P, out=key)
     t[...] = tz
@@ -410,42 +417,49 @@ def _digit_chars(digits, decade, P: int, w, chars, chunk, tz, z):
 
 class _BlockText:
     """Text of a block of rows: ``self(x)``, for the block's values row by
-    row, gives the bytes of ``"%.{P}g" % v`` plus "," or "\\n" for each v,
-    as a list of byte strings to write in order.
+    row, yields the bytes of ``"%.{P}g" % v`` plus "," or "\\n" for each
+    v, as byte strings to write in order. Each is made when it is asked
+    for, from work arrays that the next call overwrites, so a block's
+    parts must all be taken before the next block's call.
 
-    Every value is laid out in one row of a (values, 2P + 10) uint8 matrix:
-    sign, "0.000", the P digits with a "." after each, "e+XX", separator.
+    Every value is laid out in one 32-byte row of a uint8 matrix: the sign
+    at byte 18 - P, "0.000", the P digits from byte f = 24 - P with one
+    column more for the ".", "e+XX" at byte 25 and the separator at 29.
     The value's decimal exponent X and its count of trailing zeros pick a
     template row, which is pre-masked: a character the value does not use
-    is NUL in it. Its digit columns, taken apart as 20 bytes aligned with
-    the value's 20 digits, read "0" where the value keeps a digit and NUL
-    where it drops one; adding the digits 0..9 leaves a dropped digit NUL,
-    since only trailing zeros are dropped, so no mask is taken per value.
-    The sign and the newlines are set per block, and a `%` row is padded
-    with NULs. ``bytes.translate`` on a copy of the matrix deletes every
-    NUL, with no index array, and what is left is the text.
+    is NUL in it. Its digit columns read "0" where the value keeps
+    a digit and NUL where it drops one, and its one dot column, at f + k
+    after the first k digits, reads "." when a digit follows it (k = 1 in
+    scientific form and X + 1 in fixed form; below 1, the dot is in the
+    prefix and k = P). The value's digits 0..9 are made in rows of the
+    same layout with no dot column, at bytes f..23; a per-key word mask
+    picks those at and after f + k, which are added back one byte up, and
+    the rows are added onto the templates. A dropped digit is 0, since
+    only trailing zeros are dropped, so it stays NUL. The sign and the
+    newlines are set per part, and a `%` row is padded with NULs.
+    ``bytes.translate`` on a copy of the matrix deletes every NUL, with no
+    index array, and what is left is the text.
 
     The digits of the whole block are made at once, in six uint64 and four
-    uint8 work arrays per value: ``_decimal`` and ``_digit_chars`` write
-    every step into them. The matrix, on a bytearray, holds a quarter of
-    the block's rows and is filled, copied to bytes and translated four
-    times. ``bytes.translate`` deletes the NULs faster than
-    ``bytearray.translate``, but both make their result at the size of the
-    whole input before trimming it, so the smaller matrix pays for the
-    copy. Its row count is a multiple of the row width ``ncols``, so every
-    part ends on a row. All of these are made once and reused by every
-    block, so a block allocates nothing larger than a few kB besides its
-    text.
+    uint8 work arrays per value: ``_decimal`` writes every step into them,
+    and ``_digit_chars`` writes the digit rows into the last four uint64
+    ones, which ``_decimal`` no longer needs, with the text matrix, not
+    yet in use, as its third uint64 temporary. The matrix, on a bytearray,
+    holds a third of the block's rows and is filled, copied to bytes and
+    translated three times; ``translate`` makes its result at the size of
+    the whole input before trimming it, so a smaller matrix costs less
+    memory. Its row count is a multiple of ``ncols``, so every part ends
+    on a line. All of these are made once and reused by every block, so a
+    block allocates nothing larger than a few kB besides its text.
     """
 
     def __init__(self, precision: int, ncols: int, rows: int):
         P = self.P = precision
         self.fmt = f"%.{P}g"
         self.ncols = ncols
-        W = 2 * P + 10
-        digit_cols, dot_cols, e_cols = (slice(6, 5 + 2 * P, 2),
-                                        slice(7, 4 + 2 * P, 2),
-                                        slice(5 + 2 * P, 9 + 2 * P))
+        f = self.f = 24 - P
+        e_cols, self.sep = slice(25, 29), 29
+        self.sign = f - 6
         # built by slicing alone: each numpy loop run for the first time
         # maps more of numpy's code into memory
         first = np.zeros((P, P), bool)  # row k keeps the first k + 1 digits
@@ -453,84 +467,99 @@ class _BlockText:
             first[k, :k + 1] = True
         # one key per decimal exponent X in [-10, 18] and count of
         # significant digits nd in [1, P], at row (X + 10) P + P - nd
-        text = np.zeros((29, P, W), np.uint8)
-        keep = np.zeros((29, P, W), bool)
-        text[..., 1:6] = np.frombuffer(b"0.000", np.uint8)
-        text[..., digit_cols] = ord("0")
-        text[..., dot_cols] = ord(".")
-        text[..., -1] = ord(",")
-        keep[..., -1] = True
+        text = np.zeros((29, P, 32), np.uint8)
+        keep = np.zeros((29, P, 32), bool)
+        moved = np.zeros((29, P, 32), np.uint8)
+        text[..., f - 5:f] = np.frombuffer(b"0.000", np.uint8)
+        text[..., f:f + P + 1] = ord("0")
+        text[..., self.sep] = ord(",")
+        keep[..., self.sep] = True
         for X in range(-10, 19):
             t, k = text[X + 10], keep[X + 10, ::-1]
             t[:, e_cols] = np.frombuffer(b"e%+03d" % X, np.uint8)
             if not -4 <= X < P:  # d.ddde+XX
-                k[:, digit_cols] = first
-                k[1:, 7] = True
+                dot = 1
+                k[:, f] = True
                 k[:, e_cols] = True
             elif X < 0:  # 0.000ddd
-                k[:, 1:2 - X] = True
-                k[:, digit_cols] = first
+                dot = P  # no digit moves
+                k[:, f - 5:f - 4 - X] = True
+                k[:, f:f + P] = first
             else:  # ddd.ddd: row r (r + 1 digits) keeps max(r + 1, X + 1)
-                k[:, digit_cols] = first[[max(r, X) for r in range(P)]]
-                k[X + 1:, 7 + 2 * X] = True
+                dot = X + 1
+                k[:, f:f + dot] = True
+            k[:, f + dot + 1:f + P + 1] = first[:, dot:]
+            k[dot:, f + dot] = True
+            t[:, f + dot] = ord(".")
+            moved[X + 10, :, f + dot:] = 255
         text[~keep] = 0
-        self.digit_cols = digit_cols
-        self.templates = text.reshape(29 * P, W)
-        # the digit columns alone, right-aligned in 20 like the digits
-        self.digit_templates = np.zeros((29 * P, 20), np.uint8)
-        self.digit_templates[:, 20 - P:] = self.templates[:, digit_cols]
-        self.buf = bytearray(ncols * -(-rows // 4) * W)
-        self.text = np.frombuffer(self.buf, np.uint8).reshape(-1, W)
+        self.templates = text.reshape(29 * P, 32).view(np.uint64)
+        self.moved = moved.reshape(29 * P, 32).view(np.uint64)
+        self.buf = bytearray(ncols * -(-rows // 3) * 32)
+        self.text = np.frombuffer(self.buf, np.uint8).reshape(-1, 32)
+        self.words = np.frombuffer(self.buf, np.uint64).reshape(-1, 4)
         # six uint64 rows of a block's length: _decimal's work arrays, then
-        # _digit_chars' (rows 0-2), the key (row 0), one matrix's digit
-        # columns (from byte 8 per value on) and each value's 20 digits
-        # (bytes 28-48 per value)
+        # _digit_chars' (rows 0-1), the key (row 0) and, on rows 2-5, the
+        # digit rows of 32 bytes per value
         self.work = np.empty((6, ncols * rows), np.uint64)
         self.work8 = np.empty((4, ncols * rows), np.uint8)
 
     def __call__(self, x):
         P, n, m = self.P, x.size, len(self.text)
         w = self.work[:, :n]
-        raw = self.work.reshape(-1).view(np.uint8)
-        cap = self.work.shape[1]
-        chars = raw[28 * cap:28 * cap + 20 * n].reshape(n, 20)
         decade, flag, tz, z = self.work8[:, :n]
         digits, rest = _decimal(x, P, w, decade, flag.view(bool))
-        key = _digit_chars(digits, decade, P, w, chars,
-                           raw[24 * cap:24 * cap + 4 * n].view(np.uint32),
-                           tz, z)
+        chars = self.work[2:].reshape(-1).view(np.uint8)[:32 * n]
+        chars = chars.reshape(n, 32)
+        # _decimal left them set, and _digit_chars writes only the digits'
+        # chunks: clear the bytes before the first chunk it writes and the
+        # last word, into which the digits move (a memset of the whole rows
+        # is faster, but maps more of numpy's code)
+        chars.view(np.uint32)[:, :(20 - P) // 4 + 1] = 0
+        chars.view(np.uint64)[:, -1] = 0
+        # the text matrix is not used before the first part
+        key = _digit_chars(digits, decade, P, w, chars.view(np.uint32),
+                           self.words.reshape(-1)[:n], tz, z)
         # a contiguous output: numpy 2.4's signbit misplaces the values of a
         # strided one
         np.signbit(x, out=flag.view(bool))
         np.multiply(flag, ord("-"), out=flag)
-        digit_text = raw[8 * cap:8 * cap + 20 * m].reshape(m, 20)
-        return [self._text(x[a:a + m], key[a:a + m], chars[a:a + m],
-                           flag[a:a + m],
-                           rest[(rest >= a) & (rest < a + m)] - a, digit_text)
-                for a in range(0, n, m)]
+        # each part's `rest` by comparisons, not searchsorted: its first call
+        # maps more of numpy's code than a small write's tables take
+        for a in range(0, n, m):
+            yield self._text(x[a:a + m], key[a:a + m], chars[a:a + m],
+                             flag[a:a + m],
+                             rest[(rest >= a) & (rest < a + m)] - a)
 
-    def _text(self, x, key, chars, sign, rest, digit_text):
+    def _text(self, x, key, chars, sign, rest):
         """One matrix of the block's text, from its part of the block."""
-        P, n = self.P, x.size
-        text = self.text[:n]
+        n = x.size
+        text, words = self.text[:n], self.words[:n]
         self.text[n:] = 0  # a short part: no text past its rows
-        self.templates.take(key, axis=0, out=text, mode="clip")
-        digit_text = digit_text[:n]
-        self.digit_templates.take(key, axis=0, out=digit_text, mode="clip")
-        np.add(digit_text, chars, out=digit_text)
-        text[:, self.digit_cols] = digit_text[:, 20 - P:]
-        text[:, 0] = sign
-        text[self.ncols - 1::self.ncols, -1] = ord("\n")
+        # the digits at and after the dot column are taken out and added
+        # back one byte up, on the flat bytes: each row shifted left by 8
+        # bits. A row's last byte holds no digit, so none crosses a row
+        self.moved.take(key, axis=0, out=words, mode="clip")
+        digit_words = chars.view(np.uint64)
+        np.bitwise_and(digit_words, words, out=words)
+        np.bitwise_xor(digit_words, words, out=digit_words)
+        flat = chars.reshape(-1)
+        np.add(flat[1:], text.reshape(-1)[:-1], out=flat[1:])
+        self.templates.take(key, axis=0, out=words, mode="clip")
+        np.add(words, digit_words, out=words)
+        text[:, self.sign] = sign
+        text[self.ncols - 1::self.ncols, self.sep] = ord("\n")
         if rest.size:
             # a zero reads as 1 (digits 10^(P-1), X 0): its one digit is 0
             zero = x[rest] == 0
-            text[rest[zero], self.digit_cols.start] = ord("0")
+            text[rest[zero], self.f] = ord("0")
             rest = rest[~zero]
         if rest.size:  # by `%`, each padded with NULs up to the separator
-            W = text.shape[1]
             lines = (self.fmt + "\n") * rest.size % tuple(x[rest].tolist())
-            padded = np.array(lines.encode().split(b"\n")[:-1], f"S{W - 1}")
-            text[rest, :-1] = padded.view(np.uint8).reshape(rest.size, W - 1)
+            padded = np.array(lines.encode().split(b"\n")[:-1],
+                              f"S{self.sep}")
+            text[rest, :self.sep] = padded.view(np.uint8).reshape(
+                rest.size, self.sep)
         # delete every NUL in the whole matrix, with no index array; bytes
         # translate faster than a bytearray does, by more than the copy costs
         return bytes(self.buf).translate(None, b"\0")

@@ -1,6 +1,9 @@
 """Past data, the trajectory grid, and CSV output."""
+import collections
 import itertools
+import json
 import math
+import operator
 import tracemalloc
 
 import numpy as np
@@ -8,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from cellroll.cli import main
 from cellroll.experiments import StudyReport
 from cellroll.history import (_BLOCK_ROWS, ConstantPast, LinearPast,
                               TabulatedPast, Trajectory, _BlockText,
@@ -221,6 +225,33 @@ def edge_values(precision):
     return np.concatenate([x, -x, SPECIAL])
 
 
+def decade_and_digits(x, precision):
+    """The decimal exponent X and the count of significant digits nd of
+    ``"%.{precision}g" % x``, for finite nonzero x."""
+    mantissa, exponent = (f"%.{precision - 1}e" % abs(x)).split("e")
+    return int(exponent), len(mantissa.replace(".", "").rstrip("0"))
+
+
+def key_values(precision):
+    """For each decimal exponent X in [-10, 18] and count nd in 1..P of
+    significant digits at precision P, a positive double whose text has
+    them if one is found next to an nd-digit decimal; and the double below
+    1e18, which rounds up to 1e+18 for P <= 15."""
+    P = precision
+    pi = "3141592653589793238462643383279"
+    values = [np.nextafter(1e18, 0.0)]
+    for X, nd in itertools.product(range(-10, 19), range(1, P + 1)):
+        # ending in 5 or an even digit finds the exact doubles
+        for last, lead, at in itertools.product("754", "123456789",
+                                                range(16)):
+            digits = (lead + pi[at:at + nd - 2] + last)[:nd]
+            x = float(f"{digits}e{X - nd + 1}")
+            if decade_and_digits(x, P) == (X, nd):
+                values.append(x)
+                break
+    return np.array(values)
+
+
 def block_function(t, values):
     """``values`` as a function column over ``t``: each call must get the
     next block of ``t``, bit for bit, and returns that block's values.
@@ -336,6 +367,39 @@ class TestBlockWriter:
         want = "".join(f"%.{precision}g,0,-0\n" % v for v in t)
         assert b"".join(text(values)).decode() == want
 
+    @pytest.mark.parametrize("precision", range(1, 18))
+    def test_every_template_key(self, precision):
+        # each value's decade X and count nd of significant digits pick its
+        # template row, and X its dot column; random values need not reach
+        # every one, so here is one value per (X, nd), of either sign
+        x = key_values(precision)
+        x = np.concatenate([x, -x])
+        exact = x[np.abs(x) < 1e18]  # formatted without `%`
+        reached = {decade_and_digits(v, precision) for v in exact}
+        # from 1e18 on values go through `%`: of X = 18 the writer's own
+        # text reaches only 1e+18, rounded up from below it; and no double
+        # has the 17 digits of N e-07, N e-06 or N e-05 for N in 1..9
+        keys = {(X, nd) for X in range(-10, 18)
+                for nd in range(1, precision + 1)}
+        if precision <= 15:
+            keys.add((18, 1))
+        if precision == 17:
+            keys -= {(-7, 1), (-6, 1), (-5, 1)}
+        assert reached == keys
+        text = _BlockText(precision, 1, exact.size)
+        text.fmt = None  # `%` formatting would fail on it
+        assert b"".join(text(exact)).decode() == "".join(
+            f"%.{precision}g\n" % v for v in exact)
+        for ncols in range(1, 6):  # every value in every column
+            rows = np.resize(x, (-(-x.size // ncols) + 1, ncols))
+            for shift in range(ncols):
+                values = np.roll(rows.ravel(), shift)
+                got = b"".join(_BlockText(precision, ncols, len(rows))(values))
+                seps = "," * (ncols - 1) + "\n"
+                assert got.decode() == "".join(
+                    f"%.{precision}g" % v + seps[i % ncols]
+                    for i, v in enumerate(values))
+
     def test_block_text_needs_no_index_array(self):
         # one block of the oracle's rows; selecting the kept characters by
         # an index array (np.compress) took 8 bytes per character for it
@@ -344,37 +408,40 @@ class TestBlockWriter:
         values = np.column_stack([t, kinematic_trajectory(1.5, kernel, 0.0, t),
                                   kinematic_velocity(1.5, kernel, t)]).ravel()
         text = _BlockText(17, 3, _BLOCK_ROWS)
-        want = b"".join(text(values))  # builds the cached tables first
+        want = list(text(values))  # builds the cached tables first
         tracemalloc.start()
         try:
-            got = text(values)
+            # part by part, each dropped once compared, as writelines does
+            same = list(map(operator.eq, text(values), want))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        got = b"".join(got)
-        assert got == want
-        assert peak < 8 * len(got)
+        assert same == [True] * len(want)
+        assert peak < 8 * sum(map(len, want))
 
     def test_block_working_set_per_value(self):
         # building the writer's block text and making one full block of the
-        # oracle's rows at precision 17: 642 906 bytes for 2048 rows (105
-        # per value; numpy 2.4, Python 3.11), with the text matrix a quarter
-        # of the block and copied to bytes to be translated. With half a
-        # block translated as a bytearray it peaked at 684 032 bytes; the
-        # faster translate must not buy its speed with more memory than that.
+        # oracle's rows at precision 17, its parts written one at a time:
+        # 553 688 bytes for 2048 rows (90 per value; numpy 2.4.6, CPython
+        # 3.11.7), with 32-byte text rows, a third of the block per matrix,
+        # and the digit rows in the work arrays. With 44-byte rows and a
+        # block's parts returned as one list it peaked at 642 906 bytes. The
+        # bound is 5% over the first, for the temporaries other numpy and
+        # Python versions may trace, and 10% under the second.
         kernel = TruncatedExponential(1.0, 1.0)
         t = np.arange(_BLOCK_ROWS, dtype=float) * 1e-3
         values = np.column_stack([t, kinematic_trajectory(1.5, kernel, 0.0, t),
                                   kinematic_velocity(1.5, kernel, t)]).ravel()
-        _BlockText(17, 3, 1)(values[:3])  # builds the cached tables first
+        b"".join(_BlockText(17, 3, 1)(values[:3]))  # builds the cached tables
         tracemalloc.start()
         try:
             text = _BlockText(17, 3, _BLOCK_ROWS)
-            text(values)
+            # part by part, each dropped once made, as writelines does
+            collections.deque(text(values), maxlen=0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 684_032, f"{peak / values.size:.1f} bytes per value"
+        assert peak <= 581_000, f"{peak / values.size:.1f} bytes per value"
 
     @pytest.mark.parametrize("ncols", [1, 2, 3, 4, 5])
     @settings(max_examples=60, derandomize=True, deadline=None)
@@ -383,7 +450,7 @@ class TestBlockWriter:
     def test_reused_block_text_matches_a_fresh_one(self, ncols, precision,
                                                    rows, seed, data):
         # every work array is reused: nothing of one block may show in the
-        # text of the next; and the text matrix, a quarter of the block, must
+        # text of the next; and the text matrix, a third of the block, must
         # end each part on a row boundary whatever the width
         rng = np.random.default_rng(seed)
         short = data.draw(st.integers(1, max(rows - 1, 1)), label="short")
@@ -401,6 +468,29 @@ class TestBlockWriter:
             want = "".join(f"%.{precision}g" % v + seps[i % ncols]
                            for i, v in enumerate(x))
             assert got.decode() == want
+
+    def test_full_size_oracle_file(self, tmp_path, capsys):
+        # the benchmark's largest CSV, oracle_csv at seed 0: 200 001 rows,
+        # so every block boundary of 98 blocks, and zdot exactly 0.5 from
+        # t = 37.43 on
+        cfg = {"model": {"potential": {"kind": "abs"},
+                         "kernel": {"kind": "truncated_exponential",
+                                    "beta": 1.0, "zeta": 1.0},
+                         "past": {"kind": "constant", "value": 0.0},
+                         "v": {"kind": "constant", "value": 1.5}},
+               "solver": {"T": 200.0, "dt": 1e-3}}
+        (tmp_path / "run.json").write_text(json.dumps(cfg))
+        path = tmp_path / "oracle.csv"
+        assert main(["oracle", "--config", str(tmp_path / "run.json"),
+                     "--out", str(path)]) == 0
+        capsys.readouterr()
+        kernel = TruncatedExponential(1.0, 1.0)
+        t = np.arange(200_001) * 1e-3
+        z = kinematic_trajectory(1.5, kernel, 0.0, t)
+        zdot = kinematic_velocity(1.5, kernel, t)
+        assert np.count_nonzero(zdot == 0.5) > 100_000
+        assert_per_row_format(path, ("t", "z", "zdot"),
+                              zip(t.tolist(), z.tolist(), zdot.tolist()), 17)
 
     def test_no_rows_gives_the_header_only(self, tmp_path):
         path = tmp_path / "traj.csv"
