@@ -12,15 +12,16 @@ them as immutable values: to change one after a solve, build a new object.
 A probe at w = 0 resolves the flat branch of kinked potentials exactly; as
 the map's slope is at least 1, its value also brackets the root, and an
 ITP root find (shared with ``solver_mm``) that opens on the interpolation
-point closes that bracket. Over 333 drives in [-4, 4] on two exponential
-kernels an equation took at most 4 force evaluations for quadratic psi,
-whose map is affine, 3 or 4 off the flat branch of ``abs``, and a median of
-11 or 12 for tethers, mollified ``abs`` and other piecewise-linear psi,
-where bisection takes 45. Mollified ``abs`` can still take ITP's whole
-budget for some drives inside the band |v| < mu of plain ``abs``, where
-its map is nearly a step. The tests cross-check the root against
-bisection and against a derivative-free minimization of the equivalent
-convex objective.
+point closes that bracket. Quadratic psi needs no probe: psi' is the
+identity, so the equation is w (1 + m) = v with m the Simpson grid's first
+moment, taken once with its weights, and one division solves it. Over 333
+drives in [-4, 4] on two exponential kernels an equation took 3 or 4 force
+evaluations off the flat branch of ``abs``, and a median of 11 or 12 for
+tethers, mollified ``abs`` and other piecewise-linear psi, where bisection
+takes 45. Mollified ``abs`` can still take ITP's whole budget for some
+drives inside the band |v| < mu of plain ``abs``, where its map is nearly a
+step. The tests cross-check the root against bisection and against a
+derivative-free minimization of the equivalent convex objective.
 """
 from __future__ import annotations
 
@@ -33,7 +34,7 @@ from .errors import NumericalError
 from .history import Trajectory
 from .kernels import Kernel
 from .memory import as_drive, step_count
-from .potentials import PiecewiseLinear, Potential
+from .potentials import PiecewiseLinear, Potential, Quadratic
 
 __all__ = ["limit_velocity", "integrate_limit"]
 
@@ -44,7 +45,8 @@ def _force_selections(psi, kernel, t):
     """The map w -> (min, max) of {int z(a) rho(a,t) da : z(a) in d psi(a w)}.
 
     Everything that does not depend on w is computed here; ``_shared_force``
-    keeps the last map built.
+    keeps the last map built. The Simpson map carries the grid's first
+    moment as ``moment``, which is all ``_limit_root`` needs for quadratic psi.
     """
     if isinstance(psi, PiecewiseLinear):
         # the right half of the even profile: knots 0 .. b_N, their slopes
@@ -63,14 +65,17 @@ def _force_selections(psi, kernel, t):
             return f, f
         return kinked
     upper = kernel.support(t)
-    if upper <= 0.0:
-        return lambda w: (0.0, 0.0)
-    a = np.linspace(0.0, upper, _SIMPSON_NODES)
-    wts = _simpson_weights(a) * kernel.eval(a, t)
+    if upper > 0.0:
+        a = np.linspace(0.0, upper, _SIMPSON_NODES)
+        wts = _simpson_weights(a) * kernel.eval(a, t)
+    else:  # no bond has formed yet: an empty quadrature, F = 0
+        a = wts = np.zeros(0)
 
     def smooth(w):
         f = float(np.dot(wts, psi.derivative(a * w)))
         return f, f
+    # the first moment m: F(w) = m w on this quadrature for quadratic psi
+    smooth.moment = float(np.dot(wts, a))
     return smooth
 
 
@@ -86,16 +91,17 @@ def _simpson_weights(a):
 def limit_velocity(psi: Potential, kernel: Kernel, v_t: float, t: float = math.inf) -> float:
     """The unique w with v(t) - w in int d psi(a w) rho(a, t) da.
 
-    The map w + F(w) - v has slope at least 1, so ``_increasing_root``
-    brackets the root from its value at the centre w = 0, which it returns
-    exactly when 0 lies in the subdifferential there (the flat branch of
-    kinked potentials), and ``_itp`` closes the bracket to 1e-12 or to
-    adjacent floats. Its first probe is the regula-falsi point; where the
-    map is affine (quadratic psi) that is the root to rounding, and one
-    probe tol/2 past it ends the solve: at most 4 force evaluations. A
-    static kernel's t does not enter the equation, so every t shares one
-    quadrature, and a call that repeats the last equation returns the last
-    root without a probe.
+    For quadratic psi (the exact type; a subclass may change psi') the
+    map is linear, F(w) = m w on the quadrature, and the root v / (1 + m)
+    costs one division and no force evaluation. Otherwise the map
+    w + F(w) - v has slope at least 1, so ``_increasing_root`` brackets the
+    root from its value at the centre w = 0, which it returns exactly when
+    0 lies in the subdifferential there (the flat branch of kinked
+    potentials), and ``_itp``, opening on the regula-falsi point, closes the
+    bracket to 1e-12 or to adjacent floats. A static kernel's t does not
+    enter the equation, so every t shares one quadrature, and a call that
+    repeats the last equation returns the last root without a probe. A
+    drive that is not finite raises ``NumericalError``.
     """
     t = float(t) if kernel.time_dependent else math.inf
     return _limit_root(psi, kernel, float(v_t), t)
@@ -111,6 +117,13 @@ def _limit_root(psi, kernel, v_t, t):
     # errors are not cached: a NaN drive or a modulated kernel at t = inf
     # raises again on every call
     force = _shared_force(psi, kernel, t)
+    if type(psi) is Quadratic:
+        # the equation is w (1 + m) = v; + 0.0 makes a zero drive's root
+        # +0.0 for either sign, which the memo keys as one entry
+        w = v_t / (1.0 + force.moment) + 0.0
+        if not math.isfinite(w):
+            raise NumericalError(f"limit velocity is not finite for drive {v_t:.6g}")
+        return w
 
     def g(w):
         flo, fhi = force(w)
@@ -127,24 +140,30 @@ def _increasing_root(g, centre, scale, tol):
     bound puts the root within scale*|g(centre)| of the centre, on the side
     where g changes sign. The far end is probed at twice that distance, so
     that rounding cannot lose the sign there, and ``_itp`` closes the
-    bracket to ``tol`` or to adjacent floats.
+    bracket to ``tol`` or to adjacent floats. It raises ``NumericalError``
+    where the far end lies past half the float range, so that a midpoint
+    would overflow, or where g is not finite there: a map that overflows
+    inside the bracket has no root in it that can be certified.
     """
     glo, ghi = g(centre)
     if glo <= 0.0 <= ghi:
         return centre
     y = glo if glo > 0.0 else ghi
     far = centre - 2.0 * scale * y
-    if not math.isfinite(far):
-        raise NumericalError(f"root map is not finite at {centre:.6g}")
+    # the sum of two points of the bracket, and so its width, must be finite
+    if not (math.isfinite(2.0 * far) and math.isfinite(2.0 * centre)):
+        raise NumericalError(f"no finite root bracket at {centre:.6g}, where "
+                             f"the root map is {y:.6g}")
     flo, fhi = g(far)
+    if not (math.isfinite(flo) and math.isfinite(fhi)):
+        # the map overflows inside the bracket: no root in it can be certified
+        raise NumericalError(f"root map is not finite at {far:.6g}")
     if y > 0.0:
         lo, hi, y_lo, y_hi = far, centre, fhi, glo
     else:
         lo, hi, y_lo, y_hi = centre, far, ghi, flo
     if y_lo < 0.0 < y_hi:
         return _itp(g, lo, hi, y_lo, y_hi, tol)
-    if not (math.isfinite(flo) and math.isfinite(fhi)):
-        raise NumericalError(f"root map is not finite at {far:.6g}")
     # exactly, g(far) has the sign opposite to g(centre); here rounding hid
     # it, so g(centre) is rounding noise (far may even round to centre)
     return centre
@@ -168,7 +187,8 @@ def _itp(g, lo, hi, y_lo, y_hi, tol):
     probes against its budget. A tol/2 probe that misses can cost one probe
     more than that budget.
     """
-    n_max = math.ceil(math.log2((hi - lo) / tol)) + 1
+    # in logs: (hi - lo) / tol overflows once the bracket is wider than 1e296
+    n_max = math.ceil(math.log2(hi - lo) - math.log2(tol)) + 1
     j = 0  # probes made
     x = (lo * y_hi - hi * y_lo) / (y_hi - y_lo)
     for _ in range(2):
@@ -201,7 +221,10 @@ def _itp(g, lo, hi, y_lo, y_hi, tol):
         sigma = math.copysign(1.0, mid - x_f)
         delta = k1 * width * width
         x = x_f + sigma * delta if delta <= abs(mid - x_f) else mid
-        r = half * 2.0 ** (n_max - j) - 0.5 * width
+        try:
+            r = math.ldexp(half, n_max - j) - 0.5 * width
+        except OverflowError:  # r is then wider than any bracket
+            r = math.inf
         if not abs(x - mid) <= r:
             x = mid - sigma * max(r, 0.0)
         if not lo < x < hi:

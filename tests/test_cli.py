@@ -361,6 +361,43 @@ class TestFailureExits:
         assert code == 2
         assert err.startswith("config error: <config>")
 
+    @pytest.mark.parametrize("command", ["limit", "mm"])
+    @pytest.mark.parametrize("potential", [{"kind": "quadratic"},
+                                           {"kind": "tether", "r": 0.8},
+                                           {"kind": "abs"}])
+    def test_drive_of_1e300_solves(self, capsys, tmp_path, command, potential):
+        # the root find's budget was once (hi - lo)/tol, infinite past a
+        # 1e296-wide bracket; the tether's psi' overflows on the way
+        cfg_dict = quad_config(T=0.05, dt=0.01)
+        cfg_dict["model"]["potential"] = potential
+        cfg_dict["model"]["past"] = {"kind": "constant", "value": 0.0}
+        cfg_dict["model"]["v"] = {"kind": "table", "t": [0.0, 0.05],
+                                  "values": [1e300, -1e300]}
+        cfg = write_config(tmp_path / "run.json", cfg_dict)
+        out_csv = tmp_path / "run.csv"
+        with np.errstate(over="ignore"):
+            code, _, err = run(capsys, command, "--config", cfg,
+                               "--out", str(out_csv))
+        assert (code, err) == (0, "")
+        table = np.genfromtxt(out_csv, delimiter=",", skip_header=1)
+        assert np.all(np.isfinite(table)) and table[0, 2] > 1e299
+
+    @pytest.mark.parametrize("psi", [["quadratic"], ["tether", "--r", "0.8"],
+                                     ["abs"]])
+    @pytest.mark.parametrize("v", ["1e300", "-1e300"])
+    def test_gamma_of_1e300_solves(self, capsys, psi, v):
+        with np.errstate(over="ignore"):
+            code, out, err = run(capsys, "gamma", "--psi", *psi, f"--v={v}")
+        assert (code, err) == (0, "")
+        assert 0.4 < float(out) / float(v) <= 1.0
+
+    def test_overflowing_tether_is_a_numerical_failure(self, capsys):
+        with np.errstate(over="ignore"):
+            code, _, err = run(capsys, "gamma", "--psi", "tether", "--r", "0.8",
+                               "--v", "3e307")
+        assert code == 1
+        assert err.startswith("numerical failure: root map is not finite")
+
     def test_unstable_run_exits_one(self, capsys, tmp_path):
         cfg_dict = quad_config(T=200.0, dt=0.5)
         cfg_dict["model"]["kernel"]["beta"] = 200.0

@@ -263,7 +263,9 @@ class CountingMollified(CountingDerivative, Mollified):
 def force_evaluations(psi, kernel):
     """Force evaluations so far: psi.derivative calls on the Simpson path; on
     the kinked path every probe off w = 0 takes one cummass call, the probe
-    at w = 0 none, and one more call gives the total mass."""
+    at w = 0 none, and one more call gives the total mass. An exact
+    ``Quadratic`` makes none (its root is one division), so the counting
+    potentials are subclasses, which keep the ITP root find."""
     if isinstance(psi, PiecewiseLinear):
         return kernel.cummasses
     return psi.calls
@@ -276,17 +278,19 @@ class CountingTruncated(CountingExponential, TruncatedExponential):
 class TestWork:
     def test_quadrature_built_once_per_kernel_and_time(self):
         # a static kernel's rho does not depend on t: one Simpson grid per
-        # (psi, kernel) serves every step of the run
-        psi, k = Tether(0.8), CountingExponential(1.0, 1.0)
-        limit_velocity(psi, k, 1.3)
-        assert k.evals == 1
-        integrate_limit(psi, k, lambda t: 1.0 + t, 0.0, 0.1, 0.01)
-        assert k.evals == 1
-        # a truncated kernel changes with t: one grid per step with t > 0
-        # (at t = 0 no bond exists and there is nothing to weight)
-        kt = CountingTruncated(1.0, 1.0)
-        integrate_limit(psi, kt, lambda t: 1.0 + t, 0.0, 0.1, 0.01)
-        assert kt.evals == 10
+        # (psi, kernel) serves every step of the run. Quadratic psi takes its
+        # first moment from the same weights.
+        for psi in (Tether(0.8), Quadratic()):
+            k = CountingExponential(1.0, 1.0)
+            limit_velocity(psi, k, 1.3)
+            assert k.evals == 1
+            integrate_limit(psi, k, lambda t: 1.0 + t, 0.0, 0.1, 0.01)
+            assert k.evals == 1
+            # a truncated kernel changes with t: one grid per step with t > 0
+            # (at t = 0 no bond exists and there is nothing to weight)
+            kt = CountingTruncated(1.0, 1.0)
+            integrate_limit(psi, kt, lambda t: 1.0 + t, 0.0, 0.1, 0.01)
+            assert kt.evals == 10
 
     def test_constant_drive_solves_one_equation(self):
         psi, k = CountingQuadratic(), CountingExponential(1.0, 1.0)
@@ -367,6 +371,120 @@ class TestWork:
         w = limit_velocity(psi, k, v)
         assert 0.0 < w / v < 1.0
         assert_certified(psi, k, v, math.inf, w, 4.0 * np.spacing(abs(w)))
+
+
+class StiffSpring(Quadratic):
+    """psi(u) = u^2, a Quadratic subclass whose psi' is not the identity."""
+
+    def value(self, u):
+        return 2.0 * super().value(u)
+
+    def subdiff_lo(self, u):
+        return 2.0 * np.asarray(u, dtype=float)
+
+    subdiff_hi = subdiff_lo
+
+
+def closed_form_kernels():
+    """(kernel, t) pairs: static and time-dependent, closed-form and tabulated."""
+    a = np.linspace(0.0, 8.0, 201)
+    return [(Exponential(1.0, 1.0), math.inf), (Exponential(1.3, 0.7), math.inf),
+            (TruncatedExponential(1.0, 1.0), 0.5),
+            (TruncatedExponential(1.0, 1.0), 3.0),
+            (Tabulated(a, np.exp(-a)), math.inf),
+            (Tabulated(a, np.exp(-a), modulation=lambda t: 1.0 + 0.5 * math.sin(t)),
+             2.0)]
+
+
+class TestClosedForm:
+    """Exact Quadratic psi: the equation w (1 + m) = v, m the quadrature's
+    first moment, solved by one division."""
+
+    DRIVES = list(np.linspace(-4.0, 4.0, 33)) + [1e3, -1e3]
+
+    @pytest.mark.parametrize("kt", closed_form_kernels())
+    def test_matches_bisection_on_the_same_map(self, kt):
+        kernel, t = kt
+        for v in self.DRIVES:
+            w = limit_velocity(Quadratic(), kernel, v, t)
+            assert abs(w - limit_velocity_bisect(Quadratic(), kernel, v, t)) <= 1e-12, v
+
+    def test_makes_no_derivative_call(self, monkeypatch):
+        calls = []
+        derivative = Quadratic.derivative
+        monkeypatch.setattr(Quadratic, "derivative",
+                            lambda self, u: calls.append(1) or derivative(self, u))
+        for kernel, t in closed_form_kernels():
+            for v in self.DRIVES:
+                limit_velocity(Quadratic(), kernel, v, t)
+        integrate_limit(Quadratic(), TruncatedExponential(1.0, 1.0),
+                        lambda t: 1.0 + t, 0.0, 0.1, 0.01)
+        assert calls == []
+
+    def test_subclass_keeps_the_root_find(self):
+        # only the exact type is the identity psi'; psi(u) = u^2 gives
+        # w (1 + 2 m_1) = v, with m_1 = 1 on Exponential(1, 1)
+        k = Exponential(1.0, 1.0)
+        for v in (-2.0, 0.3, 3.0):
+            w = limit_velocity(StiffSpring(), k, v)
+            assert w == pytest.approx(v / 3.0, rel=1e-8)
+            assert abs(w - limit_velocity_bisect(StiffSpring(), k, v)) <= 1e-11
+
+    @pytest.mark.parametrize("kt", closed_form_kernels())
+    def test_zero_drive_is_positive_zero(self, kt):
+        kernel, t = kt
+        for v in (-0.0, 0.0, -0.0):
+            w = limit_velocity(Quadratic(), kernel, v, t)
+            assert w == 0.0 and math.copysign(1.0, w) == 1.0
+            solver_limit._limit_root.cache_clear()
+            w = limit_velocity(Quadratic(), kernel, v, t)
+            assert w == 0.0 and math.copysign(1.0, w) == 1.0
+
+    @pytest.mark.parametrize("psi", [AbsoluteValue(), Quadratic()])
+    @pytest.mark.parametrize("v", [math.inf, -math.inf])
+    def test_infinite_drive_raises_every_time(self, psi, v):
+        # as test_nan_drive_raises does for NaN
+        k = Exponential(1.0, 1.0)
+        for drive in (v, 1.0, v, v):
+            if drive == 1.0:
+                limit_velocity(psi, k, drive)
+            else:
+                with pytest.raises(NumericalError):
+                    limit_velocity(psi, k, drive)
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(st.floats(0.05, 5.0), st.floats(0.2, 5.0), st.floats(-1e3, 1e3))
+    def test_simpson_moment_is_the_error_floor(self, beta, zeta, v):
+        # the grid scales with 1/zeta, so the Simpson first moment is off by
+        # the same 2.4e-9 (relative) on every Exponential: limit_ramp's
+        # correct_digits of about 9
+        w = limit_velocity(Quadratic(), Exponential(beta, zeta), v)
+        assert abs(w - v / (1.0 + beta / zeta**2)) <= 3e-9 * abs(w)
+
+
+class TestWideBrackets:
+    """Drives up to 1e300: the ITP budget is counted in logs, not by
+    dividing the bracket by tol, which overflows past 1e296."""
+
+    @pytest.mark.parametrize("v", [1e300, -1e300])
+    def test_mollified_abs_is_certified(self, v):
+        psi, k = mollify(AbsoluteValue(), 0.2), Exponential(1.0, 1.0)
+        w = limit_velocity(psi, k, v)
+        assert_certified(psi, k, v, math.inf, w, 4.0 * np.spacing(abs(w)))
+
+    @pytest.mark.parametrize("v", [3e307, -3e307])
+    def test_overflowing_force_raises(self, v):
+        # a * w overflows inside the bracket [0, 2v]: no root there can be
+        # certified, where a bisection would return the overflow edge
+        with np.errstate(over="ignore"), pytest.raises(NumericalError):
+            limit_velocity(Tether(0.8), Exponential(1.0, 1.0), v)
+
+    @pytest.mark.parametrize("psi", [AbsoluteValue(), mollify(AbsoluteValue(), 0.2)])
+    @pytest.mark.parametrize("v", [8e307, -8e307])
+    def test_bracket_past_half_the_float_range_raises(self, psi, v):
+        # its far end 2v is finite, but the midpoint of [v, 2v] is not
+        with pytest.raises(NumericalError):
+            limit_velocity(psi, Exponential(1.0, 1.0), v)
 
 
 class TestMemo:
