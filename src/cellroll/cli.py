@@ -8,21 +8,24 @@ oracle
     Closed-form reference trajectory (plastic or kinematic) on the same
     grid, for the abs potential on a truncated_exponential kernel.
 gamma
-    Print the asymptotic velocity for a constant drive, or sweep a force
-    grid against the velocity-force law.
+    Print the asymptotic velocity for a constant drive (``--v``), or sweep
+    a force grid against the velocity-force law (``--sweep``, to ``--out``).
+    The config builders make psi and the kernel, so a flag is checked as
+    its field is; a flag the run would not read exits 2.
 converge / longtime
     Parameter studies; the exit code reports whether the declared
     criteria passed.
 
 Every command but ``gamma`` runs through :func:`_run_config`: the config
-is parsed and checked by :mod:`cellroll.config`, then the solve or study
-runs, and its CSV is paired with a ``*.manifest.json`` echoing the fully
-resolved configuration; feeding a manifest back through ``--config``
-reproduces the run bit for bit. Bad input, an unreadable config file or a
-missing output directory included, exits 2 with the dotted path of the
-offending field (or the flag); a numerical failure, a grid too large for
-memory, an output write that fails, or an internal error, exits 1; an
-internal error is one ``internal error:`` line, never a traceback.
+is parsed and checked by :mod:`cellroll.config`, which accepts only what
+the command reads, then the solve or study runs, and its CSV is paired
+with a ``*.manifest.json`` echoing the fully resolved configuration;
+feeding a manifest back through ``--config`` reproduces the run bit for
+bit. Bad input, an unreadable config file or a missing output directory
+included, exits 2 with the dotted path of the offending field (or the
+flag); a numerical failure, a grid too large for memory, an output write
+that fails, or an internal error, exits 1; an internal error is one
+``internal error:`` line, never a traceback.
 
 Importing this module freezes the heap built so far (``gc.freeze()``), so
 the collections at interpreter shutdown skip numpy's and cellroll's
@@ -45,11 +48,9 @@ from .errors import ConfigError, NumericalError
 from .experiments import (convergence_study, longtime_study,
                           velocity_force_sweep)
 from .history import _Grid, write_trajectory_csv
-from .kernels import Exponential
 from .memory import _MAX_NODES, step_count
 from .oracles import (kinematic_trajectory, kinematic_velocity,
                       plastic_trajectory)
-from .potentials import AbsoluteValue, Quadratic, Tether
 from .solver_limit import integrate_limit, limit_velocity
 from .solver_mm import solve_mm
 from .solver_smooth import solve_smooth
@@ -127,32 +128,31 @@ def _run_config(cmd: str, args) -> int:
     return 0 if report.passed else 1
 
 
-def _gamma_potential(args):
-    if args.psi == "abs":
-        return AbsoluteValue()
-    if args.psi == "quadratic":
-        return Quadratic()
-    if args.psi == "tether":
-        if args.r is None or args.r <= 0:
-            raise ConfigError("--r", "tether needs a positive radius")
-        return Tether(args.r)
-    raise ConfigError("--psi", f"unknown potential {args.psi!r}")
-
-
-def _gamma_kernel(args):
-    if args.beta is not None or args.zeta is not None:
-        if args.beta is None or args.zeta is None:
-            raise ConfigError("--beta", "give both --beta and --zeta")
-        # Exponential checks beta first, so any other complaint is zeta's
-        flag = "--beta" if args.beta < 0 else "--zeta"
-        return cfgmod._checked(flag, Exponential, args.beta, args.zeta)
-    # default: unit-rate bonds scaled so the total mass equals --mu
-    return cfgmod._checked("--mu", Exponential, args.mu, 1.0)
+def _from_flags(build, **flags):
+    """What the config builder ``build`` makes of the flags given (None for
+    one left out), with a config error reported at its flag."""
+    try:
+        return build({k: v for k, v in flags.items() if v is not None},
+                     "gamma")[0]
+    except ConfigError as exc:
+        raise ConfigError("--" + exc.field.rsplit(".", 1)[-1],
+                          exc.message) from exc
 
 
 def _run_gamma(args) -> int:
-    psi = _gamma_potential(args)
-    kernel = _gamma_kernel(args)
+    if args.r is not None and args.psi != "tether":
+        raise ConfigError("--r", "only --psi tether takes a radius")
+    if (args.beta is None) != (args.zeta is None):
+        raise ConfigError("--beta", "give both --beta and --zeta")
+    if args.sweep is None and args.out is not None:
+        raise ConfigError("--out", "only --sweep writes a CSV")
+    if args.sweep is not None and args.v is not None:
+        raise ConfigError("--v", "--sweep sets the drives")
+    psi = _from_flags(cfgmod.build_potential, kind=args.psi, r=args.r)
+    # by default, unit-rate bonds of total mass 1
+    kernel = _from_flags(cfgmod.build_kernel, kind="exponential",
+                         beta=1.0 if args.beta is None else args.beta,
+                         zeta=1.0 if args.zeta is None else args.zeta)
     if args.sweep is not None:
         lo, hi, count = args.sweep
         if not (count.is_integer() and 2 <= count < _MAX_NODES):
@@ -160,10 +160,10 @@ def _run_gamma(args) -> int:
                               f"{_MAX_NODES - 1}, got {count:g}")
         if not lo < hi:
             raise ConfigError("--sweep", "need LO < HI")
-        if not isinstance(psi, AbsoluteValue):
+        if args.psi != "abs":
             raise ConfigError("--psi", "the sweep law is for the abs potential")
         report = velocity_force_sweep(kernel, np.linspace(lo, hi, int(count)))
-        report.to_csv(args.out)
+        report.to_csv(args.out or "gamma_sweep.csv")
         print(report.summary())
         return 0 if report.passed else 1
     if args.v is None:
@@ -204,16 +204,13 @@ def _build_parser() -> argparse.ArgumentParser:
     g = sub.add_parser("gamma", help="asymptotic velocity from the stationary law")
     g.add_argument("--psi", default="abs", choices=("abs", "quadratic", "tether"),
                    help="potential shape (default abs)")
-    g.add_argument("--r", type=_finite, help="tether radius when --psi tether")
-    g.add_argument("--mu", type=_finite, default=1.0,
-                   help="total bond mass for the default exponential kernel")
-    g.add_argument("--beta", type=_finite, help="kernel amplitude (with --zeta)")
-    g.add_argument("--zeta", type=_finite, help="kernel decay rate (with --beta)")
+    g.add_argument("--r", type=_finite, help="tether radius (--psi tether only)")
+    g.add_argument("--beta", type=_finite, help="kernel amplitude (default 1)")
+    g.add_argument("--zeta", type=_finite, help="kernel decay rate (default 1)")
     g.add_argument("--v", type=_finite, help="single drive value to solve at")
     g.add_argument("--sweep", type=_finite, nargs=3, metavar=("LO", "HI", "N"),
                    help="sweep N drive values in [LO, HI] against the law")
-    g.add_argument("--out", default="gamma_sweep.csv",
-                   help="CSV path for --sweep results")
+    g.add_argument("--out", help="--sweep CSV path (default gamma_sweep.csv)")
     return parser
 
 

@@ -1,12 +1,17 @@
 """JSON run configs: every section parsed, checked and resolved.
 
-:func:`resolve_run` builds each section a command reads (``model``; then
-``solver``, or ``study`` for ``converge`` and ``longtime``; then
-``output``) and checks the preconditions its solve or study would check
-at its start, so bad input fails before any computation starts, as a
+A command accepts exactly the settings it reads. :func:`resolve_run`
+builds ``model`` and ``output`` for every command; ``solver`` for
+``simulate``, ``mm``, ``limit`` and ``oracle``, where only ``simulate``
+takes a ``scheme`` (``limit`` and ``oracle`` take an ``eps`` they do not
+read); and ``study`` for ``converge`` and ``longtime``. Any other section,
+or a top-level ``command`` naming another subcommand, is rejected at
+``<config>.<key>``. It checks the preconditions the solve or study would
+check at its start, so bad input fails before any computation starts, as a
 :class:`ConfigError` carrying the dotted field path. It also returns the
 manifest: the config with every default filled in, which reproduces the
-run when fed back. A JSON ``null`` number, list or section counts as absent.
+run when fed back. A JSON ``null`` number, list or section counts as
+absent.
 """
 from __future__ import annotations
 
@@ -128,9 +133,11 @@ def _array(d, key, path):
 
 
 def build_potential(d, path="model.potential"):
+    # mollify leaves a psi without kinks as it is, so only the kinked
+    # kinds take a mollify_delta
     kind = _kind(d, path, "potential",
-                 {"quadratic": (), "tether": ("r",), "abs": (),
-                  "piecewise_linear": ("breaks", "slopes")}, "mollify_delta")
+                 {"quadratic": (), "tether": ("r",), "abs": ("mollify_delta",),
+                  "piecewise_linear": ("breaks", "slopes", "mollify_delta")})
     resolved = {"kind": kind}
     if kind == "quadratic":
         psi = Quadratic()
@@ -214,15 +221,19 @@ def build_drive(d, path="model.v"):
                    "values": list(map(float, values))}
 
 
-def build_solver(d, path="solver"):
-    _check_keys(d, {"eps", "T", "dt", "scheme"}, path)
-    eps = _num(d, "eps", path, default=1.0, positive=True)
-    T = _num(d, "T", path, default=1.0, positive=True)
-    dt = _num(d, "dt", path, default=1e-2, positive=True)
-    scheme = _get(d, "scheme", path, default="euler")
-    cfg = SolverConfig(eps=eps, T=T, dt=dt, scheme=scheme)
+def build_solver(d, path="solver", scheme=True):
+    """The :class:`SolverConfig` and its resolved section, which takes a
+    ``scheme`` only if ``scheme`` is true; else the scheme is Euler."""
+    _check_keys(d, {"eps", "T", "dt", "scheme"} if scheme else
+                {"eps", "T", "dt"}, path)
+    resolved = {"eps": _num(d, "eps", path, default=1.0, positive=True),
+                "T": _num(d, "T", path, default=1.0, positive=True),
+                "dt": _num(d, "dt", path, default=1e-2, positive=True)}
+    if scheme:
+        resolved["scheme"] = _get(d, "scheme", path, default="euler")
+    cfg = SolverConfig(**resolved)
     _checked(f"{path}.scheme", cfg.validated)
-    return cfg, {"eps": eps, "T": T, "dt": dt, "scheme": scheme}
+    return cfg, resolved
 
 
 def _build_study(d, command, path="study"):
@@ -258,6 +269,14 @@ def resolve_run(cfg, command):
     ``run`` is the :class:`SolverConfig`, or for a study the resolved
     ``study`` section; ``manifest`` is the resolved config.
     """
+    study = command in ("converge", "longtime")
+    reads = {"model", "output", "command", "study" if study else "solver"}
+    for key, value in cfg.items():
+        if key not in reads and value is not None:
+            raise ConfigError(f"<config>.{key}", f"not read by {command}")
+    if cfg.get("command") not in (None, command):
+        raise ConfigError("<config>.command",
+                          f"names {cfg['command']!r}, not {command!r}")
     model = _section(cfg, "model")
     _check_keys(model, {"potential", "kernel", "past", "v"}, "model")
     psi, r_pot = build_potential(_get(model, "potential", "model", required=True))
@@ -266,12 +285,13 @@ def resolve_run(cfg, command):
     drive, r_v = build_drive(_get(model, "v", "model", required=True))
     r_model = {"potential": r_pot, "kernel": r_ker, "past": r_past, "v": r_v}
     manifest = {"command": command, "model": r_model}
-    if command in ("converge", "longtime"):
+    if study:
         run = manifest["study"] = _build_study(_section(cfg, "study"),
                                                command)
     else:
         run, manifest["solver"] = build_solver(
-            _section(cfg, "solver", required=False))
+            _section(cfg, "solver", required=False),
+            scheme=command == "simulate")
     manifest["output"] = build_output(_section(cfg, "output", required=False),
                                       default_path=f"{command}.csv")
 

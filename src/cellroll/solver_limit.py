@@ -169,6 +169,12 @@ def _increasing_root(g, centre, scale, tol):
     return centre
 
 
+def _secant(lo, hi, y_lo, y_hi):
+    """The regula-falsi point of [lo, hi], where y_lo < 0 < y_hi; its
+    divisor is at least 1, so it cannot overflow on a finite bracket."""
+    return lo + (hi - lo) / (1.0 - y_hi / y_lo)
+
+
 def _itp(g, lo, hi, y_lo, y_hi, tol):
     """Root of the increasing set-valued g in [lo, hi], with y_lo < 0 < y_hi
     the upper selection of g at lo and the lower one at hi.
@@ -190,7 +196,7 @@ def _itp(g, lo, hi, y_lo, y_hi, tol):
     # in logs: (hi - lo) / tol overflows once the bracket is wider than 1e296
     n_max = math.ceil(math.log2(hi - lo) - math.log2(tol)) + 1
     j = 0  # probes made
-    x = (lo * y_hi - hi * y_lo) / (y_hi - y_lo)
+    x = _secant(lo, hi, y_lo, y_hi)
     for _ in range(2):
         if not (hi - lo > tol and lo < x < hi):
             break
@@ -202,7 +208,7 @@ def _itp(g, lo, hi, y_lo, y_hi, tol):
             lo, y_lo = x, ghi
         else:
             return x
-        if abs((lo * y_hi - hi * y_lo) / (y_hi - y_lo) - x) > 0.5 * tol:
+        if abs(_secant(lo, hi, y_lo, y_hi) - x) > 0.5 * tol:
             break
         x += 0.5 * tol if x == lo else -0.5 * tol
     k1 = 0.2 / (hi - lo)
@@ -217,7 +223,7 @@ def _itp(g, lo, hi, y_lo, y_hi, tol):
         if not lo < mid < hi:
             # lo and hi are adjacent floats: tol is below their spacing
             break
-        x_f = (lo * y_hi - hi * y_lo) / (y_hi - y_lo)
+        x_f = _secant(lo, hi, y_lo, y_hi)
         sigma = math.copysign(1.0, mid - x_f)
         delta = k1 * width * width
         x = x_f + sigma * delta if delta <= abs(mid - x_f) else mid

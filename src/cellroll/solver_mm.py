@@ -170,8 +170,6 @@ def _kink_sweep(e: StepEnergy, y: float) -> float:
         return z - dt * y
     u = ((z - e.anchors) / e.eps)[:, None]
     j, k = np.nonzero(u < kinks if up else u > kinks)
-    if j.size == 0:
-        return z - dt * y
     p = e.anchors[j] + e.eps * kinks[k]
     order = np.argsort(p)
     p = p[order]
@@ -288,13 +286,16 @@ def solve_mm(psi: Potential, kernel: Kernel, v, past: PastData,
         Supplies the starting node; the memory sum anchors only at computed
         nodes, so bonds predating t = 0 carry no force here.
     cfg : SolverConfig
-        Same grid contract as the smooth solver (age step dt/eps).
+        Same grid contract as the smooth solver (age step dt/eps). Each
+        step is one implicit minimization, so the scheme must be "euler".
 
     Returns
     -------
     Trajectory
     """
     cfg = cfg.validated()
+    if cfg.scheme != "euler":
+        raise ValueError(f"solve_mm has no {cfg.scheme!r} scheme; use 'euler'")
     _reject_unbounded(psi)
     eps, dt = float(cfg.eps), float(cfg.dt)
     n_steps = step_count(cfg.T, dt)

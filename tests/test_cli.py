@@ -5,6 +5,7 @@ import json
 import math
 import os
 import re
+import shlex
 import shutil
 import subprocess
 import sys
@@ -73,6 +74,9 @@ def creep_config():
             "solver": {"eps": 1.0, "T": 0.3, "dt": 1e-3}}
 
 
+CONFIG_COMMANDS = ("simulate", "mm", "limit", "oracle", "converge", "longtime")
+
+
 def valid_config(command):
     """A config each config command accepts, with an entry of every shape:
     a number, a list of numbers, a string and a nested object."""
@@ -82,7 +86,7 @@ def valid_config(command):
         cfg = quad_config()
     if command == "mm":
         cfg["model"]["potential"] = {"kind": "piecewise_linear",
-                                     "breaks": [0.0], "slopes": [-1.0, 1.0]}
+                                     "breaks": [1.0], "slopes": [0.5, 1.0]}
         cfg["model"]["past"] = {"kind": "tabulated", "tau": [-1.0, 0.0],
                                 "values": [0.0, -0.001]}
     if command == "limit":
@@ -99,16 +103,66 @@ def valid_config(command):
     return cfg
 
 
+# every setting that no code reads, and so exits 2 naming it: a config
+# change as (path, value) on valid_config(command), or gamma's argv
+UNREAD = [
+    *[pytest.param(command, (("study",), {"T": 9.0, "dt": 1.0}),
+                   "<config>.study", id=f"{command}-study")
+      for command in ("simulate", "mm", "limit", "oracle")],
+    *[pytest.param(command, (("solver",), {"T": 1.0}), "<config>.solver",
+                   id=f"{command}-solver")
+      for command in ("converge", "longtime")],
+    *[pytest.param(command, (("solver", "scheme"), scheme), "solver.scheme",
+                   id=f"{command}-{scheme}")
+      for command in ("mm", "limit", "oracle") for scheme in ("euler", "heun")],
+    pytest.param("simulate", (("model", "potential"),
+                              {"kind": "quadratic", "mollify_delta": 0.1}),
+                 "model.potential.mollify_delta", id="quadratic-mollify"),
+    pytest.param("limit", (("model", "potential"),
+                           {"kind": "tether", "r": 0.8, "mollify_delta": 0.1}),
+                 "model.potential.mollify_delta", id="tether-mollify"),
+    pytest.param("oracle", (("command",), "mm"), "<config>.command",
+                 id="oracle-command-mm"),
+    pytest.param("converge", (("command",), "longtime"), "<config>.command",
+                 id="converge-command-longtime"),
+    pytest.param("gamma", ("--r", "1", "--v", "1"), "--r", id="gamma-r-abs"),
+    pytest.param("gamma", ("--v", "1", "--sweep", "-3", "3", "5"), "--v",
+                 id="gamma-v-sweep"),
+    pytest.param("gamma", ("--v", "1", "--out", "gamma.csv"), "--out",
+                 id="gamma-out-v"),
+]
+
+
+@pytest.mark.parametrize("command, change, field", UNREAD)
+def test_unread_setting_exits_two(capsys, tmp_path, monkeypatch, command,
+                                  change, field):
+    monkeypatch.chdir(tmp_path)
+    if command == "gamma":
+        argv = ["gamma", *change]
+    else:
+        cfg = valid_config(command)
+        (*keys, last), value = change
+        node = cfg
+        for key in keys:
+            node = node.setdefault(key, {})
+        node[last] = value
+        argv = [command, "--config", write_config(tmp_path / "run.json", cfg)]
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert err.startswith(f"config error: {field}: ")
+    assert os.listdir(tmp_path) == ([] if command == "gamma" else ["run.json"])
+
+
 class TestGamma:
     def test_prints_sliding_velocity(self, capsys):
         code, out, _ = run(capsys, "gamma", "--psi", "abs",
-                           "--mu", "1", "--v", "1.5")
+                           "--beta", "1", "--zeta", "1", "--v", "1.5")
         assert code == 0
         assert out.strip() == "0.5"
 
     def test_pinned_band_prints_zero(self, capsys):
         code, out, _ = run(capsys, "gamma", "--psi", "abs",
-                           "--mu", "1", "--v", "0.7")
+                           "--beta", "1", "--zeta", "1", "--v", "0.7")
         assert code == 0
         assert out.strip() == "0"
 
@@ -168,7 +222,7 @@ class TestGamma:
     @pytest.mark.parametrize("argv, flag", [
         (["--beta", "-1", "--zeta", "1"], "--beta"),
         (["--zeta", "0", "--beta", "1"], "--zeta"),
-        (["--mu", "-1"], "--mu"),
+        (["--beta", "0", "--zeta", "-1"], "--zeta"),
         (["--beta", "1", "--zeta", "1e-310"], "--zeta"),
         (["--beta", "1e10", "--zeta", "1e-300"], "--zeta"),
     ])
@@ -177,9 +231,22 @@ class TestGamma:
         assert code == 2
         assert err.startswith(f"config error: {flag}: ")
 
+    def test_zero_beta_is_free_motion(self, capsys):
+        code, out, _ = run(capsys, "gamma", "--beta", "0", "--zeta", "1",
+                           "--v", "1.5")
+        assert (code, out) == (0, "1.5\n")
+
+    @pytest.mark.parametrize("mu", ["-1", "nan"])
+    def test_mu_is_an_unknown_argument(self, capsys, mu):
+        # --beta M --zeta 1 is the kernel --mu M gave
+        with pytest.raises(SystemExit) as exc:
+            main(["gamma", "--mu", mu, "--v", "1"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --mu" in capsys.readouterr().err
+
     @pytest.mark.parametrize("argv, flag", [
         (["--v", "nan"], "--v"),
-        (["--mu", "nan", "--v", "1"], "--mu"),
+        (["--beta", "1", "--zeta", "nan", "--v", "1"], "--zeta"),
         (["--beta", "inf", "--zeta", "1", "--v", "1"], "--beta"),
         (["--beta", "1", "--zeta=-inf", "--v", "1"], "--zeta"),
         (["--psi", "tether", "--r", "inf", "--v", "1"], "--r"),
@@ -228,6 +295,46 @@ class TestTrajectoryCommands:
                          "--out", str(second))
         assert code == 0
         assert first.read_bytes() == second.read_bytes()
+
+    @pytest.mark.parametrize("command", ["simulate", "mm"])
+    def test_tabulated_kernel_and_past_rerun_from_the_manifest(
+            self, capsys, tmp_path, command):
+        cfg_dict = quad_config(T=0.5, dt=1e-2)
+        kernel = {"kind": "tabulated", "a": [0.0, 0.5, 1.0, 2.0],
+                  "values": [1.0, 0.6, 0.3, 0.0]}
+        past = {"kind": "tabulated", "tau": [-2.0, -1.0, 0.0],
+                "values": [-1.0, 0.0, 1.0]}
+        cfg_dict["model"].update(kernel=kernel, past=past)
+        first = tmp_path / "first.csv"
+        code, _, err = run(capsys, command, "--config",
+                           write_config(tmp_path / "run.json", cfg_dict),
+                           "--out", str(first))
+        assert (code, err) == (0, "")
+        manifest = tmp_path / "first.manifest.json"
+        model = json.loads(manifest.read_text())["model"]
+        assert model["kernel"] == {**kernel, "a_max": 2.0}
+        assert model["past"] == past
+        second = tmp_path / "second.csv"
+        assert run(capsys, command, "--config", str(manifest),
+                   "--out", str(second))[0] == 0
+        assert first.read_bytes() == second.read_bytes()
+
+    @pytest.mark.parametrize("command", CONFIG_COMMANDS)
+    def test_manifest_holds_what_the_command_reads(self, capsys, tmp_path,
+                                                   command):
+        cfg_dict = valid_config(command)
+        cfg_dict["output"]["path"] = str(tmp_path / "run.csv")
+        solves = {name: mock.MagicMock() for name in SOLVES}
+        with mock.patch.multiple("cellroll.cli", **solves):
+            code, _, err = run(capsys, command, "--config",
+                               write_config(tmp_path / "run.json", cfg_dict))
+        assert (code, err) == (0, "")
+        manifest = json.loads((tmp_path / "run.manifest.json").read_text())
+        section = "study" if command in ("converge", "longtime") else "solver"
+        assert set(manifest) == {"command", "model", "output", section}
+        if section == "solver":
+            scheme = {"scheme"} if command == "simulate" else set()
+            assert set(manifest["solver"]) == {"eps", "T", "dt", *scheme}
 
     def test_mm_matches_oracle_final_position(self, capsys, tmp_path):
         cfg = write_config(tmp_path / "creep.json", creep_config())
@@ -503,6 +610,8 @@ class TestFailureExits:
     def test_malformed_section_reports_its_name(self, capsys, tmp_path,
                                                 command, section, value):
         cfg_dict = quad_config()
+        if section == "study":  # a study reads no solver section
+            del cfg_dict["solver"]
         cfg_dict[section] = value
         cfg = write_config(tmp_path / "run.json", cfg_dict)
         code, _, err = run(capsys, command, "--config", cfg,
@@ -550,6 +659,8 @@ class TestFailureExits:
     def test_non_finite_or_boolean_number_reports_its_field(
             self, capsys, tmp_path, command, keys, value, field):
         cfg_dict = quad_config()
+        if keys[0] == "study":  # a study reads no solver section
+            del cfg_dict["solver"]
         node = cfg_dict
         for key in keys[:-1]:
             node = node.setdefault(key, {})
@@ -559,6 +670,20 @@ class TestFailureExits:
                            "--out", str(tmp_path / "run.csv"))
         assert code == 2
         assert err.startswith(f"config error: {field}")
+
+    @pytest.mark.parametrize("table, field, message", [
+        ({"t": [0.0, 1.0], "values": [1.0]}, "model.v.values",
+         "length must match t"),
+        ({"t": [0.0, 1.0, 1.0], "values": [1.0, 2.0, 3.0]}, "model.v.t",
+         "must be strictly increasing"),
+    ], ids=["length", "order"])
+    def test_table_drive_reports_its_field(self, capsys, tmp_path, table,
+                                           field, message):
+        cfg_dict = quad_config()
+        cfg_dict["model"]["v"] = {"kind": "table", **table}
+        cfg = write_config(tmp_path / "run.json", cfg_dict)
+        code, _, err = run(capsys, "limit", "--config", cfg)
+        assert (code, err) == (2, f"config error: {field}: {message}\n")
 
     def test_dropped_tol_fixedpoint_is_an_unknown_field(self, capsys,
                                                         tmp_path):
@@ -825,8 +950,6 @@ class TestStudyCommands:
         assert "study.slack" in err and "unknown field" in err
 
 
-CONFIG_COMMANDS = ("simulate", "mm", "limit", "oracle", "converge", "longtime")
-
 # every solve, study and closed form a config command calls, and the CSV
 # writer the oracle calls; stubbed, a drawn grid size allocates nothing
 SOLVES = dict.fromkeys(
@@ -895,17 +1018,36 @@ def test_config_commands_never_traceback(case):
                         err.getvalue()), err.getvalue()
 
 
+def test_readme_gamma_lines_run_as_documented(capsys, tmp_path, monkeypatch):
+    # every `cellroll gamma` line of README's command-line block, in a
+    # scratch directory since the sweep writes its CSV there
+    readme = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        block = fh.read().split("## Command line", 1)[1].split("```")[1]
+    lines = [line for line in block.splitlines()
+             if line.startswith("cellroll gamma ")]
+    assert sum("# prints " in line for line in lines) >= 2
+    monkeypatch.chdir(tmp_path)
+    for line in lines:
+        command, _, comment = line.partition("# ")
+        code, out, err = run(capsys, *shlex.split(command)[1:])
+        assert (code, err) == (0, ""), line
+        if comment.startswith("prints "):
+            assert out == comment[len("prints "):].strip() + "\n", line
+
+
 def test_console_script_is_installed():
     exe = shutil.which("cellroll")
     assert exe is not None
-    proc = subprocess.run([exe, "gamma", "--psi", "abs", "--mu", "1",
-                           "--v", "1.5"], capture_output=True, text=True)
+    proc = subprocess.run([exe, "gamma", "--psi", "abs", "--v", "1.5"],
+                          capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout.strip() == "0.5"
 
 
 def test_module_entry_point():
-    proc = python("-m", "cellroll", "gamma", "--mu", "1", "--v", "1.5")
+    proc = python("-m", "cellroll", "gamma", "--v", "1.5")
     assert proc.returncode == 0
     assert proc.stdout.strip() == "0.5"
 

@@ -331,6 +331,28 @@ class TestRollingStep:
             # only the g_hi probe that sent the step down may read psi
             assert len(passes) <= 1
 
+    @pytest.mark.parametrize("psi", [
+        AbsoluteValue(), PiecewiseLinear([1.0], [0.3, 2.0])],
+        ids=["abs", "piecewise"])
+    @pytest.mark.parametrize("eps", [0.5, 1.0])
+    @pytest.mark.parametrize("up", [True, False], ids=["up", "down"])
+    def test_unbounded_anchors_past_the_kinks_step_linearly(self, psi, eps,
+                                                            up):
+        # with bounds +-inf the O(1) test never holds, so the sweep makes
+        # its pass over the anchors and finds no kink on the root's side
+        anchors = np.array([0.0, 0.3, -0.2])
+        kinks = psi.kinks
+        if up:
+            previous, drive = anchors.max() + eps * kinks[-1] + 0.1, 3.0
+        else:
+            previous, drive = anchors.min() + eps * kinks[0] - 0.1, -3.0
+        exact = StepEnergy(psi, float(previous), 0.1, drive,
+                           np.array([0.5, 0.2, 0.3]), anchors, eps)
+        blind = replace(exact, anchor_max=math.inf, anchor_min=-math.inf)
+        w = minimize_step(exact)
+        assert (w > previous) == up
+        assert minimize_step(blind) == pytest.approx(w, abs=1e-14)
+
     @settings(max_examples=200, derandomize=True, deadline=None)
     @given(values=st.lists(st.sampled_from([-1.0, 0.0, 0.5]) | st.floats(-2, 2),
                            min_size=1, max_size=40),
@@ -556,6 +578,23 @@ class TestSolveMM:
         with pytest.raises(ValueError, match="age"):
             solve_mm(AbsoluteValue(), Exponential(1.0, 1.0), 0.0,
                      ConstantPast(0.0), cfg)
+
+    def test_zero_psi_is_free_motion(self):
+        # psi = 0 has no kink: every step is Z^n = Z^{n-1} + dt v(t_n)
+        v = lambda t: math.sin(6.0 * t) + 0.25
+        cfg = SolverConfig(eps=1.0, T=1.0, dt=1e-2)
+        traj = solve_mm(PiecewiseLinear([], [0.0]), Exponential(1.0, 1.0), v,
+                        ConstantPast(0.4), cfg)
+        drives = [v(n * 1e-2) for n in range(1, 101)]
+        np.testing.assert_allclose(
+            traj.values, 0.4 + 1e-2 * np.cumsum([0.0, *drives]),
+            rtol=0, atol=1e-14)
+
+    def test_rejects_heun(self):
+        # every step is one implicit minimization: there is no Heun step
+        with pytest.raises(ValueError, match="heun"):
+            solve_mm(AbsoluteValue(), Exponential(1.0, 1.0), 0.0,
+                     ConstantPast(0.0), SolverConfig(scheme="heun"))
 
     def test_rejects_doubly_unbounded_potential(self):
         class Unbounded(Potential):
