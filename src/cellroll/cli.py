@@ -5,7 +5,7 @@ Subcommands
 simulate / mm / limit
     Integrate one trajectory from a JSON config and write ``t,z,zdot`` CSV.
 oracle
-    Closed-form reference trajectory (plastic or kinematic) on the same
+    Closed-form reference trajectory (``oracles.AbsProfile``) on the same
     grid, for the abs potential on a truncated_exponential kernel.
 gamma
     Print the asymptotic velocity for a constant drive (``--v``), or sweep
@@ -49,8 +49,7 @@ from .experiments import (convergence_study, longtime_study,
                           velocity_force_sweep)
 from .history import _Grid, write_trajectory_csv
 from .memory import _MAX_NODES, step_count
-from .oracles import (kinematic_trajectory, kinematic_velocity,
-                      plastic_trajectory)
+from .oracles import AbsProfile
 from .solver_limit import integrate_limit, limit_velocity
 from .solver_mm import solve_mm
 from .solver_smooth import solve_smooth
@@ -66,22 +65,15 @@ __all__ = ["main"]
 def _oracle(kernel, z0, v_inf, solver):
     """The closed-form trajectory on the solver's grid, as a CSV writer.
 
-    Nothing is built here: the writer makes the time grid and evaluates z
-    and zdot, which are elementwise in t, one block of times at a time, so
-    memory holds one block and the bytes equal those of whole-grid arrays.
+    Only the profile's stop time is found here: the writer makes the time
+    grid and evaluates z and zdot, which are elementwise in t, one block of
+    times at a time, so memory holds one block and the bytes equal those of
+    whole-grid arrays.
     """
     t = _Grid(step_count(solver.T, solver.dt) + 1, solver.dt)
-    if abs(v_inf) <= kernel.mu_total():
-        profile = plastic_trajectory(v_inf, kernel, z0)
-        z, zdot = profile.z, profile.zdot
-    else:
-        def z(tb):
-            return kinematic_trajectory(v_inf, kernel, z0, tb)
-
-        def zdot(tb):
-            return kinematic_velocity(v_inf, kernel, tb)
-    return lambda path, precision: write_trajectory_csv(path, t, z, zdot,
-                                                        precision)
+    profile = AbsProfile(v_inf, kernel, z0)
+    return lambda path, precision: write_trajectory_csv(
+        path, t, profile.z, profile.zdot, precision)
 
 
 def _run_config(cmd: str, args) -> int:
@@ -143,7 +135,8 @@ def _run_gamma(args) -> int:
     if args.r is not None and args.psi != "tether":
         raise ConfigError("--r", "only --psi tether takes a radius")
     if (args.beta is None) != (args.zeta is None):
-        raise ConfigError("--beta", "give both --beta and --zeta")
+        given = "--beta" if args.zeta is None else "--zeta"
+        raise ConfigError(given, "give both --beta and --zeta")
     if args.sweep is None and args.out is not None:
         raise ConfigError("--out", "only --sweep writes a CSV")
     if args.sweep is not None and args.v is not None:

@@ -1,5 +1,9 @@
 """Closed-form reference solutions used as ground truth in tests and studies.
 
+``AbsProfile`` is the paper's explicit solution of the constant-force case
+(psi = |u|, no bond older than t): one law, zdot = gamma_abs(v, mu(t)),
+for a drive that stops inside the band |v| <= mu_inf and for one that rolls
+outside it. ``quadratic_final_position`` is the quadratic potential's rest.
 Everything here is independent of the time-stepping solvers: exponential-kernel
 integrals are evaluated analytically and the remaining quadratures use dense
 trapezoid sums, so these functions can arbitrate solver output.
@@ -14,23 +18,24 @@ import numpy as np
 from .history import ConstantPast, LinearPast, PastData, TabulatedPast
 from .kernels import Exponential, Kernel
 
-__all__ = [
-    "PlasticProfile",
-    "quadratic_final_position",
-    "plastic_trajectory",
-    "kinematic_trajectory",
-    "kinematic_velocity",
-    "gamma_abs",
-]
+__all__ = ["AbsProfile", "quadratic_final_position", "gamma_abs"]
 
 
-def gamma_abs(v_inf: float, mu_inf: float) -> float:
-    """Asymptotic velocity for psi = |u|: zero inside the band [-mu, mu]."""
-    if mu_inf < 0:
+def gamma_abs(v_inf: float, mu_inf):
+    """Velocity for psi = |u| against the bond mass mu_inf: zero inside the
+    band [-mu, mu], v_inf - sgn(v_inf) mu_inf outside it.
+
+    ``mu_inf`` may be an array of masses, such as mu(t) on a time grid; a
+    scalar gives a float. A drive at rest has velocity +0.0 either side.
+    """
+    mu = np.asarray(mu_inf)
+    if mu.min(initial=0.0) < 0:  # initial=0.0 lets an empty array pass
         raise ValueError("mu_inf must be nonnegative")
-    if abs(v_inf) <= mu_inf:
-        return 0.0
-    return v_inf - math.copysign(mu_inf, v_inf)
+    if v_inf >= 0:
+        gamma = np.maximum(v_inf - mu, 0.0)
+    else:
+        gamma = np.minimum(v_inf + mu, 0.0)
+    return float(gamma) if gamma.ndim == 0 else gamma
 
 
 def _weighted_past_integral(zeta: float, past: PastData) -> float:
@@ -69,12 +74,14 @@ def quadratic_final_position(beta: float, zeta: float, past: PastData) -> float:
 
 
 @dataclass
-class PlasticProfile:
-    """Trajectory closure for the stuck regime |v_inf| <= mu_inf.
+class AbsProfile:
+    """Closed-form trajectory for psi = |u| under a constant drive v_inf.
 
-    The cell creeps while the accumulated bond mass is below the drive and
-    stops at t1, the first time with mu_inf(t1) = |v_inf|. The mass stops
-    growing at ``a_max``, so t1 <= a_max.
+    No bond is older than t, so the bond mass mu(t) = ``cummass(t, inf)``
+    grows to mu_inf and the cell moves at zdot = gamma_abs(v_inf, mu(t)).
+    Inside the band |v_inf| <= mu_inf it stops at t1, the first time with
+    mu(t1) = |v_inf| (0 for v_inf = 0); the mass stops growing at
+    ``a_max``, so t1 <= a_max. Outside the band it never stops: t1 = inf.
     """
 
     v_inf: float
@@ -83,38 +90,36 @@ class PlasticProfile:
     t1: float = field(init=False)
 
     def __post_init__(self):
-        v = abs(self.v_inf)
-        if v > self.kernel.mu_total():
-            raise ValueError(
-                "plastic profile requires |v_inf| <= mu_inf; use kinematic_trajectory"
-            )
-        self.t1 = _invert_mu(self.kernel, v) if v > 0.0 else 0.0
+        if gamma_abs(self.v_inf, self.kernel.mu_total()) != 0.0:
+            self.t1 = math.inf
+        else:
+            self.t1 = _invert_mu(self.kernel, abs(self.v_inf)) if self.v_inf else 0.0
 
     def zdot(self, t):
-        t = np.asarray(t, dtype=float)
-        rate = np.maximum(abs(self.v_inf) - self.kernel.cummass(t, math.inf), 0.0)
-        return math.copysign(1.0, self.v_inf) * rate if self.v_inf != 0 else 0.0 * rate
+        return gamma_abs(self.v_inf, self.kernel.cummass(t, math.inf))
 
     def z(self, t):
-        t_eff = np.minimum(np.asarray(t, dtype=float), self.t1)
-        return self.z0 + math.copysign(1.0, self.v_inf) * _creep_integral(
-            self.kernel, abs(self.v_inf), t_eff
-        ) if self.v_inf != 0 else self.z0 + 0.0 * np.asarray(t, dtype=float)
-
-    @property
-    def z_final(self) -> float:
-        return float(self.z(self.t1))
+        """z0 + v_inf s - sgn(v_inf) int_0^s mu with s = min(t, t1), the
+        integral of zdot."""
+        s = np.minimum(np.asarray(t, dtype=float), self.t1)
+        out = (self.z0 + self.v_inf * s
+               - math.copysign(1.0, self.v_inf) * _mu_integral(self.kernel, s))
+        return float(out) if out.ndim == 0 else out
 
 
 def _invert_mu(kernel: Kernel, target: float, tol: float = 1e-12) -> float:
+    """The first t with mu(t) >= target, to tol or to adjacent floats."""
     hi = 1.0
     while float(kernel.cummass(hi, math.inf)) < target:
-        hi *= 2.0
-        if hi > 1e12:
+        if hi >= kernel.a_max:  # the mass stops growing at a_max
             raise ValueError("cumulative mass never reaches |v_inf|")
+        hi *= 2.0
     lo = 0.0
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            # lo and hi are adjacent floats: tol is below their spacing
+            return hi
         if float(kernel.cummass(mid, math.inf)) < target:
             lo = mid
         else:
@@ -134,35 +139,10 @@ def _mu_integral(kernel: Kernel, t):
         cum += (b / z) * s
         cum += kernel.mu_total() * (t - s)
         return cum
-    tmax = float(np.max(t)) if t.size else 0.0
-    grid = np.linspace(0.0, max(tmax, 1e-12), 100001)
+    # a fixed grid on [0, a_max], so that no time's value depends on the
+    # others asked for, and the constant mu past it in closed form
+    grid = np.linspace(0.0, kernel.a_max, 100001)
     mu = kernel.cummass(grid, math.inf)
     cum = np.concatenate(([0.0], np.cumsum(0.5 * (grid[1] - grid[0]) * (mu[1:] + mu[:-1]))))
-    return np.interp(t, grid, cum)
-
-
-def _creep_integral(kernel: Kernel, v: float, t):
-    """int_0^t (v - mu(tau)) dtau."""
-    return v * np.asarray(t, dtype=float) - _mu_integral(kernel, t)
-
-
-def plastic_trajectory(v_inf: float, kernel: Kernel, z0: float) -> PlasticProfile:
-    """Closed-form stuck-regime trajectory; rejects |v_inf| > mu_inf."""
-    return PlasticProfile(float(v_inf), kernel, float(z0))
-
-
-def kinematic_velocity(v_inf: float, kernel: Kernel, t):
-    """zdot(t) = v_inf - sgn(v_inf) mu_inf(t) in the rolling regime."""
-    return v_inf - math.copysign(1.0, v_inf) * kernel.cummass(t, math.inf)
-
-
-def kinematic_trajectory(v_inf: float, kernel: Kernel, z0: float, t):
-    """z(t) = z0 + int_0^t (v_inf - sgn(v_inf) mu_inf(tau)) dtau for |v_inf| > mu_inf."""
-    if abs(v_inf) <= kernel.mu_total():
-        raise ValueError(
-            "kinematic trajectory requires |v_inf| > mu_inf; use plastic_trajectory"
-        )
-    t = np.asarray(t, dtype=float)
-    cum_mu = _mu_integral(kernel, t)
-    out = z0 + v_inf * t - math.copysign(1.0, v_inf) * cum_mu
-    return float(out) if out.ndim == 0 else out
+    return (np.interp(t, grid, cum)
+            + kernel.mu_total() * np.maximum(t - kernel.a_max, 0.0))

@@ -25,8 +25,7 @@ from cellroll import cli, memory
 from cellroll.cli import main
 from cellroll.history import write_trajectory_csv
 from cellroll.kernels import TruncatedExponential
-from cellroll.oracles import (gamma_abs, kinematic_trajectory,
-                              kinematic_velocity, plastic_trajectory)
+from cellroll.oracles import AbsProfile, gamma_abs
 
 
 def run(capsys, *argv):
@@ -35,12 +34,13 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def python(*argv):
+def python(*argv, timeout=None):
     """Run a fresh interpreter on the checkout's ``src``, stdio buffered."""
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     return subprocess.run([sys.executable, *argv], capture_output=True,
-                          text=True, env=dict(env, PYTHONPATH=src))
+                          text=True, env=dict(env, PYTHONPATH=src),
+                          timeout=timeout)
 
 
 def write_config(path, cfg):
@@ -215,9 +215,11 @@ class TestGamma:
         assert "--r" in err
 
     def test_partial_kernel_flags_rejected(self, capsys):
-        code, _, err = run(capsys, "gamma", "--beta", "2", "--v", "1")
-        assert code == 2
-        assert "--beta" in err
+        # the error names the flag that was given, not its missing partner
+        for flag in ("--beta", "--zeta"):
+            code, _, err = run(capsys, "gamma", flag, "2", "--v", "1")
+            assert code == 2
+            assert err == f"config error: {flag}: give both --beta and --zeta\n"
 
     @pytest.mark.parametrize("argv, flag", [
         (["--beta", "-1", "--zeta", "1"], "--beta"),
@@ -413,16 +415,11 @@ class TestTrajectoryCommands:
         out_csv = tmp_path / "oracle.csv"
         assert run(capsys, "oracle", "--config", cfg,
                    "--out", str(out_csv))[0] == 0
-        kernel, z0 = TruncatedExponential(beta, zeta), -0.001
+        profile = AbsProfile(v, TruncatedExponential(beta, zeta), -0.001)
         t = np.arange(3001) * 1e-3
-        if abs(v) <= kernel.mu_total():
-            profile = plastic_trajectory(v, kernel, z0)
-            z, zdot = profile.z(t), profile.zdot(t)
-        else:
-            z = kinematic_trajectory(v, kernel, z0, t)
-            zdot = kinematic_velocity(v, kernel, t)
         whole = tmp_path / "whole.csv"
-        write_trajectory_csv(whole, t, z, zdot, precision)
+        write_trajectory_csv(whole, t, profile.z(t), profile.zdot(t),
+                             precision)
         assert out_csv.read_bytes() == whole.read_bytes()
 
     @pytest.mark.parametrize("T", [200.0, 800.0])
@@ -954,8 +951,7 @@ class TestStudyCommands:
 # writer the oracle calls; stubbed, a drawn grid size allocates nothing
 SOLVES = dict.fromkeys(
     ("solve_smooth", "solve_mm", "integrate_limit", "convergence_study",
-     "longtime_study", "plastic_trajectory", "kinematic_trajectory",
-     "kinematic_velocity", "write_trajectory_csv"), mock.MagicMock())
+     "longtime_study", "AbsProfile", "write_trajectory_csv"), mock.MagicMock())
 
 _huge = (st.integers(min_value=2**1024, max_value=10**400)
          | st.integers(min_value=-10**400, max_value=-2**1024))
@@ -1071,6 +1067,39 @@ def test_module_run_writes_every_output(tmp_path):
     assert python("-m", "cellroll", "oracle", "--config", str(manifest),
                   "--out", str(again)).returncode == 0
     assert again.read_bytes() == out_csv.read_bytes()
+
+
+@pytest.mark.parametrize("rate", [1e-3, 1e-11])
+def test_oracle_stop_time_past_the_float_spacing_of_tol(tmp_path, rate):
+    # mu(t1) = |v| at t1 = 37430 (3.7e12 at the lower rate, past 1e12,
+    # where the bracket search once gave up), where adjacent floats lie
+    # more than the stop-time bisection's 1e-12 apart; that bisection once
+    # never ended, so it runs in a subprocess, and a regression fails
+    # within a minute
+    cfg_dict = creep_config()
+    cfg_dict["model"]["kernel"].update(beta=rate, zeta=rate)
+    cfg_dict["model"]["v"]["value"] = 1.0
+    cfg_dict["solver"].update(T=1.0, dt=1e-3)
+    cfg = write_config(tmp_path / "run.json", cfg_dict)
+    out_csv = tmp_path / "oracle.csv"
+    proc = python("-m", "cellroll", "oracle", "--config", cfg,
+                  "--out", str(out_csv), timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    t, z, zdot = np.loadtxt(out_csv, delimiter=",", skiprows=1)[-1]
+    # zdot = 1 - (1 - e^{-rate t}), z = z0 + (1 - e^{-rate t}) / rate
+    assert t == 1.0
+    assert zdot == pytest.approx(math.exp(-rate), abs=1e-15)
+    assert z == pytest.approx(-0.001 - math.expm1(-rate) / rate, abs=1e-12)
+    # the float below t1 holds less mass than the drive, t1 itself enough
+    proc = python("-c", f"""if True:
+        import math
+        from cellroll.kernels import TruncatedExponential
+        from cellroll.oracles import AbsProfile
+        k = TruncatedExponential({rate}, {rate})
+        t1 = AbsProfile(1.0, k, 0.0).t1
+        print(k.cummass(math.nextafter(t1, 0.0), math.inf) < 1.0
+              <= k.cummass(t1, math.inf))""", timeout=60)
+    assert (proc.stdout, proc.stderr) == ("True\n", "")
 
 
 class TestHeapFreeze:

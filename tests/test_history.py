@@ -17,7 +17,7 @@ from cellroll.history import (_BLOCK_ROWS, ConstantPast, LinearPast,
                               TabulatedPast, Trajectory, _BlockText,
                               write_trajectory_csv)
 from cellroll.kernels import Exponential, TruncatedExponential
-from cellroll.oracles import kinematic_trajectory, kinematic_velocity
+from cellroll.oracles import AbsProfile
 from cellroll.potentials import Quadratic
 from cellroll.solver_smooth import SolverConfig, solve_smooth
 
@@ -403,10 +403,9 @@ class TestBlockWriter:
     def test_block_text_needs_no_index_array(self):
         # one block of the oracle's rows; selecting the kept characters by
         # an index array (np.compress) took 8 bytes per character for it
-        kernel = TruncatedExponential(1.0, 1.0)
+        profile = AbsProfile(1.5, TruncatedExponential(1.0, 1.0), 0.0)
         t = np.arange(_BLOCK_ROWS, dtype=float) * 1e-3
-        values = np.column_stack([t, kinematic_trajectory(1.5, kernel, 0.0, t),
-                                  kinematic_velocity(1.5, kernel, t)]).ravel()
+        values = np.column_stack([t, profile.z(t), profile.zdot(t)]).ravel()
         text = _BlockText(17, 3, _BLOCK_ROWS)
         want = list(text(values))  # builds the cached tables first
         tracemalloc.start()
@@ -428,10 +427,9 @@ class TestBlockWriter:
         # block's parts returned as one list it peaked at 642 906 bytes. The
         # bound is 5% over the first, for the temporaries other numpy and
         # Python versions may trace, and 10% under the second.
-        kernel = TruncatedExponential(1.0, 1.0)
+        profile = AbsProfile(1.5, TruncatedExponential(1.0, 1.0), 0.0)
         t = np.arange(_BLOCK_ROWS, dtype=float) * 1e-3
-        values = np.column_stack([t, kinematic_trajectory(1.5, kernel, 0.0, t),
-                                  kinematic_velocity(1.5, kernel, t)]).ravel()
+        values = np.column_stack([t, profile.z(t), profile.zdot(t)]).ravel()
         b"".join(_BlockText(17, 3, 1)(values[:3]))  # builds the cached tables
         tracemalloc.start()
         try:
@@ -484,10 +482,9 @@ class TestBlockWriter:
         assert main(["oracle", "--config", str(tmp_path / "run.json"),
                      "--out", str(path)]) == 0
         capsys.readouterr()
-        kernel = TruncatedExponential(1.0, 1.0)
+        profile = AbsProfile(1.5, TruncatedExponential(1.0, 1.0), 0.0)
         t = np.arange(200_001) * 1e-3
-        z = kinematic_trajectory(1.5, kernel, 0.0, t)
-        zdot = kinematic_velocity(1.5, kernel, t)
+        z, zdot = profile.z(t), profile.zdot(t)
         assert np.count_nonzero(zdot == 0.5) > 100_000
         assert_per_row_format(path, ("t", "z", "zdot"),
                               zip(t.tolist(), z.tolist(), zdot.tolist()), 17)
