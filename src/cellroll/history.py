@@ -88,6 +88,8 @@ class TabulatedPast(PastData):
         v = np.asarray(values, dtype=float)
         if tau.ndim != 1 or tau.size < 2 or v.shape != tau.shape:
             raise ValueError("tau_grid and values must be 1-d arrays of equal length >= 2")
+        if not (np.all(np.isfinite(tau)) and np.all(np.isfinite(v))):
+            raise ValueError("tau_grid and values must be finite")
         if np.any(np.diff(tau) <= 0):
             raise ValueError("tau_grid must be strictly increasing")
         if tau[-1] != 0.0 or tau[0] >= 0.0:

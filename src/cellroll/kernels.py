@@ -5,8 +5,8 @@ total mass mu_inf (``mu_total``); the static profile and its mass mu(t) are
 ``eval(a, inf)`` and ``cummass(t, inf)``. All stop at the truncation horizon
 ``a_max``, so they see the same bonds. The exponential kinds default to an
 ``a_max`` at which the neglected tail of (1 + a^2) rho is below 1e-10; a
-tabulated kernel defaults to the end of its grid. ``TruncatedExponential``
-also cuts ages older than t.
+tabulated kernel defaults to the end of its grid, and every ``a_max`` must
+be finite and positive. ``TruncatedExponential`` also cuts ages older than t.
 """
 from __future__ import annotations
 
@@ -25,12 +25,14 @@ class Kernel:
     the oldest age carrying bonds at time t, and applies the optional time
     ``modulation``: below the support, rho(a, t) = modulation(t) *
     ``profile(a)``. ``Memory`` reads ``profile`` once per run and applies
-    the support cut and the modulation to its windows itself.
+    the support cut and the modulation to its windows itself. A modulation
+    value that is negative or not finite raises ValueError naming t.
 
-    ``time_dependent`` is True when rho(a, t) genuinely varies with t: a
-    modulated kernel, or a kind whose ``support(t)`` cuts ages (the
-    age-truncation indicator of ``TruncatedExponential``). A modulated
-    kernel has no value at t = inf, so every quantity there raises ValueError.
+    ``time_dependent`` is derived: the kernel is modulated, or ``support(0)``
+    cuts ages below ``a_max`` (the support never decreases, so one that keeps
+    every age at t = 0 keeps them at every t); a kind that cuts ages only by
+    overriding ``support`` needs no flag. A modulated kernel has no value at
+    t = inf, so every quantity there raises ValueError.
     """
 
     a_max: float
@@ -38,7 +40,7 @@ class Kernel:
 
     @property
     def time_dependent(self) -> bool:
-        return self.modulation is not None
+        return self.modulation is not None or self.support(0.0) < self.a_max
 
     def support(self, t) -> float:
         """Upper age limit of rho(., t); quadratures stop here.
@@ -77,7 +79,21 @@ class Kernel:
             # the modulation need not settle, so rho(., inf) and the total
             # mass are undefined
             raise ValueError("time-modulated kernel has no value at t = inf")
-        return value * self.modulation(t)
+        scale = self.modulation(t)
+        if not 0.0 <= scale < math.inf:  # NaN fails too
+            raise ValueError(f"kernel modulation at t = {t:.6g} is {scale!r}; "
+                             "it must be finite and nonnegative")
+        return value * scale
+
+
+def _horizon(a_max) -> float:
+    """``a_max`` as a float, where every mass stops: finite and positive."""
+    a_max = float(a_max)
+    if not math.isfinite(a_max):
+        raise ValueError(f"a_max = {a_max} is not finite")
+    if not a_max > 0.0:
+        raise ValueError(f"a_max = {a_max} is not positive")
+    return a_max
 
 
 class Exponential(Kernel):
@@ -90,10 +106,12 @@ class Exponential(Kernel):
             raise ValueError("zeta must be positive")
         self.beta = float(beta)
         self.zeta = float(zeta)
-        self.a_max = float(a_max) if a_max is not None else 40.0 / self.zeta
-        if not math.isfinite(self.a_max):
-            raise ValueError("a_max is not finite (the default 40/zeta "
-                             "overflows for a subnormal zeta)")
+        if a_max is None:
+            a_max = 40.0 / self.zeta
+            if math.isinf(a_max):
+                raise ValueError("a_max is not finite (the default 40/zeta "
+                                 "overflows for a subnormal zeta)")
+        self.a_max = _horizon(a_max)
         if not math.isfinite(self.beta / self.zeta):  # the scale of every mass
             raise ValueError("beta/zeta overflows; zeta is too small for beta")
 
@@ -113,8 +131,6 @@ class TruncatedExponential(Exponential):
     Models linkages that only start forming at t = 0: at time t no bond can be
     older than the process itself.
     """
-
-    time_dependent = True
 
     def support(self, t) -> float:
         return min(float(t), self.a_max)
@@ -143,6 +159,8 @@ class Tabulated(Kernel):
         v = np.asarray(values, dtype=float)
         if a.ndim != 1 or a.size < 2 or v.shape != a.shape:
             raise ValueError("a_grid and values must be 1-d arrays of equal length >= 2")
+        if not (np.all(np.isfinite(a)) and np.all(np.isfinite(v))):
+            raise ValueError("a_grid and values must be finite")
         if a[0] < 0 or np.any(np.diff(a) <= 0):
             raise ValueError("a_grid must be nonnegative and strictly increasing")
         if np.any(v < 0):
@@ -150,7 +168,7 @@ class Tabulated(Kernel):
         self.a_grid = a
         self.values = v
         self.modulation = modulation
-        self.a_max = float(a_max) if a_max is not None else float(a[-1])
+        self.a_max = _horizon(a_max if a_max is not None else a[-1])
         self._cum = np.concatenate(([0.0], np.cumsum(0.5 * (v[:-1] + v[1:]) * np.diff(a))))
 
     def _rho(self, a):

@@ -75,35 +75,32 @@ class Memory:
     kernel's ``profile`` read once, times the rule's q_j, which is da, or
     da/2 at the trapezoid's two ends ("trapezoid"; "rectangle" halves
     none). The kernel's time dependence enters a window in two ways. A
-    modulated kernel scales every weight by ``modulation(t)``. When
-    ``support(t)`` is below ``a_max`` (a kernel whose time dependence is an
-    age cutoff), the window at time t stops before the first age
-    a_j >= support(t). So a bond exactly t old is dropped here, although
-    ``Kernel.eval`` counts it (a <= t).
+    modulated kernel scales every weight by ``modulation(t)``. A window
+    whose kernel support s = ``support(t)`` is below ``a_max`` (a kernel
+    whose time dependence is an age cutoff) holds the ages a_j < s by their
+    float values. So a bond exactly t old is dropped here, although
+    ``Kernel.eval`` counts it (a <= t). Once s >= a_max, it holds all
+    J + 1 ages.
 
     Windows are asked for at times t <= ``horizon``. The grid stops where
-    the window at the horizon does, so it holds the ages a_0 .. a_{K-1}
-    below ``support(horizon)``, K >= 1, or all J + 1 when that window holds
-    them all; a time-independent support keeps them all. Every window, and
-    every weight it reads, is the full grid's bit for bit: the trapezoid
-    halves the oldest stored age only when the grid reaches a_J.
+    the window at the horizon does, by the same count, so it holds the
+    ages a_0 .. a_{K-1} of that window, K >= 1; a static kernel keeps all
+    J + 1. Every window, and every weight it reads, is the full grid's bit
+    for bit: the trapezoid halves the oldest stored age only when the grid
+    reaches a_J.
     """
 
     def __init__(self, kernel: Kernel, eps: float, dt: float, rule: str,
                  horizon: float = math.inf):
         da, J = _age_grid(kernel, eps, dt)
-        # a_J is in a window iff the support passes this key: a_J < support,
-        # or support >= a_max
-        key = min(da * J, math.nextafter(kernel.a_max, -math.inf))
-        support = kernel.support(horizon)
-        size = J + 1 if support > key else max(_ages_below(support, da), 1)
+        size = J + 1
+        if kernel.time_dependent:
+            size = max(int(_window_sizes(kernel.support(horizon),
+                                         kernel.a_max, da, size)), 1)
         self.kernel = kernel
         self.dt = dt
+        self._da = da
         self.ages = da * np.arange(size)
-        # below the full grid no window reaches the key, so every count is
-        # the ages under the support
-        self._older, self._last_key = ((self.ages[:-1], key) if size > J
-                                       else (self.ages, math.inf))
         profile = kernel.profile(self.ages[::-1])
         self.weights = da * profile
         if rule == "trapezoid":
@@ -123,35 +120,35 @@ class Memory:
         ``times``, with counts capped by ``hi`` (a number or an array).
 
         Window i holds the last m[i] of ``weights`` times scale[i], which is
-        ``modulation(times[i])``, or 1 for a kernel without modulation. The
-        support cut is applied to all times at once, and every total is read
-        off one cumulative sum of the weights, youngest age first, times its
-        scale: none comes from a subtraction.
+        ``modulation(times[i])`` as the kernel checks it, or 1 for a kernel
+        without modulation. The count rule is applied to all times of a
+        time-dependent kernel at once, and every total is read off one
+        cumulative sum of the weights, youngest age first, times its scale:
+        none comes from a subtraction.
         """
-        size = self.ages.size
+        kernel, size = self.kernel, self.ages.size
         m = np.minimum(np.broadcast_to(hi, len(times)), size)
-        if self.kernel.time_dependent:
-            # every a_j < support, and all J + 1 once support reaches a_max
-            support = np.array([self.kernel.support(t) for t in times])
-            m = np.minimum(m, np.searchsorted(self._older, support)
-                           + (support > self._last_key))
+        if kernel.time_dependent:
+            support = np.array([kernel.support(t) for t in times])
+            m = np.minimum(m, _window_sizes(support, kernel.a_max, self._da,
+                                            size))
         youngest = self.weights[size - int(m.max(initial=0)):][::-1]
         totals = np.concatenate(([0.0], np.cumsum(youngest)))[m]
-        modulation = self.kernel.modulation
-        if modulation is None:
+        if kernel.modulation is None:
             return m, totals, np.ones(m.size)
-        scales = np.array([modulation(t) for t in np.asarray(times).tolist()],
-                          dtype=float)
+        scales = np.array([kernel._modulated(1.0, t)
+                           for t in np.asarray(times).tolist()], dtype=float)
         return m, totals * scales, scales
 
 
-def _ages_below(support: float, da: float) -> int:
-    """How many ages j * da lie below ``support``, by their float values."""
-    if not support > 0.0:
-        return 0
-    n = math.ceil(support / da)
-    while n and da * (n - 1) >= support:
-        n -= 1
-    while da * n < support:
-        n += 1
-    return n
+def _window_sizes(support, a_max: float, da: float, ages: int):
+    """The window rule, for a grid of ``ages`` ages j * da: a window whose
+    kernel support is ``support`` holds all of them once the support
+    reaches a_max, and otherwise those below it by their float values.
+    ``support`` may be an array; so is the result."""
+    s = np.minimum(support, a_max)
+    # the float ratio can put ceil one off either way
+    n = np.ceil(s / da)
+    n -= da * (n - 1.0) >= s
+    n += da * n < s
+    return np.where(support >= a_max, ages, np.clip(n, 0, ages)).astype(int)

@@ -10,6 +10,7 @@ trapezoid sums, so these functions can arbitrate solver output.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -139,10 +140,21 @@ def _mu_integral(kernel: Kernel, t):
         cum += (b / z) * s
         cum += kernel.mu_total() * (t - s)
         return cum
-    # a fixed grid on [0, a_max], so that no time's value depends on the
-    # others asked for, and the constant mu past it in closed form
+    grid, cum = _mu_table(kernel)
+    return (np.interp(t, grid, cum)
+            + kernel.mu_total() * np.maximum(t - kernel.a_max, 0.0))
+
+
+@functools.lru_cache(maxsize=1)
+def _mu_table(kernel: Kernel):
+    """int_0^a mu on a fixed grid over [0, a_max], built once per kernel.
+
+    The grid is fixed, so that no time's value depends on the others asked
+    for; past a_max, mu is constant and its integral closed form. The memo
+    holds one entry and keys on the kernel itself, as ``solver_limit``'s
+    do, so it treats the kernel as an immutable value.
+    """
     grid = np.linspace(0.0, kernel.a_max, 100001)
     mu = kernel.cummass(grid, math.inf)
     cum = np.concatenate(([0.0], np.cumsum(0.5 * (grid[1] - grid[0]) * (mu[1:] + mu[:-1]))))
-    return (np.interp(t, grid, cum)
-            + kernel.mu_total() * np.maximum(t - kernel.a_max, 0.0))
+    return grid, cum

@@ -195,6 +195,12 @@ class _SlidingExtrema:
     slide costs O(1) amortised. A value is read when it enters, so it must
     be final by then. A start that moves back adds older values at the
     front, where a value that is not a new extreme can never become one.
+    That backward slide is unreached while ``solve_mm`` caps its windows at
+    Z^0, where a window grows by at most one age per step: the cap grows by
+    one, and the cut a < t by at most one where it binds (eps <= 1). It
+    stays for windows that also read the prescribed past: there the cut
+    a < t grows by about eps ages per step, until it runs on the age grid's
+    own clock n * da.
     """
 
     def __init__(self, values, start: int):

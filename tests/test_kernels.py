@@ -5,7 +5,12 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from cellroll.history import ConstantPast, LinearPast, TabulatedPast
 from cellroll.kernels import Exponential, Tabulated, TruncatedExponential
+from cellroll.potentials import AbsoluteValue, Quadratic
+from cellroll.solver_limit import integrate_limit, limit_velocity
+from cellroll.solver_mm import solve_mm
+from cellroll.solver_smooth import SolverConfig, solve_smooth
 
 
 class TestExponential:
@@ -153,3 +158,84 @@ class TestTabulated:
         with pytest.raises(ValueError):
             Tabulated([0.0, 1.0], [1.0, -1.0])
 
+
+class TestChecks:
+    """Kernels and pasts check their tables and horizon when built, and a
+    modulation its values when read."""
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("where", ["a_grid", "values"])
+    def test_tabulated_rejects_an_entry_that_is_not_finite(self, bad, where):
+        a, v = [0.0, 1.0, 2.0], [1.0, 1.0, 1.0]
+        (a if where == "a_grid" else v)[1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            Tabulated(a, v)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("where", ["tau_grid", "values"])
+    def test_tabulated_past_rejects_an_entry_that_is_not_finite(self, bad,
+                                                                where):
+        tau, v = [-2.0, -1.0, 0.0], [0.0, 1.0, 3.0]
+        (tau if where == "tau_grid" else v)[1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            TabulatedPast(tau, v)
+
+    @pytest.mark.parametrize("a_max, why", [
+        (-1.0, "not positive"), (0.0, "not positive"), (-0.0, "not positive"),
+        (math.nan, "not finite"), (math.inf, "not finite"),
+        (-math.inf, "not finite")])
+    @pytest.mark.parametrize("make", [
+        lambda a_max: Exponential(1.0, 1.0, a_max=a_max),
+        lambda a_max: TruncatedExponential(1.0, 1.0, a_max=a_max),
+        lambda a_max: Tabulated([0.0, 1.0], [1.0, 1.0], a_max=a_max)],
+        ids=["exponential", "truncated_exponential", "tabulated"])
+    def test_every_kernel_rejects_a_horizon_that_is_not_finite_and_positive(
+            self, make, a_max, why):
+        # Exponential(1, 1, a_max=-1) had mu_total() = -1.72
+        with pytest.raises(ValueError, match=why):
+            make(a_max)
+
+    @pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf])
+    @pytest.mark.parametrize("solve", [
+        lambda k: solve_smooth(Quadratic(), k, 1.0, ConstantPast(0.0),
+                               SolverConfig(T=0.5, dt=0.05)),
+        lambda k: solve_mm(AbsoluteValue(), k, 1.0, ConstantPast(0.0),
+                           SolverConfig(T=0.5, dt=0.05)),
+        lambda k: limit_velocity(AbsoluteValue(), k, 1.0, 0.25),
+        lambda k: limit_velocity(Quadratic(), k, 1.0, 0.25)],
+        ids=["smooth", "mm", "limit-abs", "limit-quadratic"])
+    def test_a_modulation_that_is_negative_or_not_finite_names_t(self, solve,
+                                                                  bad):
+        # a scale of -1 made solve_mm step on a concave energy (z(0.5) =
+        # 0.36) and the limit law return -3.8e-13
+        k = Tabulated([0.0, 1.0], [1.0, 1.0], modulation=lambda t: bad)
+        with pytest.raises(ValueError, match=r"modulation at t = \S+ is"):
+            solve(k)
+
+
+class UndeclaredAgeCut(Tabulated):
+    """No bond older than t, with no flag declaring the time dependence."""
+
+    def support(self, t):
+        return min(float(t), self.a_max)
+
+
+class DeclaredAgeCut(UndeclaredAgeCut):
+    time_dependent = True
+
+
+def test_an_age_cut_is_time_dependent_without_declaring_it():
+    a = np.linspace(0.0, 3.0, 3001)
+    undeclared, declared = UndeclaredAgeCut(a, np.exp(-a)), DeclaredAgeCut(a, np.exp(-a))
+    assert undeclared.time_dependent is True
+    assert Tabulated(a, np.exp(-a)).time_dependent is False
+    # run as static, the undeclared cut ended at 1.180 and 0.0
+    smooth = [solve_smooth(Quadratic(), k, 1.0, LinearPast(1.0, 0.0),
+                           SolverConfig(T=2.0, dt=0.01)).values
+              for k in (undeclared, declared)]
+    np.testing.assert_array_equal(smooth[0], smooth[1])
+    assert smooth[0][-1] == pytest.approx(1.579, abs=1e-3)
+    limit = [integrate_limit(AbsoluteValue(), k, 0.5, 0.0, 2.0, 0.01).values
+             for k in (undeclared, declared)]
+    np.testing.assert_array_equal(limit[0], limit[1])
+    assert limit[0][-1] == pytest.approx(0.153, abs=1e-3)

@@ -8,13 +8,11 @@ from hypothesis import strategies as st
 
 from cellroll.history import LinearPast
 from cellroll.kernels import Exponential, Tabulated, TruncatedExponential
-from cellroll.memory import Memory, step_count
+from cellroll.memory import Memory, _age_grid, step_count
 
 
 class AgeCutTabulated(Tabulated):
     """A tabulated kernel whose only time dependence is the cutoff a <= t."""
-
-    time_dependent = True
 
     def support(self, t):
         return min(float(t), self.a_max)
@@ -256,3 +254,36 @@ def test_horizon_grid_counts_the_ages_below_the_support(dt, k, ulps):
     ages = Memory(kernel, 1.0, dt, "rectangle").ages
     part = Memory(kernel, 1.0, dt, "rectangle", horizon)
     assert part.ages.size == max(int(np.sum(ages < horizon)), 1)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(dt=st.floats(1e-6, 1.0), k=st.integers(2, 40),
+       frac=st.sampled_from([0.0, 0.5, 1e-9, 1.0 - 1e-9]),
+       nudge=st.integers(-2, 2))
+def test_one_count_rule_for_the_horizon_grid_and_every_window(dt, k, frac,
+                                                              nudge):
+    # supports at and 1-2 ulps around every age and a_max, where s / da can
+    # round to the wrong side of an integer, and at 0 and the smallest
+    # subnormal; a_max on, between or next to the ages
+    a_max = dt * (k + frac)
+    for _ in range(abs(nudge)):
+        a_max = math.nextafter(a_max, nudge * math.inf)
+    kernel = TruncatedExponential(1.0, 1.0, a_max=a_max)
+    da, J = _age_grid(kernel, 1.0, dt)
+    ages = da * np.arange(J + 1)  # the full float grid a_0 .. a_J
+    full = Memory(kernel, 1.0, dt, "rectangle")
+    assert full.ages.size == ages.size
+    edges = np.append(ages, a_max)
+    supports = np.unique(np.concatenate(
+        [edges, [0.0, 5e-324]]
+        + [np.nextafter(edges, toward) for toward in (-np.inf, np.inf)]
+        + [np.nextafter(np.nextafter(edges, toward), toward)
+           for toward in (-np.inf, np.inf)]))
+    supports = supports[supports >= 0.0]
+    want = [ages.size if s >= a_max else int(np.sum(ages < s))
+            for s in supports]
+    # a window at time s has support s, or a_max from a_max on
+    sizes, _, _ = full.windows(supports, 10**9)
+    assert list(sizes) == want
+    assert [Memory(kernel, 1.0, dt, "rectangle", s).ages.size
+            for s in supports] == [max(m, 1) for m in want]

@@ -211,3 +211,25 @@ class TestMuIntegral:
         ref = quad(lambda s: float(k.cummass(s, math.inf)), 0.0, min(t, 10.0),
                    limit=200)[0] + k.mu_total() * max(t - 10.0, 0.0)
         assert float(_mu_integral(k, t)) == pytest.approx(ref, abs=1e-9)
+
+    def test_the_table_is_built_once_per_kernel(self):
+        # the 100 001-node table was rebuilt, one cummass each, per call
+        class Counting(Tabulated):
+            calls = 0
+
+            def cummass(self, x, t):
+                self.calls += 1
+                return super().cummass(x, t)
+
+        a = np.linspace(0.0, 10.0, 4001)
+        k = Counting(a, np.exp(-a))
+        profile = AbsProfile(5.0, k, 0.0)  # outside the band: t1 = inf
+        t = np.linspace(0.0, 20.0, 2048)
+        first = profile.z(t)
+        for _ in range(3):
+            np.testing.assert_array_equal(profile.z(t), first)
+        profile.z(1.5)
+        assert k.calls == 1
+        # the memo's values are a fresh table's, bit for bit
+        np.testing.assert_array_equal(
+            AbsProfile(5.0, Tabulated(a, np.exp(-a)), 0.0).z(t), first)
