@@ -21,16 +21,17 @@ is parsed and checked by :mod:`cellroll.config`, which accepts only what
 the command reads, then the solve or study runs, and its CSV is paired
 with a ``*.manifest.json`` echoing the fully resolved configuration;
 feeding a manifest back through ``--config`` reproduces the run bit for
-bit. Bad input, an unreadable config file or a missing output directory
-included, exits 2 with the dotted path of the offending field (or the
-flag); a numerical failure, a grid too large for memory, an output write
-that fails, or an internal error, exits 1; an internal error is one
-``internal error:`` line, never a traceback.
+bit. Bad input, an unreadable config file or an output path that no
+write could use (empty, in a missing directory, or a directory, for the
+CSV or its manifest) included, exits 2 with the dotted path of the
+offending field (or the flag); a numerical failure, a grid too large for
+memory, an output write that fails, or an internal error, exits 1; an
+internal error is one ``internal error:`` line, never a traceback.
 
 Importing this module freezes the heap built so far (``gc.freeze()``), so
 the collections at interpreter shutdown skip numpy's and cellroll's
-import-time objects; ``import cellroll`` alone freezes nothing, and
-neither does :func:`main`.
+import-time objects. ``import cellroll`` alone neither freezes anything
+nor switches the collector off, and :func:`main` freezes nothing.
 """
 from __future__ import annotations
 
@@ -76,17 +77,30 @@ def _oracle(kernel, z0, v_inf, solver):
         path, t, profile.z, profile.zdot, precision)
 
 
+def _check_out(path: str, field: str):
+    """Reject an output path that no write could use, before any solve:
+    an empty one, one in a directory that does not exist, or a directory."""
+    if not path:
+        raise ConfigError(field, "must be a nonempty path")
+    folder = os.path.dirname(path) or "."
+    if not os.path.isdir(folder):
+        raise ConfigError(field, f"directory {folder!r} does not exist")
+    if os.path.isdir(path):
+        raise ConfigError(field, f"{path!r} is a directory")
+
+
 def _run_config(cmd: str, args) -> int:
     """Run one config command; a study exits 1 if its criteria failed."""
     psi, kernel, past, drive, run, manifest = cfgmod.resolve_run(
         cfgmod.load_config(args.config), cmd)
     out = manifest["output"]
-    if args.out:
+    if args.out is not None:
         out["path"] = args.out
-    folder = os.path.dirname(out["path"]) or "."
-    if not os.path.isdir(folder):
-        raise ConfigError("--out" if args.out else "output.path",
-                          f"directory {folder!r} does not exist")
+    field = "output.path" if args.out is None else "--out"
+    stem = out["path"][:-4] if out["path"].endswith(".csv") else out["path"]
+    manifest_path = stem + ".manifest.json"
+    _check_out(out["path"], field)
+    _check_out(manifest_path, field)
     r_v = manifest["model"]["v"]
     # a table drive holds its last value beyond its last time
     v_inf = r_v["value"] if r_v["kind"] == "constant" else r_v["values"][-1]
@@ -110,8 +124,7 @@ def _run_config(cmd: str, args) -> int:
     if report is not None:
         write = report.to_csv
     write(out["path"], precision=out["precision"])
-    stem = out["path"][:-4] if out["path"].endswith(".csv") else out["path"]
-    with open(stem + ".manifest.json", "w") as fh:
+    with open(manifest_path, "w") as fh:
         fh.write(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
     if report is None:
         print(f"wrote {out['path']}")
@@ -155,8 +168,10 @@ def _run_gamma(args) -> int:
             raise ConfigError("--sweep", "need LO < HI")
         if args.psi != "abs":
             raise ConfigError("--psi", "the sweep law is for the abs potential")
+        out = "gamma_sweep.csv" if args.out is None else args.out
+        _check_out(out, "--out")
         report = velocity_force_sweep(kernel, np.linspace(lo, hi, int(count)))
-        report.to_csv(args.out or "gamma_sweep.csv")
+        report.to_csv(out)
         print(report.summary())
         return 0 if report.passed else 1
     if args.v is None:

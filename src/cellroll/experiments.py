@@ -8,7 +8,6 @@ their inputs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,7 +24,6 @@ __all__ = ["StudyReport", "convergence_study", "longtime_study",
            "velocity_force_sweep"]
 
 
-@dataclass
 class StudyReport:
     """Tabular study outcome with its own acceptance rule.
 
@@ -34,12 +32,14 @@ class StudyReport:
     ``fit`` optionally carries (model, constant, rms residual).
     """
 
-    name: str
-    columns: tuple
-    rows: list
-    criterion: str
-    passed: bool
-    fit: tuple | None = None
+    def __init__(self, name: str, columns: tuple, rows: list, criterion: str,
+                 passed: bool, fit: tuple | None = None):
+        self.name = name
+        self.columns = columns
+        self.rows = rows
+        self.criterion = criterion
+        self.passed = passed
+        self.fit = fit
 
     def summary(self) -> str:
         verdict = "PASS" if self.passed else "FAIL"

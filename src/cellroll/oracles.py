@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -74,7 +73,6 @@ def quadratic_final_position(beta: float, zeta: float, past: PastData) -> float:
     return (zeta**2 * zp0 + beta * zeta * integral) / (zeta**2 + beta)
 
 
-@dataclass
 class AbsProfile:
     """Closed-form trajectory for psi = |u| under a constant drive v_inf.
 
@@ -85,12 +83,10 @@ class AbsProfile:
     ``a_max``, so t1 <= a_max. Outside the band it never stops: t1 = inf.
     """
 
-    v_inf: float
-    kernel: Kernel
-    z0: float
-    t1: float = field(init=False)
-
-    def __post_init__(self):
+    def __init__(self, v_inf: float, kernel: Kernel, z0: float):
+        self.v_inf = v_inf
+        self.kernel = kernel
+        self.z0 = z0
         if gamma_abs(self.v_inf, self.kernel.mu_total()) != 0.0:
             self.t1 = math.inf
         else:

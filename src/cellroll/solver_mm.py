@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,7 +39,6 @@ from .solver_smooth import SolverConfig
 __all__ = ["StepEnergy", "minimize_step", "solve_mm", "step_energy"]
 
 
-@dataclass
 class StepEnergy:
     """One incremental minimization problem.
 
@@ -63,19 +61,21 @@ class StepEnergy:
     clears the kink; +-inf bounds turn it off wherever psi has a kink.
     """
 
-    psi: Potential
-    previous: float
-    dt: float
-    drive: float
-    weights: np.ndarray
-    anchors: np.ndarray
-    eps: float = 1.0
-    total: float | None = None
-    anchor_max: float | None = None
-    anchor_min: float | None = None
-
-    def __post_init__(self):
-        self.total = float(np.sum(self.weights) if self.total is None else self.total)
+    def __init__(self, psi: Potential, previous: float, dt: float,
+                 drive: float, weights: np.ndarray, anchors: np.ndarray,
+                 eps: float = 1.0, total: float | None = None,
+                 anchor_max: float | None = None,
+                 anchor_min: float | None = None):
+        self.psi = psi
+        self.previous = previous
+        self.dt = dt
+        self.drive = drive
+        self.weights = weights
+        self.anchors = anchors
+        self.eps = eps
+        self.total = float(np.sum(weights) if total is None else total)
+        self.anchor_max = anchor_max
+        self.anchor_min = anchor_min
         if self.anchor_max is None:
             self.anchor_max = float(np.max(self.anchors, initial=-math.inf))
         if self.anchor_min is None:

@@ -23,7 +23,6 @@ cost.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,7 +35,6 @@ from .potentials import Potential, Quadratic
 __all__ = ["SolverConfig", "solve_smooth"]
 
 
-@dataclass
 class SolverConfig:
     """Grid and scheme choices for one solve.
 
@@ -52,10 +50,12 @@ class SolverConfig:
         "euler" (default) or "heun".
     """
 
-    eps: float = 1.0
-    T: float = 1.0
-    dt: float = 1e-2
-    scheme: str = "euler"
+    def __init__(self, eps: float = 1.0, T: float = 1.0, dt: float = 1e-2,
+                 scheme: str = "euler"):
+        self.eps = eps
+        self.T = T
+        self.dt = dt
+        self.scheme = scheme
 
     def validated(self) -> "SolverConfig":
         if not self.eps > 0:

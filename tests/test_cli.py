@@ -188,6 +188,26 @@ class TestGamma:
         for v, g in zip(table[:, 0], table[:, 1]):
             assert g == pytest.approx(gamma_abs(v, 1.0), abs=1e-6)
 
+    @pytest.mark.parametrize("out, message", [
+        ("", "must be a nonempty path"),
+        ("d.csv", "'d.csv' is a directory"),
+        ("d.csv" + os.sep, repr("d.csv" + os.sep) + " is a directory"),
+        (os.path.join("absent", "s.csv"), "directory 'absent' does not exist"),
+    ], ids=["empty", "directory", "directory-slash", "missing-directory"])
+    def test_unusable_sweep_out_exits_before_the_sweep(
+            self, capsys, tmp_path, monkeypatch, out, message):
+        # the empty flag once fell back to gamma_sweep.csv
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "d.csv").mkdir()
+        sweep = mock.MagicMock()
+        with mock.patch("cellroll.cli.velocity_force_sweep", sweep):
+            code, _, err = run(capsys, "gamma", "--sweep", "-1", "1", "5",
+                               "--out", out)
+        assert code == 2
+        assert err == f"config error: --out: {message}\n"
+        assert not sweep.called
+        assert os.listdir(tmp_path) == ["d.csv"]
+
     def test_missing_drive_is_config_error(self, capsys):
         code, _, err = run(capsys, "gamma")
         assert code == 2
@@ -587,12 +607,58 @@ class TestFailureExits:
         for name, solve in solves.items():
             assert not solve.called, name
 
+    @pytest.mark.parametrize("command", ["oracle", "mm", "converge"])
+    @pytest.mark.parametrize("flag", [False, True], ids=["config", "--out"])
+    @pytest.mark.parametrize("leaf, directory", [
+        ("d.csv", "d.csv"),
+        ("d.csv" + os.sep, "d.csv"),
+        ("run.csv", "run.manifest.json"),
+    ], ids=["csv", "csv-slash", "manifest"])
+    def test_directory_as_output_exits_before_the_solve(
+            self, capsys, tmp_path, command, flag, leaf, directory):
+        # open() on a directory once failed only after the whole solve
+        cfg_dict = valid_config(command) if command == "converge" else creep_config()
+        (tmp_path / directory).mkdir()
+        target = str(tmp_path) + os.sep + leaf
+        argv = [command, "--config", None]
+        if flag:
+            argv += ["--out", target]
+        else:
+            cfg_dict["output"] = {"path": target}
+        argv[2] = write_config(tmp_path / "run.json", cfg_dict)
+        solves = {name: mock.MagicMock() for name in SOLVES}
+        with mock.patch.multiple("cellroll.cli", **solves):
+            code, _, err = run(capsys, *argv)
+        assert code == 2
+        field = "--out" if flag else "output.path"
+        culprit = target if directory == "d.csv" else str(tmp_path / directory)
+        assert err == f"config error: {field}: {culprit!r} is a directory\n"
+        for name, solve in solves.items():
+            assert not solve.called, name
+        assert sorted(os.listdir(tmp_path)) == sorted([directory, "run.json"])
+
+    @pytest.mark.parametrize("command", ["mm", "converge"])
+    def test_empty_out_flag_exits_two(self, capsys, tmp_path, monkeypatch,
+                                      command):
+        # the empty flag once fell back to output.path and wrote mm.csv
+        cfg_dict = valid_config(command) if command == "converge" else creep_config()
+        cfg = write_config(tmp_path / "run.json", cfg_dict)
+        monkeypatch.chdir(tmp_path)
+        solves = {name: mock.MagicMock() for name in SOLVES}
+        with mock.patch.multiple("cellroll.cli", **solves):
+            code, _, err = run(capsys, command, "--config", cfg, "--out", "")
+        assert code == 2
+        assert err == "config error: --out: must be a nonempty path\n"
+        for name, solve in solves.items():
+            assert not solve.called, name
+        assert os.listdir(tmp_path) == ["run.json"]
+
     def test_failed_write_exits_one_in_one_line(self, capsys, tmp_path):
-        # the output path is an existing directory: open() fails after the
-        # solve, so the directory check cannot see it
+        # a file name longer than the file system takes: its directory
+        # exists, and open() fails only after the solve
         cfg = write_config(tmp_path / "run.json", creep_config())
         code, _, err = run(capsys, "mm", "--config", cfg,
-                           "--out", str(tmp_path))
+                           "--out", str(tmp_path / ("x" * 300 + ".csv")))
         assert code == 1
         assert err.startswith("cannot write output: ")
         assert err.count("\n") == 1
@@ -1139,3 +1205,39 @@ class TestHeapFreeze:
         del before
         gc.collect()
         assert [ref() for ref in refs] == [None, None]
+
+
+class TestStartup:
+    """What importing the package and the CLI module leaves behind."""
+
+    @pytest.mark.parametrize("enabled", [True, False],
+                             ids=["enabled", "disabled"])
+    def test_package_import_leaves_the_collector_as_found(self, enabled):
+        proc = python("-c", "import gc; "
+                            f"gc.enable() if {enabled} else gc.disable(); "
+                            "import cellroll; "
+                            "print(gc.isenabled(), gc.get_freeze_count())")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == [str(enabled), "0"]
+
+    def test_cli_import_loads_no_dataclasses(self):
+        proc = python("-c", "import sys; before = set(sys.modules); "
+                            "import cellroll.cli; "
+                            "print(sorted(m for m in set(sys.modules) - before"
+                            " if m.split('.')[0] == 'dataclasses'))")
+        assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
+
+    def test_cli_import_loads_every_benchmark_layer(self):
+        # the benchmark's probe wraps each layer it finds in sys.modules
+        # once cellroll.cli is imported, so none may be imported lazily
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        proc = python("-c", f"""if True:
+            import sys
+            sys.path.insert(0, {os.path.join(root, "perfbench")!r})
+            from probe import LAYERS
+            import cellroll.cli
+            print(len(LAYERS), [layer for layer in LAYERS
+                                if "cellroll." + layer not in sys.modules])""")
+        assert proc.returncode == 0, proc.stderr
+        count, missing = proc.stdout.split(" ", 1)
+        assert int(count) > 0 and missing == "[]\n"

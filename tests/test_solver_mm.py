@@ -1,7 +1,6 @@
 """Minimizing movements: per-step minimizer, plastic stopping, certificates."""
 import math
 import tracemalloc
-from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -309,7 +308,9 @@ class TestRollingStep:
     @settings(max_examples=400, derandomize=True, deadline=None)
     @given(e=rolling_energies(), probe=st.floats(-2.0, 2.0))
     def test_carried_totals_give_the_reference_step(self, e, probe):
-        plain = replace(e, psi=Plain(e.psi))
+        plain = StepEnergy(Plain(e.psi), e.previous, e.dt, e.drive, e.weights,
+                           e.anchors, e.eps, e.total, e.anchor_max,
+                           e.anchor_min)
         for w in (e.previous, probe):
             assert e.subgrad_lo(w) == pytest.approx(plain.subgrad_lo(w),
                                                     abs=1e-13)
@@ -348,7 +349,10 @@ class TestRollingStep:
             previous, drive = anchors.min() + eps * kinks[0] - 0.1, -3.0
         exact = StepEnergy(psi, float(previous), 0.1, drive,
                            np.array([0.5, 0.2, 0.3]), anchors, eps)
-        blind = replace(exact, anchor_max=math.inf, anchor_min=-math.inf)
+        blind = StepEnergy(exact.psi, exact.previous, exact.dt, exact.drive,
+                           exact.weights, exact.anchors, exact.eps,
+                           exact.total, anchor_max=math.inf,
+                           anchor_min=-math.inf)
         w = minimize_step(exact)
         assert (w > previous) == up
         assert minimize_step(blind) == pytest.approx(w, abs=1e-14)
