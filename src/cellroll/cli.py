@@ -28,37 +28,48 @@ offending field (or the flag); a numerical failure, a grid too large for
 memory, an output write that fails, or an internal error, exits 1; an
 internal error is one ``internal error:`` line, never a traceback.
 
-Importing this module freezes the heap built so far (``gc.freeze()``), so
-the collections at interpreter shutdown skip numpy's and cellroll's
-import-time objects. ``import cellroll`` alone neither freezes anything
-nor switches the collector off, and :func:`main` freezes nothing.
+This module's imports, numpy's among them, run with the cyclic collector
+switched off; then the heap built so far is frozen (``gc.freeze()``), and
+only then is the collector restored to the state it was found in. So no
+collection runs during start-up, and none afterwards, the ones at
+interpreter shutdown included, walks numpy's or cellroll's import-time
+objects. ``import cellroll`` alone loads no numpy, freezes nothing and
+leaves the collector alone, and :func:`main` freezes nothing.
 """
 from __future__ import annotations
 
-import argparse
 import gc
-import json
-import math
-import os
-import sys
 
-import numpy as np
+# No collection during the imports: each would walk numpy's import-time
+# objects, which are frozen below and never collected. At module level,
+# not in main(): once per process, never once per in-process call.
+_collecting = gc.isenabled()
+gc.disable()
+try:
+    import argparse
+    import json
+    import math
+    import os
+    import sys
 
-from . import config as cfgmod
-from .errors import ConfigError, NumericalError
-from .experiments import (convergence_study, longtime_study,
-                          velocity_force_sweep)
-from .history import _Grid, write_trajectory_csv
-from .memory import _MAX_NODES, step_count
-from .oracles import AbsProfile
-from .solver_limit import integrate_limit, limit_velocity
-from .solver_mm import solve_mm
-from .solver_smooth import solve_smooth
+    import numpy as np
 
-# Frozen, the start-up heap (numpy's above all) is skipped by every later
-# collection, the full ones at interpreter shutdown included. At module
-# level, not in main(): once per process, never once per in-process call.
-gc.freeze()
+    from . import config as cfgmod
+    from .errors import ConfigError, NumericalError
+    from .experiments import (convergence_study, longtime_study,
+                              velocity_force_sweep)
+    from .history import _Grid, write_trajectory_csv
+    from .memory import _MAX_NODES, step_count
+    from .oracles import AbsProfile
+    from .solver_limit import integrate_limit, limit_velocity
+    from .solver_mm import solve_mm
+    from .solver_smooth import solve_smooth
+finally:
+    # freeze first: it empties the young generation and resets its count,
+    # so the first collection after the imports walks none of their objects
+    gc.freeze()
+    if _collecting:
+        gc.enable()
 
 __all__ = ["main"]
 

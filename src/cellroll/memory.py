@@ -10,10 +10,10 @@ the kernel's support at T (all J + 1 once that reaches a_max), as the
 support never shrinks. So with bonds no older than t, a short run holds
 about T/da ages, not a_max/da. Both delayed solvers keep their nodes in one
 buffer, B[K - 1 + n] = Z^n for K stored ages, with the prescribed past z_p
-on B[:K]. ``Memory`` reads the kernel's profile once and stores the weights
-q_j rho(a_j) of one quadrature rule oldest age first, so a window of ages
-gives weights and anchors as two forward slices: a memory sum is one dot,
-times the window's modulation scale.
+on B[:K]. ``Memory`` reads the kernel's static profile once and stores the
+weights of one rule oldest age first, so a window of ages gives weights and
+anchors as two forward slices: a memory sum is one dot, times the window's
+modulation scale.
 """
 from __future__ import annotations
 
@@ -71,10 +71,13 @@ def as_drive(v):
 class Memory:
     """Tied age grid, node buffer and memory windows for one kernel.
 
-    ``weights`` holds q_j rho(a_j) for the stored ages, oldest first: the
-    kernel's ``profile`` read once, times the rule's q_j, which is da, or
-    da/2 at the trapezoid's two ends ("trapezoid"; "rectangle" halves
-    none). The kernel's time dependence enters a window in two ways. A
+    ``weights`` holds one weight per stored age, oldest first, read off
+    the kernel's static profile once. The rule "trapezoid" gives
+    q_j rho(a_j), with q_j = da, or da/2 at the grid's two ends. The rule
+    "cells" gives the exact mass M(min(a_j + da, a_max)) - M(a_j) of the
+    age cell behind a_j, M the profile's primitive, so the weights of all
+    J + 1 ages sum to the static mass on [0, a_max] up to rounding.
+    The kernel's time dependence enters a window in two ways. A
     modulated kernel scales every weight by ``modulation(t)``. A window
     whose kernel support s = ``support(t)`` is below ``a_max`` (a kernel
     whose time dependence is an age cutoff) holds the ages a_j < s by their
@@ -101,9 +104,14 @@ class Memory:
         self.dt = dt
         self._da = da
         self.ages = da * np.arange(size)
-        profile = kernel.profile(self.ages[::-1])
-        self.weights = da * profile
-        if rule == "trapezoid":
+        ages = self.ages[::-1]
+        if rule == "cells":
+            # the static primitive: a modulated kernel has no cummass at inf
+            self.weights = (kernel._mass(np.minimum(ages + da, kernel.a_max))
+                            - kernel._mass(ages))
+        else:
+            profile = kernel.profile(ages)
+            self.weights = da * profile
             # the two ends, the oldest only where the grid reaches a_J
             for j in (0, -1) if size > J else (-1,):
                 self.weights[j] = (0.5 * da) * profile[j]

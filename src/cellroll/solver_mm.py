@@ -46,9 +46,9 @@ class StepEnergy:
          + eps * sum_j weights[j] * psi((w - anchors[j]) / eps)
          - drive * w
 
-    with weights[j] = rho(a, t_n) * da >= 0 for one age a and anchors[j] its
-    node one step behind z(t_n - eps*a): oldest age first, paired index by
-    index. Strongly convex with modulus 1/dt.
+    with weights[j] >= 0 the bond mass at t_n of the age cell behind one age
+    a and anchors[j] its node one step behind z(t_n - eps*a): oldest age
+    first, paired index by index. Strongly convex with modulus 1/dt.
 
     ``total`` is the sum of the weights, and ``anchor_max``/``anchor_min``
     bound the anchors from above and below; left out, they are computed
@@ -305,7 +305,7 @@ def solve_mm(psi: Potential, kernel: Kernel, v, past: PastData,
     _reject_unbounded(psi)
     eps, dt = float(cfg.eps), float(cfg.dt)
     n_steps = step_count(cfg.T, dt)
-    memory = Memory(kernel, eps, dt, "rectangle", n_steps * dt)
+    memory = Memory(kernel, eps, dt, "cells", n_steps * dt)
     J = memory.ages.size - 1
     drive = as_drive(v)
     B = memory.buffer(past, n_steps)  # B[J + n] = Z^n
@@ -326,6 +326,6 @@ def step_energy(psi: Potential, kernel: Kernel, v, traj: Trajectory,
     """
     if not 1 <= n < traj.values.size:
         raise ValueError(f"steps run from 1 to {traj.values.size - 1}")
-    memory = Memory(kernel, traj.eps, traj.dt, "rectangle", n * traj.dt)
+    memory = Memory(kernel, traj.eps, traj.dt, "cells", n * traj.dt)
     return next(_steps(psi, memory, as_drive(v), traj.values, 0, n, n,
                        traj.dt, traj.eps))

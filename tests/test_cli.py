@@ -1213,12 +1213,65 @@ class TestStartup:
     @pytest.mark.parametrize("enabled", [True, False],
                              ids=["enabled", "disabled"])
     def test_package_import_leaves_the_collector_as_found(self, enabled):
+        # the CLI module's import freezes the heap, and restores the
+        # collector only after that
         proc = python("-c", "import gc; "
                             f"gc.enable() if {enabled} else gc.disable(); "
                             "import cellroll; "
-                            "print(gc.isenabled(), gc.get_freeze_count())")
+                            "print(gc.isenabled(), gc.get_freeze_count()); "
+                            "import cellroll.cli; "
+                            "print(gc.isenabled(), gc.get_freeze_count() > 0)")
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.split() == [str(enabled), "0"]
+        assert proc.stdout.split() == [str(enabled), "0", str(enabled), "True"]
+
+    def test_cli_import_runs_no_collection(self):
+        # numpy's import alone set off about 33 collections; the count
+        # starts empty, so what ran before the import does not count
+        proc = python("-c", "import gc; gc.collect(); starts = []; "
+                            "gc.callbacks.append(lambda phase, info: "
+                            "phase == 'start' and starts.append(info)); "
+                            "import cellroll.cli; "
+                            "print(len(starts), 'numpy' in __import__('sys').modules)")
+        assert (proc.returncode, proc.stdout) == (0, "0 True\n"), proc.stderr
+
+    def test_failed_cli_import_restores_the_collector(self):
+        proc = python("-c", "import gc, sys; "
+                            "sys.modules['cellroll.solver_smooth'] = None\n"
+                            "try:\n    import cellroll.cli\n"
+                            "except ImportError:\n"
+                            "    print(gc.isenabled(), 'cellroll.cli' in sys.modules)")
+        assert (proc.returncode, proc.stdout) == (0, "True False\n"), proc.stderr
+
+    def test_package_import_loads_no_numpy(self):
+        proc = python("-c", "import sys, cellroll; "
+                            "print(sorted(m for m in sys.modules if m == 'numpy'"
+                            " or m.startswith('cellroll.')))")
+        assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
+
+    def test_lazy_names_are_the_direct_imports(self):
+        # each public name, asked of the bare package first, is the object
+        # its defining submodule holds; so is each submodule attribute
+        proc = python("-c", """if True:
+            import importlib, pkgutil, cellroll
+            subs = sorted(m.name for m in pkgutil.iter_modules(cellroll.__path__)
+                          if m.name != "__main__")
+            lazy = {name: getattr(cellroll, name) for name in cellroll.__all__}
+            print(len(lazy), len(subs))
+            print(sorted(n for n, value in lazy.items()
+                         if not value.__module__.startswith("cellroll.")
+                         or value is not getattr(
+                             importlib.import_module(value.__module__), n)))
+            print([s for s in subs if getattr(cellroll, s)
+                   is not importlib.import_module("cellroll." + s)])
+            print(set(cellroll.__all__) | set(subs) <= set(dir(cellroll)))
+            try:
+                cellroll.no_such_name
+            except AttributeError as exc:
+                print(exc)""")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == [
+            "36 12", "[]", "[]", "True",
+            "module 'cellroll' has no attribute 'no_such_name'"]
 
     def test_cli_import_loads_no_dataclasses(self):
         proc = python("-c", "import sys; before = set(sys.modules); "

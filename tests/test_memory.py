@@ -28,6 +28,12 @@ def running_sums(w):
     return np.concatenate(([0.0], np.cumsum(w[::-1])))
 
 
+def cells(kernel, ages, da):
+    """The static mass of each age cell [a, min(a + da, a_max)]."""
+    return (kernel.cummass(np.minimum(ages + da, kernel.a_max), math.inf)
+            - kernel.cummass(ages, math.inf))
+
+
 def window(memory, t, hi=10**6):
     """The weights of the window at time t under cap hi, oldest first."""
     (m,), (total,), (scale,) = memory.windows(np.array([t]), hi)
@@ -40,7 +46,7 @@ def window(memory, t, hi=10**6):
 def test_no_age_beyond_the_horizon():
     # a_max / da = 1000.5: the grid stops at the last age inside the support
     k = Exponential(1.0, 1.0, a_max=1.0005)
-    for rule in ("trapezoid", "rectangle"):
+    for rule in ("trapezoid", "cells"):
         memory = Memory(k, 1.0, 1e-3, rule)
         assert memory.ages.size == 1001
         assert memory.ages[-1] <= k.a_max < memory.ages[-1] + 1e-3
@@ -49,9 +55,9 @@ def test_no_age_beyond_the_horizon():
 
 def test_weights_run_oldest_first():
     k = Exponential(1.0, 1.0, a_max=1.0)
-    memory = Memory(k, 2.0, 0.5, "rectangle")  # ages 0, 0.25, .., 1
+    memory = Memory(k, 2.0, 0.5, "cells")  # ages 0, 0.25, .., 1
     np.testing.assert_array_equal(
-        window(memory, 0.0), 0.25 * k.eval(memory.ages[::-1], 0.0))
+        window(memory, 0.0), cells(k, memory.ages[::-1], 0.25))
     np.testing.assert_array_equal(window(memory, 0.0), memory.weights)
     # hi drops the oldest ages
     np.testing.assert_array_equal(window(memory, 0.0, hi=2),
@@ -60,14 +66,29 @@ def test_weights_run_oldest_first():
 
 def test_trapezoid_halves_only_the_end_weights():
     k = Exponential(1.0, 1.0, a_max=1.0)
-    trap = window(Memory(k, 2.0, 0.5, "trapezoid"), 0.0)
-    rect = window(Memory(k, 2.0, 0.5, "rectangle"), 0.0)
-    assert list(trap / rect) == [0.5, 1.0, 1.0, 1.0, 0.5]
+    memory = Memory(k, 2.0, 0.5, "trapezoid")
+    rect = 0.25 * k.profile(memory.ages[::-1])
+    assert list(window(memory, 0.0) / rect) == [0.5, 1.0, 1.0, 1.0, 0.5]
+
+
+@pytest.mark.parametrize("kernel", [
+    Exponential(1.0, 1.0), Exponential(2.0, 0.7, a_max=1.0005),
+    Tabulated([0.0, 0.3, 1.0, 2.5], [1.0, 0.8, 0.5, 0.1], a_max=2.2),
+    modulated()], ids=repr)
+@pytest.mark.parametrize("eps", [1e-3, 0.01, 1.0])
+def test_cell_weights_sum_to_the_static_mass(kernel, eps):
+    # every cell holds its exact mass, the oldest cut at a_max, so the
+    # weights sum to the static mass whatever da is; the rectangle weights
+    # da rho(a_j) summed to 1/(1 - e^-1) = 1.58 times it at da = 1
+    memory = Memory(kernel, eps, 1e-3, "cells")
+    assert np.all(memory.weights >= 0.0)
+    assert math.fsum(memory.weights) == pytest.approx(
+        kernel._mass(kernel.a_max), rel=1e-12)
 
 
 def test_truncated_weights_drop_the_bond_as_old_as_t():
     k = TruncatedExponential(1.0, 1.0)
-    memory = Memory(k, 1.0, 0.25, "rectangle")
+    memory = Memory(k, 1.0, 0.25, "cells")
     assert k.eval(0.5, 0.5) > 0.0
     assert window(memory, 0.5).size == 2  # ages 0 and 0.25
     assert window(memory, 0.5, hi=1).size == 1
@@ -91,7 +112,7 @@ def test_age_cutoff_kernel_gets_the_cut_static_weights():
 def test_the_window_stops_before_the_first_age_at_the_support(a_max):
     # 2 - 2e-11 puts the last age a_J = 2 just past a_max
     k = AgeCutTabulated([0.0, 1.0, 2.5], [1.0, 0.5, 0.1], a_max=a_max)
-    memory = Memory(k, 1.0, 0.25, "rectangle")
+    memory = Memory(k, 1.0, 0.25, "cells")
     ages = memory.ages
     supports = np.unique(np.concatenate([
         ages, np.nextafter(ages, -np.inf), np.nextafter(ages, np.inf),
@@ -105,7 +126,7 @@ def test_the_window_stops_before_the_first_age_at_the_support(a_max):
 
 def test_sum_follows_the_age_count():
     # a window that grows and shrinks again gets the total of its own ages
-    memory = Memory(TruncatedExponential(1.0, 1.0), 1.0, 0.25, "rectangle")
+    memory = Memory(TruncatedExponential(1.0, 1.0), 1.0, 0.25, "cells")
     sizes, totals, _ = memory.windows(np.array([0.5, 1.0, 0.5]), 100)
     assert list(sizes) == [2, 4, 2]
     sums = running_sums(memory.weights)
@@ -122,9 +143,10 @@ STEPS = np.arange(1, 17)
     ids=["exponential", "truncated", "age-cut-tabulated"])
 @pytest.mark.parametrize("eps", [1.0, 0.5, 2.0])
 def test_static_windows_match_the_window(kernel, eps):
-    # the window at t: da rho(a_j, t) over the ages a_j < support(t), or
-    # all once support(t) reaches a_max, the youngest hi of them
-    memory = Memory(kernel, eps, 0.25, "rectangle")
+    # the window at t: the static masses of the cells behind the ages
+    # a_j < support(t), or all once support(t) reaches a_max, the youngest
+    # hi of them
+    memory = Memory(kernel, eps, 0.25, "cells")
     ages, da = memory.ages, memory.ages[1]
     for hi in (STEPS, np.full(STEPS.size, 100)):
         sizes, totals, scales = memory.windows(0.25 * STEPS, hi)
@@ -133,7 +155,7 @@ def test_static_windows_match_the_window(kernel, eps):
         for t, cap, m in zip(0.25 * STEPS, hi, sizes):
             support = kernel.support(t)
             inside = ages[(ages < support) | (support >= kernel.a_max)]
-            want = da * kernel.eval(inside[::-1], t)
+            want = cells(kernel, inside[::-1], da)
             np.testing.assert_array_equal(
                 memory.weights[ages.size - m:],
                 want[want.size - min(cap, want.size):])
@@ -145,7 +167,7 @@ def test_static_windows_match_the_window(kernel, eps):
 @pytest.mark.parametrize("eps", [1.0, 0.5, 2.0])
 def test_modulated_windows_match_the_window(eps):
     kernel = modulated()
-    memory = Memory(kernel, eps, 0.25, "rectangle")
+    memory = Memory(kernel, eps, 0.25, "cells")
     da, size = memory.ages[1], memory.ages.size
     sums = running_sums(memory.weights)
     for hi in (STEPS, np.full(STEPS.size, 100)):
@@ -156,13 +178,17 @@ def test_modulated_windows_match_the_window(eps):
         np.testing.assert_array_equal(totals, sums[sizes] * scales)
     for t in (0.25, 1.5, 0.25):
         (_,), _, (scale,) = memory.windows(np.array([t]), size)
-        np.testing.assert_allclose(memory.weights * scale,
-                                   da * kernel.eval(memory.ages[::-1], t),
-                                   rtol=1e-15, atol=0.0)
+        # a difference of the kernel's masses at t, which are below 2,
+        # rounds by a few 1e-16 absolute, not relative to the cell
+        ages = memory.ages[::-1]
+        np.testing.assert_allclose(
+            memory.weights * scale,
+            kernel.cummass(np.minimum(ages + da, kernel.a_max), t)
+            - kernel.cummass(ages, t), rtol=0.0, atol=1e-15)
 
 
 def test_buffer_holds_the_past_before_the_first_node():
-    memory = Memory(Exponential(1.0, 1.0, a_max=1.0), 2.0, 0.5, "rectangle")
+    memory = Memory(Exponential(1.0, 1.0, a_max=1.0), 2.0, 0.5, "cells")
     B = memory.buffer(LinearPast(2.0, 1.0), 3)
     assert B.size == memory.ages.size + 3
     # B[J + n] = Z^n: the prefix holds z_p at t = (k - J) dt, Z^0 = z_p(0)
@@ -198,7 +224,7 @@ def test_support_never_decreases(kernel):
 @settings(max_examples=300, derandomize=True, deadline=None)
 @given(kernel=st.sampled_from(HORIZON_KERNELS),
        eps=st.sampled_from([0.5, 1.0, 2.0]),
-       rule=st.sampled_from(["trapezoid", "rectangle"]),
+       rule=st.sampled_from(["trapezoid", "cells"]),
        steps=st.integers(1, 12), nudge=st.sampled_from([-1, 0, 1]))
 def test_horizon_grid_gives_the_full_grid_windows(kernel, eps, rule, steps,
                                                    nudge):
@@ -251,8 +277,8 @@ def test_horizon_grid_counts_the_ages_below_the_support(dt, k, ulps):
     horizon = dt * k
     for _ in range(abs(ulps)):
         horizon = math.nextafter(horizon, ulps * math.inf)
-    ages = Memory(kernel, 1.0, dt, "rectangle").ages
-    part = Memory(kernel, 1.0, dt, "rectangle", horizon)
+    ages = Memory(kernel, 1.0, dt, "cells").ages
+    part = Memory(kernel, 1.0, dt, "cells", horizon)
     assert part.ages.size == max(int(np.sum(ages < horizon)), 1)
 
 
@@ -271,7 +297,7 @@ def test_one_count_rule_for_the_horizon_grid_and_every_window(dt, k, frac,
     kernel = TruncatedExponential(1.0, 1.0, a_max=a_max)
     da, J = _age_grid(kernel, 1.0, dt)
     ages = da * np.arange(J + 1)  # the full float grid a_0 .. a_J
-    full = Memory(kernel, 1.0, dt, "rectangle")
+    full = Memory(kernel, 1.0, dt, "cells")
     assert full.ages.size == ages.size
     edges = np.append(ages, a_max)
     supports = np.unique(np.concatenate(
@@ -285,5 +311,5 @@ def test_one_count_rule_for_the_horizon_grid_and_every_window(dt, k, frac,
     # a window at time s has support s, or a_max from a_max on
     sizes, _, _ = full.windows(supports, 10**9)
     assert list(sizes) == want
-    assert [Memory(kernel, 1.0, dt, "rectangle", s).ages.size
+    assert [Memory(kernel, 1.0, dt, "cells", s).ages.size
             for s in supports] == [max(m, 1) for m in want]

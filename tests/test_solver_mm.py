@@ -534,6 +534,16 @@ class TestSolveMM:
         zdot = np.abs(np.diff(traj.values)) / 1e-3
         assert np.max(zdot) <= 1.5 + 1.0 * k.mu_total() + 1e-9
 
+    @pytest.mark.parametrize("eps, tol", [(1e-3, 1e-3), (1e-2, 2e-2)])
+    def test_a_drive_above_the_bond_mass_moves_the_cell(self, eps, tol):
+        # v = 1.5 beats mu = 1, so the path is z = (v - mu) t, z(1) = 0.5;
+        # weights da rho(a_j) would sum to 1.58 mu at da = 1 and hold the
+        # cell near 0 (6.3e-4 at eps = 1e-3, 0.459 at eps = 1e-2)
+        traj = solve_mm(AbsoluteValue(), Exponential(1.0, 1.0), 1.5,
+                        ConstantPast(0.0), SolverConfig(eps=eps, T=1.0,
+                                                        dt=1e-3))
+        assert traj.values[-1] == pytest.approx(0.5, abs=tol)
+
     def test_matches_smooth_solver_to_first_order(self):
         k = TruncatedExponential(1.0, 1.0)
         past = ConstantPast(0.0)
@@ -672,8 +682,8 @@ class TestVelocityBound:
 
     The step's subgradient is (w - Z^{n-1})/dt - v(t_n) plus the memory
     force sum_j q_j psi'(u_j), whose size is at most L times the weight sum.
-    On an exponential kernel the rectangle rule's weights beta e^{-zeta a_j} da
-    sum to at most Q = beta da / (1 - e^{-zeta da}), and the age cutoff of
+    The weights are cell masses, which on an exponential kernel sum to at
+    most Q = beta/zeta, the bond mass, and the age cutoff of
     ``TruncatedExponential`` only drops weights.
     """
 
@@ -692,8 +702,7 @@ class TestVelocityBound:
         z = solve_mm(psi, kernel, lambda t: amp * math.sin(omega * t),
                      LinearPast(slope, intercept),
                      SolverConfig(eps=eps, T=1.0, dt=dt)).values
-        da = dt / eps
-        Q = beta * da / -math.expm1(-zeta * da)
+        Q = beta / zeta
         speed = np.abs(np.diff(z)) / dt
         assert np.max(speed) <= amp + psi.lipschitz_L * Q + 1e-9
 
